@@ -349,17 +349,12 @@ def cmd_ep_scan(config: SweepConfig, out: str | None, as_json: bool, which: str)
                 excluded += 1
                 writer.row([report.param, None, None, None, None, None, report.error])
                 continue
-            best = None
-            if np.isfinite(report.min_angle):
-                best = min(
-                    (c for c in report.clusters if c.min_angle is not None),
-                    key=lambda c: c.min_angle,
-                )
+            best = report.best
             centroid = complex(np.mean(best.eigenvalues)) if best else None
             writer.row([
                 report.param,
                 len(report.clusters),
-                report.min_angle if np.isfinite(report.min_angle) else None,
+                best.min_angle if best else None,
                 report.coalescing,
                 centroid.real if centroid else None,
                 centroid.imag if centroid else None,
@@ -424,10 +419,10 @@ def cmd_liouvillian_check(config: SweepConfig, out: str | None, as_json: bool) -
 
     gen_a = lv.build_liouvillian(params, cutoff)
     gen_b = lv.build_liouvillian_from_hnh(params, cutoff)
-    scale = max(1.0, float(np.max(np.abs(gen_a.matrix))))
+    scale = max(1.0, float(np.max(np.abs(gen_a.csr.data), initial=0.0)))
     rows.append((
         "assembly_agreement",
-        float(np.max(np.abs(gen_a.matrix - gen_b.matrix))) / scale,
+        float(np.max(np.abs((gen_a.csr - gen_b.csr).data), initial=0.0)) / scale,
         1e-12,
     ))
 

@@ -6,8 +6,9 @@ convention package-wide: mode-A operators embed as ``kron(op, eye(d))`` and
 mode-B operators as ``kron(eye(d), op)``.
 
 Truncation necessarily breaks the ladder algebra at the top level, so
-commutation identities are asserted on the interior projector (every mode
-occupation <= d - 2); the defect is confined to the boundary level.
+commutation identities are asserted on the interior levels (every mode
+occupation <= d - 2, see interior_indices); the defect is confined to the
+boundary level.
 
 The displaced operators (c, c+, d, d+) and supermodes (e, e+, f, f+) built
 here are *not* dagger pairs: the "+" partners are constructed explicitly from
@@ -138,14 +139,6 @@ def interior_indices(cutoff: FockCutoff | int, margin: int = 1) -> np.ndarray:
     d = FockCutoff.of(cutoff).d
     keep = np.arange(d - margin)
     return (keep[:, None] * d + keep[None, :]).ravel()
-
-
-def interior_projector(cutoff: FockCutoff | int, margin: int = 1) -> np.ndarray:
-    cut = FockCutoff.of(cutoff)
-    proj = np.zeros((cut.dim, cut.dim), dtype=complex)
-    idx = interior_indices(cut, margin)
-    proj[idx, idx] = 1.0
-    return proj
 
 
 class DisplacementConstants(NamedTuple):

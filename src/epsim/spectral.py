@@ -112,6 +112,23 @@ def principal_angle(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.arcsin(min(1.0, np.linalg.norm(residual))))
 
 
+def cluster_min_angle(vectors, group: Sequence[int], sectors=None) -> float:
+    """Smallest principal angle between the eigenvectors of one cluster.
+
+    vectors[i] is the eigenvector of eigenvalue i (the transpose of an
+    eigenvector matrix qualifies); group holds at least two indices. With
+    sectors, eigenvectors of different sectors have disjoint support, so
+    their angle is exactly pi/2 and is not computed.
+    """
+    return min(
+        principal_angle(vectors[i], vectors[j])
+        if sectors is None or sectors[i] == sectors[j]
+        else np.pi / 2
+        for pos, i in enumerate(group)
+        for j in group[pos + 1 :]
+    )
+
+
 def cluster_eigenvalues(values: np.ndarray, eps: float) -> list[list[int]]:
     """Group indices whose eigenvalues chain-link within distance eps."""
     n = len(values)
@@ -145,13 +162,22 @@ class EigenvalueCluster:
 
 @dataclass
 class CoalescenceReport:
-    """Cluster/angle diagnostics of one grid point of a parameter scan."""
+    """Cluster/angle diagnostics of one grid point of a parameter scan.
+
+    best is the cluster of size >= 2 with the smallest min_angle (the first
+    one on ties), None when every cluster is a singleton.
+    """
 
     param: float
     clusters: list[EigenvalueCluster] = field(default_factory=list)
-    min_angle: float = np.inf  # over clusters of size >= 2
+    best: EigenvalueCluster | None = None
     coalescing: bool = False
     error: str | None = None
+
+    @property
+    def min_angle(self) -> float:
+        """Smallest eigenvector angle over clusters of size >= 2, inf without one."""
+        return np.inf if self.best is None else self.best.min_angle
 
 
 def coalescence_report(
@@ -163,26 +189,20 @@ def coalescence_report(
     spectrum = eig(a, want_vectors=True)
     eps = CLUSTER_EPS_SCALE * spectrum.norm if cluster_eps is None else cluster_eps
     clusters = []
-    min_angle = np.inf
+    best = None
     for group in cluster_eigenvalues(spectrum.eigenvalues, eps):
         angle = None
         if len(group) >= 2:
-            angle = min(
-                principal_angle(
-                    spectrum.eigenvectors[:, i], spectrum.eigenvectors[:, j]
-                )
-                for pos, i in enumerate(group)
-                for j in group[pos + 1 :]
-            )
-            min_angle = min(min_angle, angle)
-        clusters.append(
-            EigenvalueCluster(tuple(group), spectrum.eigenvalues[group], angle)
-        )
+            angle = cluster_min_angle(spectrum.eigenvectors.T, group)
+        cluster = EigenvalueCluster(tuple(group), spectrum.eigenvalues[group], angle)
+        clusters.append(cluster)
+        if angle is not None and (best is None or angle < best.min_angle):
+            best = cluster
     return CoalescenceReport(
         param=param,
         clusters=clusters,
-        min_angle=min_angle,
-        coalescing=bool(min_angle < angle_eps),
+        best=best,
+        coalescing=bool(best is not None and best.min_angle < angle_eps),
     )
 
 
@@ -240,17 +260,13 @@ def estimate_ep(
     """Grid point minimizing the clustered eigenvector angle, +- one grid step."""
     best = None
     for report in reports:
-        if report.error is not None or not np.isfinite(report.min_angle):
+        if report.best is None:  # failed point, or no cluster of size >= 2
             continue
         if best is None or report.min_angle < best.min_angle:
-            cluster = min(
-                (c for c in report.clusters if c.min_angle is not None),
-                key=lambda c: c.min_angle,
-            )
             best = EPEstimate(
                 value=report.param,
                 uncertainty=grid_step,
                 min_angle=report.min_angle,
-                eigenvalue=complex(np.mean(cluster.eigenvalues)),
+                eigenvalue=complex(np.mean(report.best.eigenvalues)),
             )
     return best

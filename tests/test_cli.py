@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +218,15 @@ class TestLiouvillianCheckCommand:
         by_name = {r["check"]: r for r in rows}
         assert by_name["spectrum_moment_pair"]["passed"] == "False"
         assert by_name["moment_closure"]["passed"] == "True"
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse costs tens of milliseconds to import; only the Liouvillian
+    # and master-equation paths load it, when they run
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, epsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

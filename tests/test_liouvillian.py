@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import valid_params
+from conftest import assert_multiset_close, valid_params
 from epsim import fockspace as fs
 from epsim import liouvillian as lv
 from epsim import model as md
@@ -68,6 +68,89 @@ class TestGenerator:
         herm = raw + raw.conj().T
         out = gen.apply(herm)
         np.testing.assert_allclose(out, out.conj().T, atol=1e-11)
+
+
+def dense_generator(params, d, from_hnh=False):
+    """The generator assembled densely with np.kron, term by term."""
+    eye = np.eye(d * d, dtype=complex)
+
+    def left(x):
+        return np.kron(eye, x)
+
+    def right(x):
+        return np.kron(x.T, eye)
+
+    if from_hnh:
+        h_nh = md.build_h_nh(params, d)
+        gen = -1j * (left(h_nh) - right(fs.dagger(h_nh)))
+        for c in md.build_collapse_ops(params, d):
+            gen += np.kron(c.conj(), c)
+        return gen
+    h = md.build_hamiltonian(params, d)
+    gen = -1j * (left(h) - right(h))
+    for c in md.build_collapse_ops(params, d):
+        cdc = fs.dagger(c) @ c
+        gen += np.kron(c.conj(), c) - 0.5 * (left(cdc) + right(cdc))
+    return gen
+
+
+class TestSparseAssembly:
+    @pytest.mark.parametrize("n_th", [0.0, 0.2])
+    @pytest.mark.parametrize("from_hnh", [False, True])
+    def test_equals_dense_kron_reference(self, from_hnh, n_th):
+        p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=1.0, n_th=n_th)
+        build = lv.build_liouvillian_from_hnh if from_hnh else lv.build_liouvillian
+        gen = build(p, 3)
+        assert gen.csr.format == "csr"
+        assert gen.hilbert_dim == 9
+        np.testing.assert_array_equal(gen.matrix, dense_generator(p, 3, from_hnh))
+
+    def test_apply_matches_dense_product(self, thermal_params):
+        gen = lv.build_liouvillian(thermal_params, 3)
+        rho = lv.interior_density_matrix(3, np.random.default_rng(5), margin=0)
+        np.testing.assert_allclose(
+            gen.apply(rho), lv.unvec(gen.matrix @ lv.vec(rho)), atol=1e-13
+        )
+
+
+class TestSectors:
+    def test_sector_count_and_sizes(self):
+        sizes = sorted(np.unique(lv.sector_labels(6), return_counts=True)[1])
+        assert len(sizes) == 21 and sizes[-1] == 146 and sum(sizes) == 36**2
+
+    def test_labels_follow_column_stacking(self):
+        labels = lv.unvec(lv.sector_labels(3).astype(complex)).real
+        n_op = fs.number_op(3)
+        n_total = np.diag(fs.embed(n_op, Mode.A, 3) + fs.embed(n_op, Mode.B, 3)).real
+        np.testing.assert_array_equal(labels, n_total[:, None] - n_total[None, :])
+
+    @pytest.mark.parametrize("n_th", [0.0, 0.2])
+    def test_off_sector_entries_vanish_only_without_drive(self, n_th):
+        labels = lv.sector_labels(4)
+        off = labels[:, None] != labels[None, :]
+        p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=0.0, n_th=n_th)
+        assert np.all(lv.build_liouvillian(p, 4).matrix[off] == 0.0)
+        driven = lv.build_liouvillian(p.with_(eps=0.3), 4).matrix
+        assert np.any(driven[off] != 0.0)
+
+    def test_driven_generator_rejected(self, std_params):
+        with pytest.raises(SpectrumWitnessError):
+            lv.sector_spectrum(lv.build_liouvillian(std_params, 3), 3)
+
+    def test_cutoff_mismatch_rejected(self, std_params):
+        with pytest.raises(ValueError):
+            lv.sector_spectrum(lv.build_liouvillian(std_params.with_(eps=0.0), 3), 4)
+
+    def test_vectors_are_eigenvectors_of_the_generator(self, thermal_params):
+        gen = lv.build_liouvillian(thermal_params.with_(eps=0.0), 3)
+        spectrum = lv.sector_spectrum(gen, 3)
+        dense = gen.matrix
+        for i in range(0, len(spectrum.eigenvalues), 7):
+            idx, _ = spectrum.blocks[spectrum.sectors[i]]
+            v = np.zeros(81, dtype=complex)
+            v[idx] = spectrum.vector(i)
+            residual = dense @ v - spectrum.eigenvalues[i] * v
+            assert np.linalg.norm(residual) < 1e-9 * spectrum.norm
 
 
 class TestMomentCheck:
@@ -194,3 +277,55 @@ class TestSpectrumWitness:
             lv.liouvillian_spectrum_check(p, 4)
         loose = lv.liouvillian_spectrum_check(p, 4, tol=0.5)
         assert loose.distances.max() < 0.5
+
+
+def dense_witness(params, d, angle_eps=sp.DEFAULT_ANGLE_EPS):
+    """The spectrum witness from one dense eigensolve of the whole generator."""
+    der = md.derive(params)
+    matrix = lv.build_liouvillian(params.with_(eps=0.0), d).matrix
+    values, vectors = np.linalg.eig(matrix)
+    targets = np.array([-der.gamma + 1j * der.omega, -der.gamma - 1j * der.omega])
+    dists = np.abs(values[None, :] - targets[:, None])
+    nearest_idx = np.argmin(dists, axis=1)
+    clusters = sp.cluster_eigenvalues(values, sp.CLUSTER_EPS_SCALE * np.linalg.norm(matrix))
+    near_gamma = min(clusters, key=lambda grp: min(abs(values[i] + der.gamma) for i in grp))
+    min_angle = None
+    if len(near_gamma) >= 2:
+        min_angle = min(
+            sp.principal_angle(vectors[:, i], vectors[:, j])
+            for pos, i in enumerate(near_gamma)
+            for j in near_gamma[pos + 1 :]
+        )
+    return {
+        "eigenvalues": values,
+        "nearest": values[nearest_idx],
+        "distances": dists[np.arange(2), nearest_idx],
+        "zero_mode_distance": float(np.min(np.abs(values))),
+        "cluster_size": len(near_gamma),
+        "degenerate_pair_flagged": min_angle is not None and min_angle < angle_eps,
+    }
+
+
+class TestSectorWitnessAgainstDense:
+    @pytest.mark.parametrize("n_th", [0.0, 0.2])
+    @pytest.mark.parametrize("at_ep", [False, True])
+    def test_matches_dense_eigensolve(self, n_th, at_ep):
+        if at_ep:
+            p = md.SystemParams.from_mean_split(1.0, 2.0, 1.0, eps=0.0, n_th=n_th)
+        else:
+            p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=0.0, n_th=n_th)
+        ref = dense_witness(p, 4)
+        gen = lv.build_liouvillian(p, 4)
+        # At n_th = 0 the EP is of high order in the larger excitation
+        # sectors; eigenvalues there are fixed only to ~(u ||L||)^(1/order).
+        atol = 5e-2 if (at_ep and n_th == 0.0) else 1e-9
+        assert_multiset_close(lv.sector_spectrum(gen, 4).eigenvalues, ref["eigenvalues"], atol)
+
+        witness = lv.liouvillian_spectrum_check(p, 4, tol=np.inf)
+        # the moment pair is a second-order EP at g = kappa: ~sqrt(u) there
+        atol = 1e-7 if at_ep else 1e-12
+        np.testing.assert_allclose(witness.nearest, ref["nearest"], atol=atol)
+        np.testing.assert_allclose(witness.distances, ref["distances"], atol=atol)
+        assert witness.zero_mode_distance == pytest.approx(ref["zero_mode_distance"], abs=1e-12)
+        assert witness.cluster_size == ref["cluster_size"]
+        assert witness.degenerate_pair_flagged == ref["degenerate_pair_flagged"]

@@ -124,6 +124,26 @@ class TestClustering:
         groups = sp.cluster_eigenvalues(values, 1.5e-7)
         assert sorted(map(sorted, groups)) == [[0, 1, 2], [3], [4], [5]]
 
+    def test_cluster_min_angle_within_and_across_sectors(self):
+        vectors = np.array([[1.0, 0.0], [1.0, 1e-4], [0.0, 1.0]], dtype=complex)
+        assert sp.cluster_min_angle(vectors, [0, 1, 2]) == pytest.approx(1e-4)
+        # index 1 in a sector of its own: only the pi/2 pairs remain
+        assert sp.cluster_min_angle(vectors, [0, 1, 2], [0, 1, 0]) == np.pi / 2
+        assert sp.cluster_min_angle(vectors, [0, 1, 2], [0, 0, 1]) == pytest.approx(1e-4)
+
+    def test_best_cluster_has_the_smallest_angle(self):
+        # two Jordan blocks; the second is tilted further from coalescence
+        a = np.zeros((4, 4), dtype=complex)
+        a[0, 1] = 1.0
+        a[2, 2], a[3, 3], a[2, 3] = 5.0, 5.0 + 1e-9, 1e-3
+        report = sp.coalescence_report(a, 0.0, cluster_eps=1e-6)
+        assert [c.indices for c in report.clusters] == [(0, 1), (2, 3)]
+        assert report.best is report.clusters[0]
+        assert report.min_angle == report.best.min_angle < report.clusters[1].min_angle
+        singletons = sp.coalescence_report(np.diag([1.0, 2.0]), 0.0)
+        assert singletons.best is None and singletons.min_angle == np.inf
+        assert not singletons.coalescing
+
     def test_ep_signature_of_moment_matrix(self):
         # eigenvector angle below angle_eps at g=kappa, above 10x away from it
         at_ep = lv.dynamical_matrix(md.SystemParams.from_mean_split(1.0, 2.0, 1.0)).matrix

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from epsim import fockspace as fs
+from epsim import liouvillian as lv
 from epsim import model as md
 from epsim import spectral as sp
 from epsim import trajectory as tj
@@ -193,6 +195,28 @@ class TestEnsembleVsMaster:
         i1 = fs.fock_index(2, 1, 0)
         for t, rho in zip(times, rhos):
             assert rho[i1, i1].real == pytest.approx(np.exp(-2 * 0.5 * t), abs=1e-10)
+
+    @pytest.mark.parametrize("n_th", [0.0, 0.2])
+    def test_master_propagate_matches_dense_expm(self, std_params, n_th):
+        p = std_params.with_(n_th=n_th)  # driven, eps = 1
+        psi = (fs.basis_state(4, 0, 0) + fs.basis_state(4, 1, 2)) / np.sqrt(2)
+        rho0 = np.outer(psi, psi.conj())
+        times = np.array([0.0, 0.0, 0.2, 0.5, 1.7, 4.0])
+        rhos = tj.master_propagate(p, 4, rho0, times)
+        gen = lv.build_liouvillian(p, 4).matrix
+        for t, rho in zip(times, rhos):
+            exact = lv.unvec(scipy.linalg.expm(gen * t) @ lv.vec(rho0))
+            np.testing.assert_allclose(rho, exact, rtol=0, atol=1e-12)
+
+    def test_master_propagate_leaves_global_random_state(self, thermal_params):
+        # long gaps are split so expm_multiply never falls back to onenormest
+        rho0 = np.outer(fs.basis_state(4, 1, 0), fs.basis_state(4, 1, 0))
+        np.random.seed(3)
+        before = np.random.get_state()[1].copy()
+        a = tj.master_propagate(thermal_params, 4, rho0, np.array([0.0, 6.0]))
+        np.testing.assert_array_equal(np.random.get_state()[1], before)
+        b = tj.master_propagate(thermal_params, 4, rho0, np.array([0.0, 6.0]))
+        np.testing.assert_array_equal(a, b)
 
     def test_trace_distance_basics(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
