@@ -9,8 +9,7 @@ error, 2 numerical failure (with partial output flushed).
 
 Physical values in configs are in units of the coupling g unless g itself is
 swept (then absolute rate units); the convention is recorded in the output
-header. The worker count for grid points and trajectory chunks is read from
-the EPSIM_WORKERS environment variable only.
+header.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import argparse
 import copy
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
@@ -207,9 +205,7 @@ class TableWriter:
 
     def row(self, values: Sequence):
         if self.as_json:
-            payload = {
-                k: (None if v is None else v) for k, v in zip(self.columns, values)
-            }
+            payload = dict(zip(self.columns, values))
             self._emit(json.dumps(payload, sort_keys=True, default=self._fmt))
         else:
             self._emit(",".join(self._fmt(v) for v in values))
@@ -259,8 +255,11 @@ def cmd_spectrum(config: SweepConfig, out: str | None, as_json: bool) -> int:
         "re_nh_analytic", "im_nh_analytic", "re_nh_numeric", "im_nh_numeric", "err_nh",
     ]
 
-    def point_rows(value: float) -> list[list]:
-        point = apply_axis(config.params, config.sweep["axis"], value)
+    grid = sweep_values(config.sweep)
+    # every grid point is validated before any numerics
+    points = [apply_axis(config.params, config.sweep["axis"], v) for v in grid]
+    rows = []
+    for value, point in zip(grid, points):
         der = md.derive(point)
         h_pt, _ = md.build_h_pt_split(point, config.cutoff, thermal=thermal)
         pt_vals = sp.eig(h_pt, want_vectors=False).eigenvalues
@@ -268,7 +267,6 @@ def cmd_spectrum(config: SweepConfig, out: str | None, as_json: bool) -> int:
             md.build_h_nh(point, config.cutoff), want_vectors=False
         ).eigenvalues
         chi_full = der.chi_p_full if thermal else der.chi_full
-        rows = []
         for n_e, n_f in md.TRACKED_STATES:
             pt_a = md.analytic_lambda_pt(n_e, n_f, der, thermal=thermal)
             nh_a = md.analytic_lambda_nh(n_e, n_f, der, thermal=thermal)
@@ -282,24 +280,12 @@ def cmd_spectrum(config: SweepConfig, out: str | None, as_json: bool) -> int:
                 pt_a.real, pt_a.imag, pt_n.real, pt_n.imag, abs(pt_a - pt_n),
                 nh_a.real, nh_a.imag, nh_n.real, nh_n.imag, abs(nh_a - nh_n),
             ])
-        return rows
-
-    grid = sweep_values(config.sweep)
-    for value in grid:  # validate the whole grid before any numerics
-        apply_axis(config.params, config.sweep["axis"], value)
-    workers = sp.worker_count()
-    if workers <= 1:
-        per_point = [point_rows(v) for v in grid]
-    else:  # concurrent evaluation; rows stay in grid order
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(point_rows, grid))
 
     stream, close = _open_out(out)
     try:
         writer = TableWriter(stream, columns, _meta(config, "spectrum-v1"), as_json)
-        for rows in per_point:
-            for row in rows:
-                writer.row(row)
+        for row in rows:
+            writer.row(row)
     finally:
         if close:
             stream.close()
@@ -319,18 +305,16 @@ def cmd_ep_scan(config: SweepConfig, out: str | None, as_json: bool, which: str)
     cluster_eps = config.tolerances.get("cluster_eps")
     angle_eps = config.tolerances.get("angle_eps", sp.DEFAULT_ANGLE_EPS)
 
+    grid = sweep_values(config.sweep)
+    # every grid point is validated before any numerics
+    points = {value: apply_axis(config.params, axis, value) for value in grid}
     if which == "ep-scan":
         def builder(value: float) -> np.ndarray:
-            return md.h_nh_block(
-                apply_axis(config.params, axis, value), config.cutoff, 1
-            )
+            return md.h_nh_block(points[value], config.cutoff, 1)
     else:
         def builder(value: float) -> np.ndarray:
-            return lv.dynamical_matrix(apply_axis(config.params, axis, value)).matrix
+            return lv.dynamical_matrix(points[value]).matrix
 
-    grid = sweep_values(config.sweep)
-    for value in grid:  # validate the whole grid before any numerics
-        apply_axis(config.params, axis, value)
     reports = sp.coalescence_scan(
         builder, list(grid), cluster_eps=cluster_eps, angle_eps=angle_eps
     )
@@ -459,7 +443,7 @@ def cmd_liouvillian_check(config: SweepConfig, out: str | None, as_json: bool) -
             stream, columns, _meta(config, "liouvillian-check-v1"), as_json
         )
         for name, value, tol in rows:
-            passed = value <= tol
+            passed = bool(value <= tol)
             all_passed &= passed
             writer.row([name, float(value), tol, passed])
     finally:

@@ -11,8 +11,6 @@ Norms are Frobenius throughout.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -206,44 +204,29 @@ def coalescence_report(
     )
 
 
-def worker_count() -> int:
-    """Parallelism level, controlled by the EPSIM_WORKERS environment variable."""
-    try:
-        return max(1, int(os.environ.get("EPSIM_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def coalescence_scan(
     builder: Callable[[float], np.ndarray],
     grid: Sequence[float],
     cluster_eps: float | None = None,
     angle_eps: float = DEFAULT_ANGLE_EPS,
-    workers: int | None = None,
 ) -> list[CoalescenceReport]:
     """One CoalescenceReport per grid point, in grid order.
 
     Eigensolver failures at individual points are recorded on the report and
-    do not abort the scan. Grid points may be evaluated concurrently; the
-    result order is always the grid order.
+    do not abort the scan.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be sorted ascending")
-
-    def one(x: float) -> CoalescenceReport:
+    reports = []
+    for x in grid:
         try:
-            return coalescence_report(builder(x), x, cluster_eps, angle_eps)
+            reports.append(coalescence_report(builder(x), x, cluster_eps, angle_eps))
         except EigenConvergenceError as exc:
-            return CoalescenceReport(param=x, error=str(exc))
-
-    workers = worker_count() if workers is None else workers
-    if workers <= 1:
-        return [one(x) for x in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, grid))
+            reports.append(CoalescenceReport(param=x, error=str(exc)))
+    return reports
 
 
 @dataclass

@@ -9,13 +9,12 @@ separately as the running product of the per-step no-jump probabilities.
 
 Randomness comes from one counter-based Philox stream per trajectory, keyed
 by (seed, trajectory index), so results are bit-for-bit reproducible and
-independent of batching or worker count. Trajectories are independent;
-partial sums are merged in chunk order.
+independent of batching. Trajectories are independent; partial sums are
+merged in chunk order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,22 +159,33 @@ class _Engine:
         self,
         initial: np.ndarray,
         indices: range,
-        record_probs: bool = False,
+        record: bool = False,
+        allow_jumps: bool = True,
     ) -> dict:
+        """Step the trajectories `indices` from `initial` over the whole grid.
+
+        Returns the chunk's sums at the sample times and each trajectory's
+        jump record and survival. With record, the states at the sample times
+        ("states", (n_samples, dim, batch)) and the per-step no-jump
+        probabilities ("no_jump_probs", (n_steps, batch)) are returned too.
+        Without allow_jumps no random numbers are drawn and every step is a
+        no-jump step (the postselected record).
+        """
         cfg = self.config
         n_steps = cfg.n_steps
         batch = len(indices)
-        draws = np.empty((batch, n_steps, _DRAWS_PER_STEP))
-        for row, traj in enumerate(indices):
-            draws[row] = philox_stream(cfg.seed, traj).random(
-                (n_steps, _DRAWS_PER_STEP)
-            )
+        if allow_jumps:
+            draws = np.empty((batch, n_steps, _DRAWS_PER_STEP))
+            for row, traj in enumerate(indices):
+                draws[row] = philox_stream(cfg.seed, traj).random(
+                    (n_steps, _DRAWS_PER_STEP)
+                )
+        no_jumps = np.zeros(batch, dtype=bool)
 
         states = np.tile(initial[:, None], (1, batch)).astype(complex)
         survival = np.ones(batch)
         jump_counts = np.zeros(batch)
         jumps: list[list[tuple[float, int]]] = [[] for _ in range(batch)]
-        prob_log = np.zeros((n_steps, batch)) if record_probs else None
 
         sample_steps = cfg.sample_steps
         n_samples = len(sample_steps)
@@ -183,7 +193,9 @@ class _Engine:
         rho_sum = np.zeros((n_samples, dim, dim), dtype=complex)
         survival_sum = np.zeros(n_samples)
         jumps_sum = np.zeros(n_samples)
-        state_log = np.zeros((n_samples, dim, batch), dtype=complex)
+        if record:
+            state_log = np.zeros((n_samples, dim, batch), dtype=complex)
+            prob_log = np.zeros((n_steps, batch))
         cursor = 0
 
         def take_sample(at_step: int, cursor: int) -> int:
@@ -191,7 +203,8 @@ class _Engine:
                 rho_sum[cursor] += states @ states.conj().T
                 survival_sum[cursor] += survival.sum()
                 jumps_sum[cursor] += jump_counts.sum()
-                state_log[cursor] = states
+                if record:
+                    state_log[cursor] = states
                 cursor += 1
             return cursor
 
@@ -205,9 +218,9 @@ class _Engine:
                     f"jump probability {worst:.4f} exceeds {JUMP_PROBABILITY_CAP} "
                     f"at step {step}; reduce dt"
                 )
-            if record_probs:
+            if record:
                 prob_log[step] = 1.0 - p_tot
-            jump_mask = draws[:, step, 0] < p_tot
+            jump_mask = draws[:, step, 0] < p_tot if allow_jumps else no_jumps
 
             cols = np.where(~jump_mask)[0]
             if cols.size:
@@ -247,15 +260,17 @@ class _Engine:
 
             cursor = take_sample(step + 1, cursor)
 
-        return {
+        out = {
             "rho_sum": rho_sum,
             "survival_sum": survival_sum,
             "jumps_sum": jumps_sum,
             "jumps": jumps,
             "survival": survival,
-            "states": state_log,
-            "prob_log": prob_log,
         }
+        if record:
+            out["states"] = state_log
+            out["no_jump_probs"] = prob_log
+        return out
 
 
 def _check_initial(initial: np.ndarray | None, cut: FockCutoff) -> np.ndarray:
@@ -269,6 +284,28 @@ def _check_initial(initial: np.ndarray | None, cut: FockCutoff) -> np.ndarray:
     return initial
 
 
+def _single(
+    params: md.SystemParams,
+    config: TrajectoryConfig,
+    initial: np.ndarray | None,
+    traj_index: int,
+    allow_jumps: bool,
+) -> TrajectoryResult:
+    engine = _Engine(params, config)
+    psi0 = _check_initial(initial, engine.cut)
+    out = engine.run_chunk(
+        psi0, range(traj_index, traj_index + 1), record=True, allow_jumps=allow_jumps
+    )
+    return TrajectoryResult(
+        jumps=out["jumps"][0],
+        survival=float(out["survival"][0]),
+        final_state=out["states"][-1][:, 0],
+        sample_times=config.sample_times,
+        sampled_states=out["states"][:, :, 0],
+        no_jump_probs=out["no_jump_probs"][:, 0],
+    )
+
+
 def run_trajectory(
     params: md.SystemParams,
     config: TrajectoryConfig,
@@ -277,58 +314,46 @@ def run_trajectory(
     record_probs: bool = False,
 ) -> TrajectoryResult:
     """Single stochastic trajectory, identical to ensemble member traj_index."""
-    engine = _Engine(params, config)
-    psi0 = _check_initial(initial, engine.cut)
-    out = engine.run_chunk(psi0, range(traj_index, traj_index + 1), record_probs)
-    return TrajectoryResult(
-        jumps=out["jumps"][0],
-        survival=float(out["survival"][0]),
-        final_state=out["states"][-1][:, 0],
-        sample_times=config.sample_times,
-        sampled_states=out["states"][:, :, 0],
-        no_jump_probs=None if out["prob_log"] is None else out["prob_log"][:, 0],
-    )
+    result = _single(params, config, initial, traj_index, allow_jumps=True)
+    if not record_probs:
+        result.no_jump_probs = None
+    return result
 
 
 def run_ensemble(
     params: md.SystemParams,
     config: TrajectoryConfig,
     initial: np.ndarray | None = None,
-    workers: int | None = None,
 ) -> TrajectoryEnsemble:
     """Average n_traj independent trajectories.
 
-    Chunks of fixed size are simulated independently (optionally in threads)
-    and their partial sums merged in chunk order, so the result does not
-    depend on the worker count.
+    Chunks of fixed size are simulated one after another and their partial
+    sums added in chunk order.
     """
     engine = _Engine(params, config)
     psi0 = _check_initial(initial, engine.cut)
-    chunks = [
-        range(start, min(start + CHUNK_SIZE, config.n_traj))
-        for start in range(0, config.n_traj, CHUNK_SIZE)
-    ]
-    workers = sp.worker_count() if workers is None else workers
-    if workers <= 1:
-        partials = [engine.run_chunk(psi0, chunk) for chunk in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda ch: engine.run_chunk(psi0, ch), chunks))
-
-    n = float(config.n_traj)
-    rho_avg = sum(p["rho_sum"] for p in partials) / n
-    mean_survival = sum(p["survival_sum"] for p in partials) / n
-    mean_jumps = sum(p["jumps_sum"] for p in partials) / n
+    n_samples = len(config.sample_steps)
+    dim = engine.cut.dim
+    rho_sum = np.zeros((n_samples, dim, dim), dtype=complex)
+    survival_sum = np.zeros(n_samples)
+    jumps_sum = np.zeros(n_samples)
     jump_records: list[list[tuple[float, int]]] = []
     survivals: list[np.ndarray] = []
-    for p in partials:
-        jump_records.extend(p["jumps"])
-        survivals.append(p["survival"])
+    for start in range(0, config.n_traj, CHUNK_SIZE):
+        chunk = range(start, min(start + CHUNK_SIZE, config.n_traj))
+        out = engine.run_chunk(psi0, chunk)
+        rho_sum += out["rho_sum"]
+        survival_sum += out["survival_sum"]
+        jumps_sum += out["jumps_sum"]
+        jump_records.extend(out["jumps"])
+        survivals.append(out["survival"])
+
+    n = float(config.n_traj)
     return TrajectoryEnsemble(
         sample_times=config.sample_times,
-        rho_avg=rho_avg,
-        mean_jumps=mean_jumps,
-        mean_survival=mean_survival,
+        rho_avg=rho_sum / n,
+        mean_jumps=jumps_sum / n,
+        mean_survival=survival_sum / n,
         jump_records=jump_records,
         survivals=np.concatenate(survivals),
         config=config,
@@ -346,32 +371,7 @@ def postselect_no_jump(
     initial state; the survival probability is the product of per-step
     no-jump probabilities of the postselected record.
     """
-    engine = _Engine(params, config)
-    psi = _check_initial(initial, engine.cut)
-    survival = 1.0
-    samples = [psi.copy()]
-    no_jump_probs = np.zeros(config.n_steps)
-    sample_steps = set(config.sample_steps)
-    for step in range(config.n_steps):
-        p_tot = config.dt * float((engine.ctc_diag @ np.abs(psi) ** 2).sum())
-        if p_tot > JUMP_PROBABILITY_CAP:
-            raise StepSizeError(
-                f"jump probability {p_tot:.4f} exceeds {JUMP_PROBABILITY_CAP}; reduce dt"
-            )
-        no_jump_probs[step] = 1.0 - p_tot
-        survival *= 1.0 - p_tot
-        psi = engine.propagator @ psi
-        psi /= np.linalg.norm(psi)
-        if step + 1 in sample_steps:
-            samples.append(psi.copy())
-    return TrajectoryResult(
-        jumps=[],
-        survival=survival,
-        final_state=psi,
-        sample_times=config.sample_times,
-        sampled_states=np.stack(samples),
-        no_jump_probs=no_jump_probs,
-    )
+    return _single(params, config, initial, 0, allow_jumps=False)
 
 
 def trace_distance(rho_1: np.ndarray, rho_2: np.ndarray) -> float:
@@ -440,12 +440,11 @@ def ensemble_vs_master(
     params: md.SystemParams,
     config: TrajectoryConfig,
     initial: np.ndarray | None = None,
-    workers: int | None = None,
 ) -> UnravelingReport:
     """Trace-distance time series between the unraveling and the master equation."""
     cut = FockCutoff.of(config.cutoff)
     psi0 = _check_initial(initial, cut)
-    ensemble = run_ensemble(params, config, psi0, workers=workers)
+    ensemble = run_ensemble(params, config, psi0)
     rho_0 = np.outer(psi0, psi0.conj())
     rho_exact = master_propagate(params, cut, rho_0, ensemble.sample_times)
     distances = np.array(

@@ -92,20 +92,6 @@ class TestSpectrumCommand:
         below = [r for r in rows if float(r["sweep_value"]) < 1.0]
         assert all(float(r["im_pt_analytic"]) == 0.0 for r in below)
 
-    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "mode": "hamiltonian-spectrum",
-            "sweep": {"axis": "kappa", "min": 0.0, "max": 1.0, "step": 0.1},
-            "cutoff": 5,
-        }))
-        serial, threaded = tmp_path / "s.csv", tmp_path / "t.csv"
-        monkeypatch.delenv("EPSIM_WORKERS", raising=False)
-        assert run(["spectrum", "--config", str(cfg), "--out", str(serial)]) == 0
-        monkeypatch.setenv("EPSIM_WORKERS", "4")
-        assert run(["spectrum", "--config", str(cfg), "--out", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
-
     def test_thermal_spectrum_uses_primed_quantities(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -200,6 +186,13 @@ class TestLiouvillianCheckCommand:
             "spectrum_moment_pair", "zero_mode", "lambda_pm_match",
         }
         assert all(r["passed"] == "True" for r in rows)
+
+    def test_json_passed_is_boolean(self, tmp_path):
+        out = tmp_path / "check.jsonl"
+        assert run(["liouvillian-check", "--out", str(out), "--json"]) == 0
+        body = [json.loads(l) for l in open(out)][1:]
+        assert len(body) == 6
+        assert all(row["passed"] is True for row in body)
 
     def test_cutoff_guard(self, capsys):
         assert run(["liouvillian-check", "--cutoff", "10"]) == 1

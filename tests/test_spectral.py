@@ -204,16 +204,3 @@ class TestScan:
         estimate = sp.estimate_ep(reports, 0.01)
         assert estimate is not None
         assert abs(estimate.value - 1.0) <= 0.01
-
-    def test_worker_count_independence(self):
-        grid = list(np.linspace(0.5, 1.5, 21))
-
-        def builder(g):
-            p = md.SystemParams.from_mean_split(g, 2.0, 1.0)
-            return lv.dynamical_matrix(p).matrix
-
-        serial = sp.coalescence_scan(builder, grid, workers=1)
-        threaded = sp.coalescence_scan(builder, grid, workers=4)
-        assert [r.param for r in serial] == [r.param for r in threaded]
-        for a, b in zip(serial, threaded):
-            assert a.min_angle == b.min_angle and a.coalescing == b.coalescing

@@ -88,12 +88,6 @@ class TestDeterminism:
             rtol=1e-12,
         )
 
-    def test_worker_count_invariance(self, std_params, fast_config):
-        serial = tj.run_ensemble(std_params, fast_config, workers=1)
-        threaded = tj.run_ensemble(std_params, fast_config, workers=4)
-        assert np.array_equal(serial.rho_avg, threaded.rho_avg)
-        assert serial.jump_records == threaded.jump_records
-
 
 class TestNormBookkeeping:
     def test_survival_equals_product_of_step_probs(self, std_params, fast_config):
@@ -115,6 +109,24 @@ class TestNormBookkeeping:
         reference = sp.mat_exp(-1j * h_nh * 1.0) @ fs.basis_state(6, 0, 0)
         reference /= np.linalg.norm(reference)
         assert np.linalg.norm(post.final_state - reference) < 1e-8
+
+    def test_postselected_survival_is_product_of_step_probs(self, std_params):
+        cfg = tj.TrajectoryConfig(dt=0.01, t_final=1.0, n_traj=1, seed=0, cutoff=6)
+        post = tj.postselect_no_jump(std_params, cfg)
+        assert len(post.no_jump_probs) == cfg.n_steps
+        assert post.survival == pytest.approx(np.prod(post.no_jump_probs), rel=1e-12)
+
+    def test_closed_system_postselection_equals_trajectory(self):
+        # no channel can fire, so the two paths step the same record
+        p = md.SystemParams(g=1.0, gamma_a=0.0, gamma_b=0.0, eps=0.0, n_th=0.0)
+        cfg = tj.TrajectoryConfig(dt=0.01, t_final=1.0, n_traj=1, seed=5, cutoff=3)
+        psi0 = fs.basis_state(3, 1, 0)
+        post = tj.postselect_no_jump(p, cfg, psi0)
+        single = tj.run_trajectory(p, cfg, psi0)
+        assert single.jumps == []
+        assert np.array_equal(post.sampled_states, single.sampled_states)
+        assert np.array_equal(post.final_state, single.final_state)
+        assert post.survival == single.survival == 1.0
 
 
 class TestJumpStatistics:
@@ -158,11 +170,12 @@ class TestJumpStatistics:
 
 
 class TestGuards:
-    def test_step_size_error(self):
+    @pytest.mark.parametrize("run", [tj.run_ensemble, tj.postselect_no_jump])
+    def test_step_size_error(self, run):
         p = md.SystemParams(g=1e-300, gamma_a=3.0, gamma_b=0.0, eps=0.0)
         cfg = tj.TrajectoryConfig(dt=0.01, t_final=0.1, n_traj=4, seed=1, cutoff=3)
         with pytest.raises(StepSizeError):
-            tj.run_ensemble(p, cfg, fs.basis_state(3, 1, 0))
+            run(p, cfg, fs.basis_state(3, 1, 0))
 
     def test_truncation_guard_on_creation_jump(self):
         # a gain jump fired on a state with top-level weight must abort
