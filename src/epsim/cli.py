@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
@@ -131,9 +132,18 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
         raise ConfigError(f"config field 'params': {exc}") from exc
     sweep = data.get("sweep")
     if sweep is not None:
+        _require(isinstance(sweep, dict), "config field 'sweep' must be an object")
         for key in ("axis", "min", "max", "step"):
             _require(key in sweep, f"config field 'sweep.{key}' is required")
         _require(sweep["axis"] in SWEEP_AXES, f"sweep.axis must be one of {SWEEP_AXES}")
+        for key in ("min", "max", "step"):
+            value = sweep[key]
+            _require(
+                isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                and math.isfinite(value),
+                f"sweep.{key} must be a finite number, got {value!r}",
+            )
         _require(sweep["min"] < sweep["max"], "sweep.min must be < sweep.max")
         _require(sweep["step"] > 0, "sweep.step must be > 0")
     try:
@@ -361,7 +371,9 @@ def cmd_ep_scan(config: SweepConfig, out: str | None, as_json: bool, which: str)
 
 def cmd_trajectories(config: SweepConfig, out: str | None, as_json: bool) -> int:
     """Ensemble unraveling vs exact master-equation evolution, as a time series."""
-    settings = dict(config.trajectories or {})
+    settings = config.trajectories or {}
+    _require(isinstance(settings, dict), "config field 'trajectories' must be an object")
+    settings = dict(settings)
     settings.setdefault("guard_threshold", tj.TOP_LEVEL_GUARD)
     try:
         traj_config = tj.TrajectoryConfig(

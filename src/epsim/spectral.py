@@ -128,7 +128,11 @@ def cluster_min_angle(vectors, group: Sequence[int], sectors=None) -> float:
 
 
 def cluster_eigenvalues(values: np.ndarray, eps: float) -> list[list[int]]:
-    """Group indices whose eigenvalues chain-link within distance eps."""
+    """Group indices whose eigenvalues chain-link within distance eps.
+
+    Each group lists its indices in ascending order; groups are ordered by
+    the real part of their first index, then by that index.
+    """
     n = len(values)
     parent = list(range(n))
 
@@ -139,12 +143,17 @@ def cluster_eigenvalues(values: np.ndarray, eps: float) -> list[list[int]]:
         return i
 
     order = np.argsort(values.real, kind="stable")
-    for pos, i in enumerate(order):
-        for j in order[pos + 1 :]:
-            if values[j].real - values[i].real > eps:
-                break
-            if abs(values[i] - values[j]) <= eps:
-                parent[find(int(i))] = find(int(j))
+    ordered = values[order]
+    re = ordered.real
+    # Compare sorted positions `offset` apart, for growing offsets. Once no
+    # such pair is within eps in real part, no farther pair is either, and a
+    # pair within eps in modulus is within eps in real part.
+    for offset in range(1, n):
+        if not (re[offset:] - re[:-offset] <= eps).any():
+            break
+        close = np.abs(ordered[offset:] - ordered[:-offset]) <= eps
+        for pos in np.flatnonzero(close).tolist():
+            parent[find(int(order[pos]))] = find(int(order[pos + offset]))
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)

@@ -7,10 +7,17 @@ the no-jump propagator exp(-i H_nh dt). The state is renormalized after every
 step in both branches; the per-trajectory survival probability is tracked
 separately as the running product of the per-step no-jump probabilities.
 
+A batch of trajectories is stepped as the columns of one matrix. The jump
+decisions come from the pre-step states; the columns that jump are copied,
+the whole batch is propagated and renormalized with one matrix product, and
+the jumped columns are then overwritten with the collapsed copies.
+
 Randomness comes from one counter-based Philox stream per trajectory, keyed
 by (seed, trajectory index), so results are bit-for-bit reproducible and
-independent of batching. Trajectories are independent; partial sums are
-merged in chunk order.
+independent of batching. Each stream is read in blocks of steps: consecutive
+draws continue the same stream, so the numbers do not depend on the block
+length and random-number memory does not grow with the number of steps.
+Trajectories are independent; partial sums are merged in chunk order.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .fockspace import FockCutoff
 JUMP_PROBABILITY_CAP = 0.05
 TOP_LEVEL_GUARD = 1e-6
 CHUNK_SIZE = 1024
+_DRAW_BLOCK = 256  # steps per block of random draws
 _DRAWS_PER_STEP = 2  # one uniform for the jump decision, one for the channel
 
 
@@ -52,6 +60,18 @@ class TrajectoryConfig:
     guard_threshold: float = TOP_LEVEL_GUARD
 
     def __post_init__(self):
+        for name in ("dt", "t_final", "guard_threshold"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float, np.integer, np.floating))
+                or not np.isfinite(value)
+            ):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        for name in ("n_traj", "sample_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.guard_threshold <= 0:
@@ -67,6 +87,8 @@ class TrajectoryConfig:
             raise ValueError(
                 f"t_final = {self.t_final} is not an integer number of steps dt = {self.dt}"
             )
+        if round(steps) < 1:
+            raise ValueError(f"t_final = {self.t_final} is shorter than one step dt = {self.dt}")
 
     @property
     def n_steps(self) -> int:
@@ -164,6 +186,11 @@ class _Engine:
     ) -> dict:
         """Step the trajectories `indices` from `initial` over the whole grid.
 
+        Every step propagates and renormalizes the whole batch, then
+        overwrites the columns that jumped with their collapsed pre-step
+        states. Each trajectory's random numbers are drawn from its own
+        Philox stream in blocks of _DRAW_BLOCK steps.
+
         Returns the chunk's sums at the sample times and each trajectory's
         jump record and survival. With record, the states at the sample times
         ("states", (n_samples, dim, batch)) and the per-step no-jump
@@ -175,14 +202,17 @@ class _Engine:
         n_steps = cfg.n_steps
         batch = len(indices)
         if allow_jumps:
-            draws = np.empty((batch, n_steps, _DRAWS_PER_STEP))
-            for row, traj in enumerate(indices):
-                draws[row] = philox_stream(cfg.seed, traj).random(
-                    (n_steps, _DRAWS_PER_STEP)
-                )
+            streams = [philox_stream(cfg.seed, traj) for traj in indices]
+            block = min(_DRAW_BLOCK, n_steps)
+            # (step in block, draw, trajectory): each step reads contiguous rows
+            draws = np.empty((block, _DRAWS_PER_STEP, batch))
         no_jumps = np.zeros(batch, dtype=bool)
 
         states = np.tile(initial[:, None], (1, batch)).astype(complex)
+        # Work arrays reused every step; allocating them afresh made a step
+        # about 15 % slower at batch 1024, d=6.
+        advanced = np.empty_like(states)
+        weights = np.empty(states.shape)
         survival = np.ones(batch)
         jump_counts = np.zeros(batch)
         jumps: list[list[tuple[float, int]]] = [[] for _ in range(batch)]
@@ -210,7 +240,8 @@ class _Engine:
 
         cursor = take_sample(0, cursor)
         for step in range(n_steps):
-            probs = cfg.dt * (self.ctc_diag @ np.abs(states) ** 2)  # (n_ch, batch)
+            np.square(np.abs(states, out=weights), out=weights)
+            probs = cfg.dt * (self.ctc_diag @ weights)  # (n_ch, batch)
             p_tot = probs.sum(axis=0)
             if np.any(p_tot > JUMP_PROBABILITY_CAP):
                 worst = float(p_tot.max())
@@ -220,39 +251,47 @@ class _Engine:
                 )
             if record:
                 prob_log[step] = 1.0 - p_tot
-            jump_mask = draws[:, step, 0] < p_tot if allow_jumps else no_jumps
+            if allow_jumps:
+                row = step % block
+                if row == 0:
+                    width = min(block, n_steps - step)
+                    for col, stream in enumerate(streams):
+                        draws[:width, :, col] = stream.random((width, _DRAWS_PER_STEP))
+                jump_mask = draws[row, 0] < p_tot
+            else:
+                jump_mask = no_jumps
 
-            cols = np.where(~jump_mask)[0]
-            if cols.size:
-                advanced = self.propagator @ states[:, cols]
-                advanced /= np.linalg.norm(advanced, axis=0, keepdims=True)
-                states[:, cols] = advanced
-                survival[cols] *= 1.0 - p_tot[cols]
+            jump_cols = np.flatnonzero(jump_mask)
+            before = states[:, jump_cols]
+            np.matmul(self.propagator, states, out=advanced)
+            states, advanced = advanced, states
+            states *= 1.0 / np.linalg.norm(states, axis=0)
+            survival *= np.where(jump_mask, 1.0, 1.0 - p_tot)
 
-            jump_cols = np.where(jump_mask)[0]
             if jump_cols.size:
                 cum = np.cumsum(probs[:, jump_cols], axis=0)
-                targets = draws[jump_cols, step, 1] * p_tot[jump_cols]
+                targets = draws[row, 1, jump_cols] * p_tot[jump_cols]
                 channels = (cum < targets[None, :]).sum(axis=0)
                 channels = np.minimum(channels, len(self.collapse) - 1)
                 t_jump = (step + 1) * cfg.dt
                 for channel in np.unique(channels):
-                    sel = jump_cols[channels == channel]
+                    local = np.flatnonzero(channels == channel)
                     mask = self.guard_masks[channel]
                     if mask is not None:
-                        top_pop = np.sum(np.abs(states[mask][:, sel]) ** 2, axis=0)
+                        top_pop = np.sum(np.abs(before[mask][:, local]) ** 2, axis=0)
                         if np.any(top_pop > cfg.guard_threshold):
                             raise TruncationGuardError(
                                 f"creation jump on channel {channel} with top-level "
                                 f"population {top_pop.max():.3e} > {cfg.guard_threshold}; "
                                 f"increase the cutoff"
                             )
-                    jumped = self.collapse[channel] @ states[:, sel]
+                    jumped = self.collapse[channel] @ before[:, local]
                     norms = np.linalg.norm(jumped, axis=0, keepdims=True)
                     if np.any(norms == 0):
                         raise TruncationGuardError(
                             f"jump on channel {channel} annihilated the state"
                         )
+                    sel = jump_cols[local]
                     states[:, sel] = jumped / norms
                     for col in sel:
                         jumps[col].append((t_jump, int(channel)))

@@ -18,8 +18,7 @@ def read_rows(path):
     header = None
     rows = []
     meta = {}
-    for line in open(path):
-        line = line.rstrip("\n")
+    for line in Path(path).read_text().splitlines():
         if line.startswith("#"):
             key, _, value = line[2:].partition(": ")
             meta[key] = value
@@ -51,6 +50,30 @@ class TestConfigHandling:
         }))
         assert run(["ep-scan", "--config", str(cfg)]) == 1
         assert "invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            {"step": "0.01"},
+            {"min": "0.8"},
+            {"max": None},
+            {"step": True},
+        ],
+    )
+    def test_non_numeric_sweep_exit_code(self, tmp_path, capsys, sweep):
+        cfg = tmp_path / "cfg.json"
+        grid = {"axis": "g", "min": 0.8, "max": 1.2, "step": 0.01}
+        grid.update(sweep)
+        cfg.write_text(json.dumps({"mode": "ep-scan", "sweep": grid}))
+        assert run(["ep-scan", "--config", str(cfg)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, key", [("ep-scan", "sweep"), ("trajectories", "trajectories")])
+    def test_section_must_be_object(self, tmp_path, capsys, mode, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": mode, key: 5}))
+        assert run([mode, "--config", str(cfg)]) == 1
+        assert "must be an object" in capsys.readouterr().err
 
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "o.csv"
@@ -124,7 +147,7 @@ class TestScanCommands:
         }))
         out = tmp_path / "scan.csv"
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
-        summary_line = [l for l in open(out) if l.startswith("# summary")][0]
+        summary_line = [l for l in out.read_text().splitlines() if l.startswith("# summary")][0]
         summary = json.loads(summary_line.split("summary: ", 1)[1])
         assert summary["located"] == pytest.approx(target, abs=0.0101)
         assert summary["uncertainty"] == pytest.approx(0.01)
@@ -132,7 +155,7 @@ class TestScanCommands:
     def test_json_lines_mode(self, tmp_path):
         out = tmp_path / "scan.jsonl"
         assert run(["lep-scan", "--out", str(out), "--json"]) == 0
-        lines = [json.loads(l) for l in open(out)]
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert "meta" in lines[0]
         assert lines[0]["meta"]["schema"] == "lep-scan-v1"
         body = [l for l in lines if "sweep_value" in l]
@@ -165,6 +188,25 @@ class TestTrajectoriesCommand:
         assert len(rows) == 4  # steps 0, 10, 20, 30
         assert meta["seed"] == "1"
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"n_traj": 10.5},
+            {"sample_every": 2.5},
+            {"dt": "0.01"},
+            {"t_final": "1.0"},
+            {"guard_threshold": "1e-6"},
+            {"t_final": 1e-12},
+        ],
+    )
+    def test_bad_settings_exit_code(self, tmp_path, capsys, settings):
+        cfg = tmp_path / "cfg.json"
+        trajectories = {"dt": 0.01, "t_final": 0.1, "n_traj": 10, "sample_every": 5}
+        trajectories.update(settings)
+        cfg.write_text(json.dumps({"mode": "trajectories", "trajectories": trajectories}))
+        assert run(["trajectories", "--config", str(cfg)]) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -190,7 +232,7 @@ class TestLiouvillianCheckCommand:
     def test_json_passed_is_boolean(self, tmp_path):
         out = tmp_path / "check.jsonl"
         assert run(["liouvillian-check", "--out", str(out), "--json"]) == 0
-        body = [json.loads(l) for l in open(out)][1:]
+        body = [json.loads(l) for l in out.read_text().splitlines()][1:]
         assert len(body) == 6
         assert all(row["passed"] is True for row in body)
 

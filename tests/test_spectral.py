@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import assert_multiset_close, random_complex_matrix
@@ -107,6 +107,30 @@ class TestMatExp:
             sp.mat_exp(big)
 
 
+def cluster_reference(values, eps):
+    """Union-find over every sorted pair within eps, one pair at a time."""
+    n = len(values)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    order = np.argsort(values.real, kind="stable")
+    for pos, i in enumerate(order):
+        for j in order[pos + 1 :]:
+            if values[j].real - values[i].real > eps:
+                break
+            if abs(values[i] - values[j]) <= eps:
+                parent[find(int(i))] = find(int(j))
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=lambda grp: (values[grp[0]].real, grp[0]))
+
+
 class TestClustering:
     def test_principal_angle_range(self):
         rng = np.random.default_rng(1)
@@ -123,6 +147,24 @@ class TestClustering:
         values = np.array([0.0, 1e-7, 2e-7, 1.0, 1.0 + 2e-7, 5.0])
         groups = sp.cluster_eigenvalues(values, 1.5e-7)
         assert sorted(map(sorted, groups)) == [[0, 1, 2], [3], [4], [5]]
+
+    @given(
+        points=st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(-3, 3)), max_size=40
+        ),
+        spacing=st.sampled_from([0.3, 0.5, 0.6, 1.0, 2.0]),
+        shift=st.complex_numbers(max_magnitude=3.0, allow_nan=False),
+    )
+    @example(points=[(0, 0), (0, 0), (1, 0), (0, 0)], spacing=0.6, shift=0j)
+    @example(points=[(0, 0), (2, 0), (1, 0), (5, 1), (5, 1)], spacing=0.6, shift=1.5j)
+    def test_matches_pair_loop(self, points, spacing, shift):
+        # lattice spectra: exact repeats, ties in real part, pairs exactly
+        # eps apart and chains that link only through a middle value
+        eps = 1e-3
+        values = shift + spacing * eps * np.array(
+            [complex(a, b) for a, b in points], dtype=complex
+        )
+        assert sp.cluster_eigenvalues(values, eps) == cluster_reference(values, eps)
 
     def test_cluster_min_angle_within_and_across_sectors(self):
         vectors = np.array([[1.0, 0.0], [1.0, 1e-4], [0.0, 1.0]], dtype=complex)

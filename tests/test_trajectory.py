@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,6 +25,34 @@ class TestConfig:
             tj.TrajectoryConfig(dt=0.01, t_final=1.0, n_traj=0, seed=0)
         with pytest.raises(ValueError):
             tj.TrajectoryConfig(dt=0.03, t_final=1.0, n_traj=1, seed=0)
+        with pytest.raises(ValueError, match="shorter than one step"):
+            tj.TrajectoryConfig(dt=0.01, t_final=1e-12, n_traj=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_traj", 10.5),
+            ("n_traj", 10.0),
+            ("n_traj", True),
+            ("sample_every", 2.5),
+            ("dt", "0.01"),
+            ("dt", float("nan")),
+            ("t_final", None),
+            ("t_final", float("inf")),
+            ("guard_threshold", "1e-6"),
+        ],
+    )
+    def test_rejects_wrong_types(self, field, value):
+        settings = dict(dt=0.01, t_final=1.0, n_traj=10, seed=0, sample_every=5)
+        settings[field] = value
+        with pytest.raises(ValueError, match=field):
+            tj.TrajectoryConfig(**settings)
+
+    def test_accepts_numpy_scalars(self):
+        cfg = tj.TrajectoryConfig(
+            dt=np.float64(0.01), t_final=np.float64(1.0), n_traj=np.int64(3), seed=0
+        )
+        assert cfg.n_steps == 100
 
     def test_sample_grid_covers_endpoints(self):
         cfg = tj.TrajectoryConfig(dt=0.01, t_final=1.0, n_traj=1, seed=0, sample_every=30)
@@ -87,6 +117,94 @@ class TestDeterminism:
             np.concatenate([left["survival"], right["survival"]]),
             rtol=1e-12,
         )
+
+
+def reference_chunk(params, config, psi0, indices):
+    """One trajectory at a time, following the module docstring literally.
+
+    Returns each trajectory's jump record, survival and states at the
+    sample times.
+    """
+    propagator = tj.no_jump_propagator(params, config.cutoff, config.dt)
+    collapse = md.build_collapse_ops(params, config.cutoff)
+    sample_steps = set(config.sample_steps)
+    records, survivals, sampled = [], [], []
+    for index in indices:
+        rng = tj.philox_stream(config.seed, index)
+        psi = psi0.astype(complex)
+        survival = 1.0
+        record = []
+        states = [psi]
+        for step in range(config.n_steps):
+            u_jump, u_channel = rng.random(2)
+            p = config.dt * np.array([np.vdot(c @ psi, c @ psi).real for c in collapse])
+            p_tot = p.sum()
+            if u_jump < p_tot:
+                channel = min(int(np.sum(np.cumsum(p) < u_channel * p_tot)), len(p) - 1)
+                psi = collapse[channel] @ psi
+                record.append(((step + 1) * config.dt, channel))
+            else:
+                psi = propagator @ psi
+                survival *= 1.0 - p_tot
+            psi = psi / np.linalg.norm(psi)
+            if step + 1 in sample_steps:
+                states.append(psi)
+        records.append(record)
+        survivals.append(survival)
+        sampled.append(np.stack(states))
+    return records, np.array(survivals), np.stack(sampled, axis=-1)
+
+
+class TestEngineAlgorithm:
+    def test_matches_reference_stepper(self):
+        # d=3 thermal, 200 steps: jumps on all four channels, gain included
+        p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=0.3, n_th=0.2)
+        cfg = tj.TrajectoryConfig(
+            dt=0.002, t_final=0.4, n_traj=8, seed=41, cutoff=3,
+            sample_every=50, guard_threshold=1.0,
+        )
+        psi0 = fs.basis_state(3, 1, 0)
+        out = tj._Engine(p, cfg).run_chunk(psi0, range(8), record=True)
+        records, survivals, states = reference_chunk(p, cfg, psi0, range(8))
+        assert out["jumps"] == records
+        assert {c for record in records for _, c in record} == {0, 1, 2, 3}
+        np.testing.assert_allclose(out["survival"], survivals, rtol=1e-12)
+        np.testing.assert_allclose(out["states"], states, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("block", [7, 1000])
+    def test_draw_block_does_not_change_results(self, monkeypatch, block):
+        # 300 steps: blocks of 256 (the default), of 7 (not a divisor) and
+        # one block longer than the run read the same streams
+        p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=1.0, n_th=0.2)
+        cfg = tj.TrajectoryConfig(
+            dt=1e-3, t_final=0.3, n_traj=16, seed=12, cutoff=4,
+            sample_every=50, guard_threshold=1.0,
+        )
+        psi0 = fs.basis_state(4, 0, 0)
+        default = tj._Engine(p, cfg).run_chunk(psi0, range(16))
+        monkeypatch.setattr(tj, "_DRAW_BLOCK", block)
+        blocked = tj._Engine(p, cfg).run_chunk(psi0, range(16))
+        assert sum(map(len, default["jumps"])) > 0
+        assert blocked["jumps"] == default["jumps"]
+        assert np.array_equal(blocked["survival"], default["survival"])
+        assert np.array_equal(blocked["rho_sum"], default["rho_sum"])
+
+    def test_random_number_memory_independent_of_steps(self):
+        # 256 trajectories x 20000 steps x 2 draws would be 82 MB up front
+        p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=0.3, n_th=0.2)
+        cfg = tj.TrajectoryConfig(
+            dt=1e-4, t_final=2.0, n_traj=256, seed=3, cutoff=2,
+            sample_every=5000, guard_threshold=1.0,
+        )
+        assert cfg.n_steps == 20000
+        engine = tj._Engine(p, cfg)
+        tracemalloc.start()
+        try:
+            engine.run_chunk(fs.basis_state(2, 0, 0), range(256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestNormBookkeeping:
