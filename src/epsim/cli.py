@@ -5,7 +5,9 @@ Every command is deterministic given its config (including seeds). Output
 tables are CSV with '#'-prefixed header lines carrying the canonical config
 echo and the tool version; --json switches tables to JSON lines (one meta
 object followed by one object per row). Exit codes: 0 success, 1 config
-error, 2 numerical failure (with partial output flushed).
+error (including an unwritable --out), 2 numerical failure or a failed
+liouvillian-check row. A command computes its whole table before anything
+is written, so a numerical failure writes no table and creates no --out file.
 
 Physical values in configs are in units of the coupling g unless g itself is
 swept (then absolute rate units); the convention is recorded in the output
@@ -20,7 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,8 +34,8 @@ from . import trajectory as tj
 from .errors import ConfigError, NumericalError
 from .fockspace import FockCutoff
 
-MODES = ("hamiltonian-spectrum", "ep-scan", "lep-scan", "liouvillian-check", "trajectories")
 SWEEP_AXES = ("kappa", "g", "gamma_a", "gamma_b", "eps", "n_th")
+TOLERANCE_KEYS = ("cluster_eps", "angle_eps")
 
 DEFAULT_CONFIGS: dict[str, dict] = {
     # kappa sweep of the four tracked eigenvalue curves, gamma/g = 2, eps/g = 1
@@ -81,6 +83,7 @@ DEFAULT_CONFIGS: dict[str, dict] = {
         },
     },
 }
+MODES = tuple(DEFAULT_CONFIGS)
 
 
 @dataclass
@@ -92,7 +95,7 @@ class SweepConfig:
     sweep: dict | None
     cutoff: int
     seed: int
-    trajectories: dict | None
+    trajectories: tj.TrajectoryConfig | None
     tolerances: dict
     raw: dict = field(default_factory=dict)
 
@@ -105,8 +108,21 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _finite_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
-    """Merge defaults, the optional config file, and CLI flag overrides."""
+    """Merge defaults, the optional config file, and CLI flag overrides.
+
+    Every check of the config happens here, except that each sweep point's
+    parameters are built and checked by the sweep commands (apply_axis),
+    before any numerics.
+    """
     data = copy.deepcopy(DEFAULT_CONFIGS[mode])
     if path is not None:
         try:
@@ -131,35 +147,65 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field 'params': {exc}") from exc
     sweep = data.get("sweep")
+    # a mode sweeps when its defaults carry a sweep
+    _require(
+        sweep is not None or "sweep" not in DEFAULT_CONFIGS[mode],
+        f"{mode} mode requires a sweep",
+    )
     if sweep is not None:
         _require(isinstance(sweep, dict), "config field 'sweep' must be an object")
         for key in ("axis", "min", "max", "step"):
             _require(key in sweep, f"config field 'sweep.{key}' is required")
         _require(sweep["axis"] in SWEEP_AXES, f"sweep.axis must be one of {SWEEP_AXES}")
         for key in ("min", "max", "step"):
-            value = sweep[key]
             _require(
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and math.isfinite(value),
-                f"sweep.{key} must be a finite number, got {value!r}",
+                _finite_number(sweep[key]),
+                f"sweep.{key} must be a finite number, got {sweep[key]!r}",
             )
         _require(sweep["min"] < sweep["max"], "sweep.min must be < sweep.max")
         _require(sweep["step"] > 0, "sweep.step must be > 0")
     try:
-        cutoff = FockCutoff.of(data["cutoff"]).d
-    except (ValueError, TypeError, KeyError) as exc:
+        cutoff = FockCutoff(data["cutoff"]).d
+    except ValueError as exc:
         raise ConfigError(f"config field 'cutoff': {exc}") from exc
-    seed = data.get("seed", 1)
-    _require(isinstance(seed, int) and seed >= 0, "seed must be a nonnegative integer")
+    _require(
+        mode != "liouvillian-check" or cutoff <= 8, "liouvillian-check requires cutoff <= 8"
+    )
+    seed = data["seed"]
+    _require(
+        isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
+        f"seed must be a nonnegative integer, got {seed!r}",
+    )
+    tolerances = data.get("tolerances", {})
+    _require(isinstance(tolerances, dict), "config field 'tolerances' must be an object")
+    unknown = sorted(set(tolerances) - set(TOLERANCE_KEYS))
+    _require(not unknown, f"unknown tolerances {unknown}; expected {TOLERANCE_KEYS}")
+    cluster_eps = tolerances.get("cluster_eps")
+    angle_eps = tolerances.get("angle_eps", sp.DEFAULT_ANGLE_EPS)
+    _require(
+        cluster_eps is None or (_finite_number(cluster_eps) and cluster_eps > 0),
+        f"tolerances.cluster_eps must be null or a finite number > 0, got {cluster_eps!r}",
+    )
+    _require(
+        _finite_number(angle_eps) and angle_eps > 0,
+        f"tolerances.angle_eps must be a finite number > 0, got {angle_eps!r}",
+    )
+    trajectories = None
+    if mode == "trajectories":
+        settings = data["trajectories"]
+        _require(isinstance(settings, dict), "config field 'trajectories' must be an object")
+        try:
+            trajectories = tj.TrajectoryConfig(seed=seed, cutoff=cutoff, **settings)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config field 'trajectories': {exc}") from exc
     return SweepConfig(
         mode=mode,
         params=params,
         sweep=sweep,
         cutoff=cutoff,
         seed=seed,
-        trajectories=data.get("trajectories"),
-        tolerances=data.get("tolerances") or {},
+        trajectories=trajectories,
+        tolerances={"cluster_eps": cluster_eps, "angle_eps": angle_eps},
         raw=data,
     )
 
@@ -183,50 +229,6 @@ def apply_axis(params: md.SystemParams, axis: str, value: float) -> md.SystemPar
         raise ConfigError(f"sweep point {axis}={value} invalid: {exc}") from exc
 
 
-class TableWriter:
-    """CSV (default) or JSON-lines table writer with '#' metadata headers.
-
-    Rows are flushed as written so a numerical failure mid-run leaves the
-    completed prefix on disk.
-    """
-
-    def __init__(self, stream: TextIO, columns: Sequence[str], meta: dict, as_json: bool):
-        self.stream = stream
-        self.columns = list(columns)
-        self.as_json = as_json
-        if as_json:
-            self._emit(json.dumps({"meta": meta}, sort_keys=True))
-        else:
-            for key, value in meta.items():
-                self._emit(f"# {key}: {value}")
-            self._emit(",".join(self.columns))
-
-    def _emit(self, line: str):
-        self.stream.write(line + "\n")
-        self.stream.flush()
-
-    @staticmethod
-    def _fmt(value) -> str:
-        if isinstance(value, float):
-            return f"{value:.12g}"
-        if value is None:
-            return ""
-        return str(value)
-
-    def row(self, values: Sequence):
-        if self.as_json:
-            payload = dict(zip(self.columns, values))
-            self._emit(json.dumps(payload, sort_keys=True, default=self._fmt))
-        else:
-            self._emit(",".join(self._fmt(v) for v in values))
-
-    def comment(self, text: str):
-        if self.as_json:
-            self._emit(json.dumps({"note": text}))
-        else:
-            self._emit(f"# {text}")
-
-
 def _meta(config: SweepConfig, schema: str) -> dict:
     units = (
         "absolute rate units (g swept)"
@@ -242,13 +244,17 @@ def _meta(config: SweepConfig, schema: str) -> dict:
     }
 
 
-def _open_out(path: str | None):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w"), True
+@dataclass
+class Table:
+    """One command's result: its rows, the scan summary, and the verdict."""
+
+    columns: list[str]
+    rows: list[list]
+    summary: dict | None = None  # ep-scan / lep-scan estimate of the transition
+    failed: bool = False  # a liouvillian-check row failed (exit code 2)
 
 
-def cmd_spectrum(config: SweepConfig, out: str | None, as_json: bool) -> int:
+def cmd_spectrum(config: SweepConfig) -> Table:
     """Tracked-state eigenvalue curves, analytic vs numeric, per sweep point.
 
     Numeric values come from dense diagonalization of the built matrices at
@@ -257,7 +263,6 @@ def cmd_spectrum(config: SweepConfig, out: str | None, as_json: bool) -> int:
     shifted by +Re(chi_full) to match the imaginary-chi convention of the
     analytic column.
     """
-    _require(config.sweep is not None, "spectrum mode requires a sweep")
     thermal = config.params.n_th > 0
     columns = [
         "sweep_value", "n_e", "n_f",
@@ -290,19 +295,10 @@ def cmd_spectrum(config: SweepConfig, out: str | None, as_json: bool) -> int:
                 pt_a.real, pt_a.imag, pt_n.real, pt_n.imag, abs(pt_a - pt_n),
                 nh_a.real, nh_a.imag, nh_n.real, nh_n.imag, abs(nh_a - nh_n),
             ])
-
-    stream, close = _open_out(out)
-    try:
-        writer = TableWriter(stream, columns, _meta(config, "spectrum-v1"), as_json)
-        for row in rows:
-            writer.row(row)
-    finally:
-        if close:
-            stream.close()
-    return 0
+    return Table(columns, rows)
 
 
-def cmd_ep_scan(config: SweepConfig, out: str | None, as_json: bool, which: str) -> int:
+def cmd_ep_scan(config: SweepConfig) -> Table:
     """Coalescence scan over the sweep grid.
 
     ep-scan diagonalizes the single-excitation block of the non-Hermitian
@@ -310,113 +306,75 @@ def cmd_ep_scan(config: SweepConfig, out: str | None, as_json: bool, which: str)
     not move the coalescence); lep-scan diagonalizes the 2x2 first-moment
     dynamical matrix.
     """
-    _require(config.sweep is not None, f"{which} mode requires a sweep")
     axis = config.sweep["axis"]
-    cluster_eps = config.tolerances.get("cluster_eps")
-    angle_eps = config.tolerances.get("angle_eps", sp.DEFAULT_ANGLE_EPS)
-
     grid = sweep_values(config.sweep)
     # every grid point is validated before any numerics
     points = {value: apply_axis(config.params, axis, value) for value in grid}
-    if which == "ep-scan":
+    if config.mode == "ep-scan":
         def builder(value: float) -> np.ndarray:
             return md.h_nh_block(points[value], config.cutoff, 1)
     else:
         def builder(value: float) -> np.ndarray:
             return lv.dynamical_matrix(points[value]).matrix
 
-    reports = sp.coalescence_scan(
-        builder, list(grid), cluster_eps=cluster_eps, angle_eps=angle_eps
-    )
+    reports = sp.coalescence_scan(builder, list(grid), **config.tolerances)
     estimate = sp.estimate_ep(reports, config.sweep["step"])
 
     columns = [
         "sweep_value", "n_clusters", "min_angle", "coalescing",
         "cluster_re", "cluster_im", "error",
     ]
-    stream, close = _open_out(out)
-    try:
-        writer = TableWriter(stream, columns, _meta(config, f"{which}-v1"), as_json)
-        excluded = 0
-        for report in reports:
-            if report.error is not None:
-                excluded += 1
-                writer.row([report.param, None, None, None, None, None, report.error])
-                continue
-            best = report.best
-            centroid = complex(np.mean(best.eigenvalues)) if best else None
-            writer.row([
-                report.param,
-                len(report.clusters),
-                best.min_angle if best else None,
-                report.coalescing,
-                centroid.real if centroid else None,
-                centroid.imag if centroid else None,
-                None,
-            ])
-        summary = {
-            "located": None if estimate is None else estimate.value,
-            "uncertainty": None if estimate is None else estimate.uncertainty,
-            "min_angle": None if estimate is None else estimate.min_angle,
-            "excluded_points": excluded,
-        }
-        writer.comment(f"summary: {json.dumps(summary, sort_keys=True)}")
-    finally:
-        if close:
-            stream.close()
-    if out is not None:
-        print(json.dumps({"summary": summary}, sort_keys=True))
-    return 0
+    rows = []
+    for report in reports:
+        if report.error is not None:
+            rows.append([report.param, None, None, None, None, None, report.error])
+            continue
+        best = report.best
+        centroid = complex(np.mean(best.eigenvalues)) if best else None
+        rows.append([
+            report.param,
+            len(report.clusters),
+            best.min_angle if best else None,
+            report.coalescing,
+            centroid.real if centroid else None,
+            centroid.imag if centroid else None,
+            None,
+        ])
+    summary = {
+        "located": None if estimate is None else estimate.value,
+        "uncertainty": None if estimate is None else estimate.uncertainty,
+        "min_angle": None if estimate is None else estimate.min_angle,
+        "excluded_points": sum(report.error is not None for report in reports),
+    }
+    return Table(columns, rows, summary=summary)
 
 
-def cmd_trajectories(config: SweepConfig, out: str | None, as_json: bool) -> int:
+def cmd_trajectories(config: SweepConfig) -> Table:
     """Ensemble unraveling vs exact master-equation evolution, as a time series."""
-    settings = config.trajectories or {}
-    _require(isinstance(settings, dict), "config field 'trajectories' must be an object")
-    settings = dict(settings)
-    settings.setdefault("guard_threshold", tj.TOP_LEVEL_GUARD)
-    try:
-        traj_config = tj.TrajectoryConfig(
-            dt=settings["dt"],
-            t_final=settings["t_final"],
-            n_traj=settings["n_traj"],
-            seed=config.seed,
-            cutoff=config.cutoff,
-            sample_every=settings.get("sample_every", 10),
-            guard_threshold=settings["guard_threshold"],
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"config field 'trajectories': {exc}") from exc
-    report = tj.ensemble_vs_master(config.params, traj_config)
-    columns = ["time", "trace_distance", "mean_jumps", "mean_survival"]
-    stream, close = _open_out(out)
-    try:
-        writer = TableWriter(stream, columns, _meta(config, "trajectories-v1"), as_json)
-        for i, t in enumerate(report.times):
-            writer.row([
-                float(t),
-                float(report.trace_distances[i]),
-                float(report.mean_jumps[i]),
-                float(report.mean_survival[i]),
-            ])
-    finally:
-        if close:
-            stream.close()
-    return 0
+    report = tj.ensemble_vs_master(config.params, config.trajectories)
+    rows = [
+        [
+            float(t),
+            float(report.trace_distances[i]),
+            float(report.mean_jumps[i]),
+            float(report.mean_survival[i]),
+        ]
+        for i, t in enumerate(report.times)
+    ]
+    return Table(["time", "trace_distance", "mean_jumps", "mean_survival"], rows)
 
 
-def cmd_liouvillian_check(config: SweepConfig, out: str | None, as_json: bool) -> int:
+def cmd_liouvillian_check(config: SweepConfig) -> Table:
     """Consistency checks of the master-equation generator at the config point."""
     cutoff = config.cutoff
-    _require(cutoff <= 8, "liouvillian-check requires cutoff <= 8")
     params = config.params
     rng = np.random.default_rng(config.seed)
-    rows: list[tuple[str, float, float]] = []
+    checks: list[tuple[str, float, float]] = []
 
     gen_a = lv.build_liouvillian(params, cutoff)
     gen_b = lv.build_liouvillian_from_hnh(params, cutoff)
     scale = max(1.0, float(np.max(np.abs(gen_a.csr.data), initial=0.0)))
-    rows.append((
+    checks.append((
         "assembly_agreement",
         float(np.max(np.abs((gen_a.csr - gen_b.csr).data), initial=0.0)) / scale,
         1e-12,
@@ -430,14 +388,14 @@ def cmd_liouvillian_check(config: SweepConfig, out: str | None, as_json: bool) -
             moment_dev,
             lv.moment_rhs_check(params, cutoff, rho, liouvillian=gen_a).max_abs_diff,
         )
-    rows.append(("trace_annihilation", trace_dev, 1e-10))
-    rows.append(("moment_closure", moment_dev, 1e-8))
+    checks.append(("trace_annihilation", trace_dev, 1e-10))
+    checks.append(("moment_closure", moment_dev, 1e-8))
 
     # tol=inf defers the verdict to the row: exact at n_th = 0,
     # truncation-limited for thermal baths
     witness = lv.liouvillian_spectrum_check(params, cutoff, tol=np.inf)
-    rows.append(("spectrum_moment_pair", float(witness.distances.max()), 1e-6))
-    rows.append(("zero_mode", witness.zero_mode_distance, 1e-10))
+    checks.append(("spectrum_moment_pair", float(witness.distances.max()), 1e-6))
+    checks.append(("zero_mode", witness.zero_mode_distance, 1e-10))
 
     der = md.derive(params)
     m_spec = sp.eig(lv.dynamical_matrix(params).matrix).eigenvalues
@@ -445,23 +403,52 @@ def cmd_liouvillian_check(config: SweepConfig, out: str | None, as_json: bool) -
     lam_dev = max(
         float(np.min(np.abs(m_spec - lam_p))), float(np.min(np.abs(m_spec - lam_m)))
     )
-    rows.append(("lambda_pm_match", lam_dev, 1e-12))
+    checks.append(("lambda_pm_match", lam_dev, 1e-12))
 
-    columns = ["check", "value", "tolerance", "passed"]
-    stream, close = _open_out(out)
-    all_passed = True
-    try:
-        writer = TableWriter(
-            stream, columns, _meta(config, "liouvillian-check-v1"), as_json
-        )
-        for name, value, tol in rows:
-            passed = bool(value <= tol)
-            all_passed &= passed
-            writer.row([name, float(value), tol, passed])
-    finally:
-        if close:
-            stream.close()
-    return 0 if all_passed else 2
+    rows = [[name, float(value), tol, bool(value <= tol)] for name, value, tol in checks]
+    return Table(
+        ["check", "value", "tolerance", "passed"],
+        rows,
+        failed=not all(row[-1] for row in rows),
+    )
+
+
+# subcommand -> (config mode, command); each table's schema is "<subcommand>-v1"
+COMMANDS: dict[str, tuple[str, Callable[[SweepConfig], Table]]] = {
+    "spectrum": ("hamiltonian-spectrum", cmd_spectrum),
+    "ep-scan": ("ep-scan", cmd_ep_scan),
+    "lep-scan": ("lep-scan", cmd_ep_scan),
+    "liouvillian-check": ("liouvillian-check", cmd_liouvillian_check),
+    "trajectories": ("trajectories", cmd_trajectories),
+}
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if value is None:
+        return ""
+    return str(value)
+
+
+def _render(table: Table, meta: dict, as_json: bool) -> str:
+    """The table as CSV with '#' header lines, or as JSON lines."""
+    notes = []
+    if table.summary is not None:
+        notes.append(f"summary: {json.dumps(table.summary, sort_keys=True)}")
+    if as_json:
+        lines = [json.dumps({"meta": meta}, sort_keys=True)]
+        lines += [
+            json.dumps(dict(zip(table.columns, row)), sort_keys=True, default=_fmt)
+            for row in table.rows
+        ]
+        lines += [json.dumps({"note": note}) for note in notes]
+    else:
+        lines = [f"# {key}: {value}" for key, value in meta.items()]
+        lines.append(",".join(table.columns))
+        lines += [",".join(_fmt(v) for v in row) for row in table.rows]
+        lines += [f"# {note}" for note in notes]
+    return "".join(line + "\n" for line in lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,15 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"epsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, mode in (
-        ("spectrum", "hamiltonian-spectrum"),
-        ("ep-scan", "ep-scan"),
-        ("lep-scan", "lep-scan"),
-        ("liouvillian-check", "liouvillian-check"),
-        ("trajectories", "trajectories"),
-    ):
+    for name in COMMANDS:
         cmd = sub.add_parser(name)
-        cmd.set_defaults(mode=mode)
         cmd.add_argument("--config", metavar="PATH", help="JSON config file")
         cmd.add_argument("--out", metavar="PATH", help="output file (default stdout)")
         cmd.add_argument("--cutoff", type=int, metavar="D", help="Fock levels per mode")
@@ -492,23 +472,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    mode, command = COMMANDS[args.command]
     try:
-        config = load_config(
-            args.mode, args.config, {"cutoff": args.cutoff, "seed": args.seed}
-        )
-        if args.mode == "hamiltonian-spectrum":
-            return cmd_spectrum(config, args.out, args.json)
-        if args.mode in ("ep-scan", "lep-scan"):
-            return cmd_ep_scan(config, args.out, args.json, args.mode)
-        if args.mode == "trajectories":
-            return cmd_trajectories(config, args.out, args.json)
-        return cmd_liouvillian_check(config, args.out, args.json)
+        config = load_config(mode, args.config, {"cutoff": args.cutoff, "seed": args.seed})
+        table = command(config)
+        text = _render(table, _meta(config, f"{args.command}-v1"), args.json)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.out, "w") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {args.out}: {exc}") from exc
+            if table.summary is not None:
+                print(json.dumps({"summary": table.summary}, sort_keys=True))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    return 2 if table.failed else 0
 
 
 if __name__ == "__main__":

@@ -82,10 +82,6 @@ def annihilation(cutoff: FockCutoff | int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1).astype(complex)
 
 
-def creation(cutoff: FockCutoff | int) -> np.ndarray:
-    return dagger(annihilation(cutoff))
-
-
 def number_op(cutoff: FockCutoff | int) -> np.ndarray:
     d = FockCutoff.of(cutoff).d
     return np.diag(np.arange(d, dtype=float)).astype(complex)

@@ -38,9 +38,7 @@ class Spectrum:
     norm: float = 0.0
 
 
-def eig(
-    a: np.ndarray, want_vectors: bool = True, tol: float = DEFAULT_RESIDUAL_TOL
-) -> Spectrum:
+def eig(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
     """All eigenvalues (and right eigenvectors) of a dense complex matrix."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -62,7 +60,7 @@ def eig(
         ) from exc
     vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
     residuals = np.linalg.norm(a @ vectors - vectors * values[None, :], axis=0)
-    bound = tol * max(norm, np.finfo(float).tiny)
+    bound = DEFAULT_RESIDUAL_TOL * max(norm, np.finfo(float).tiny)
     if np.any(residuals > bound):
         worst = int(np.argmax(residuals))
         raise EigenConvergenceError(
@@ -72,7 +70,7 @@ def eig(
     return Spectrum(values, vectors, residuals, norm)
 
 
-def mat_exp(a: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+def mat_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a Pade approximant.
 
     Exact on (exactly) diagonal matrices. Raises with a norm report when the

@@ -115,7 +115,7 @@ class TrajectoryResult:
     final_state: np.ndarray
     sample_times: np.ndarray
     sampled_states: np.ndarray
-    no_jump_probs: np.ndarray | None = None  # per-step, only when recorded
+    no_jump_probs: np.ndarray  # per step: 1 - total jump probability
 
 
 @dataclass
@@ -350,13 +350,9 @@ def run_trajectory(
     config: TrajectoryConfig,
     initial: np.ndarray | None = None,
     traj_index: int = 0,
-    record_probs: bool = False,
 ) -> TrajectoryResult:
     """Single stochastic trajectory, identical to ensemble member traj_index."""
-    result = _single(params, config, initial, traj_index, allow_jumps=True)
-    if not record_probs:
-        result.no_jump_probs = None
-    return result
+    return _single(params, config, initial, traj_index, allow_jumps=True)
 
 
 def run_ensemble(

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -68,12 +71,54 @@ class TestConfigHandling:
         assert run(["ep-scan", "--config", str(cfg)]) == 1
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode, key", [("ep-scan", "sweep"), ("trajectories", "trajectories")])
+    @pytest.mark.parametrize(
+        "mode, key",
+        [("ep-scan", "sweep"), ("trajectories", "trajectories"), ("ep-scan", "tolerances")],
+    )
     def test_section_must_be_object(self, tmp_path, capsys, mode, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mode": mode, key: 5}))
         assert run([mode, "--config", str(cfg)]) == 1
         assert "must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"tolerances": {"angle_eps": "x"}},
+            {"tolerances": None},
+            {"tolerances": {"cluster_eps": "1e-6"}},
+            {"tolerances": {"angle_eps": -1}},
+            {"tolerances": {"angle_eps": float("nan")}},
+            {"tolerances": {"cluster_eps": 0}},
+            {"tolerances": {"angle_esp": 1e-3}},
+            {"seed": True},
+            {"seed": -1},
+            {"cutoff": 6.5},
+            {"cutoff": "6"},
+            {"sweep": None},
+        ],
+        ids=[
+            "angle_eps-string", "tolerances-null",
+            "cluster_eps-string", "angle_eps-negative", "angle_eps-nan",
+            "cluster_eps-zero", "tolerances-unknown-key", "seed-bool",
+            "seed-negative", "cutoff-float", "cutoff-string", "sweep-null",
+        ],
+    )
+    def test_bad_field_exit_code(self, tmp_path, capsys, fields):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "ep-scan", **fields}))
+        assert run(["ep-scan", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run(["lep-scan", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "config error: cannot write" in captured.err
+        assert captured.out == ""
+        assert not out.parent.exists()
 
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "o.csv"
@@ -90,6 +135,61 @@ class TestConfigHandling:
         again = cli.load_config("lep-scan", None, {})
         again.raw.update(echoed)
         assert json.dumps(echoed, sort_keys=True, separators=(",", ":")) == again.canonical()
+
+
+class TestOutputRouting:
+    SHORT_GRID = {"axis": "g", "min": 0.9, "max": 1.1, "step": 0.05}
+
+    def short_scan(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "ep-scan", "sweep": self.SHORT_GRID}))
+        return ["ep-scan", "--config", str(cfg)]
+
+    def test_stdout_is_looked_up_at_call_time(self, tmp_path, capsys):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert run(self.short_scan(tmp_path)) == 0
+        text = buffer.getvalue()
+        assert text.startswith("# epsim-version: ")
+        assert "sweep_value,n_clusters" in text
+        assert capsys.readouterr().out == ""
+
+    def test_summary_line_only_with_out(self, tmp_path, capsys):
+        argv = self.short_scan(tmp_path)
+        assert run(argv) == 0
+        table = capsys.readouterr().out
+        summary_lines = [l for l in table.splitlines() if "summary" in l]
+        assert len(summary_lines) == 1
+        assert summary_lines[0].startswith("# summary: ")
+
+        out = tmp_path / "scan.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        echoed = capsys.readouterr().out.splitlines()
+        assert len(echoed) == 1
+        summary = json.loads(echoed[0])["summary"]
+        assert set(summary) == {"excluded_points", "located", "min_angle", "uncertainty"}
+        assert f"# summary: {json.dumps(summary, sort_keys=True)}" in out.read_text()
+        assert out.read_text() == table
+
+    @pytest.mark.parametrize("command", ["ep-scan", "liouvillian-check"])
+    def test_csv_and_json_carry_same_rows(self, tmp_path, command):
+        argv = self.short_scan(tmp_path) if command == "ep-scan" else [command]
+        csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.jsonl"
+        assert run(argv + ["--out", str(csv_out)]) == 0
+        assert run(argv + ["--out", str(json_out), "--json"]) == 0
+        meta, header, csv_rows = read_rows(csv_out)
+        lines = [json.loads(l) for l in json_out.read_text().splitlines()]
+        assert lines[0]["meta"]["config"] == meta["config"]
+        json_rows = [l for l in lines[1:] if "note" not in l]
+        assert len(json_rows) == len(csv_rows) > 0
+        for csv_row, json_row in zip(csv_rows, json_rows):
+            assert sorted(json_row) == sorted(header)
+            for key in header:
+                cell, value = csv_row[key], json_row[key]
+                if isinstance(value, float):
+                    assert math.isclose(float(cell), value, rel_tol=1e-11)
+                else:
+                    assert cell == ("" if value is None else str(value))
 
 
 class TestSpectrumCommand:
@@ -197,6 +297,7 @@ class TestTrajectoriesCommand:
             {"t_final": "1.0"},
             {"guard_threshold": "1e-6"},
             {"t_final": 1e-12},
+            {"n_trajs": 3},
         ],
     )
     def test_bad_settings_exit_code(self, tmp_path, capsys, settings):

@@ -209,9 +209,7 @@ class TestEngineAlgorithm:
 
 class TestNormBookkeeping:
     def test_survival_equals_product_of_step_probs(self, std_params, fast_config):
-        result = tj.run_trajectory(
-            std_params, fast_config, traj_index=2, record_probs=True
-        )
+        result = tj.run_trajectory(std_params, fast_config, traj_index=2)
         jump_steps = {round(t / fast_config.dt) - 1 for t, _ in result.jumps}
         product = 1.0
         for step, q in enumerate(result.no_jump_probs):
