@@ -5,9 +5,10 @@ Every command is deterministic given its config (including seeds). Output
 tables are CSV with '#'-prefixed header lines carrying the canonical config
 echo and the tool version; --json switches tables to JSON lines (one meta
 object followed by one object per row). Exit codes: 0 success, 1 config
-error (including an unwritable --out), 2 numerical failure or a failed
-liouvillian-check row. A command computes its whole table before anything
-is written, so a numerical failure writes no table and creates no --out file.
+error (including an --out that cannot be written, checked before the command
+runs), 2 numerical failure or a failed liouvillian-check row. A command
+computes its whole table before anything is written, so a numerical failure
+writes no table and creates no --out file.
 
 Physical values in configs are in units of the coupling g unless g itself is
 swept (then absolute rate units); the convention is recorded in the output
@@ -20,6 +21,7 @@ import argparse
 import copy
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -451,6 +453,22 @@ def _render(table: Table, meta: dict, as_json: bool) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _check_writable(path: str):
+    """Raise ConfigError unless path can be written as a file; creates nothing."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(parent):
+        problem = f"no directory {parent}"
+    elif not os.access(parent, os.W_OK | os.X_OK) or (
+        os.path.exists(path) and not os.access(path, os.W_OK)
+    ):
+        problem = "permission denied"
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {problem}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epsim",
@@ -475,6 +493,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     mode, command = COMMANDS[args.command]
     try:
         config = load_config(mode, args.config, {"cutoff": args.cutoff, "seed": args.seed})
+        if args.out is not None:
+            _check_writable(args.out)
         table = command(config)
         text = _render(table, _meta(config, f"{args.command}-v1"), args.json)
         if args.out is None:

@@ -44,12 +44,13 @@ class FockCutoff:
             raise ValueError(f"cutoff must be an integer, got {self.d!r}")
         if self.d < 2:
             raise ValueError(f"cutoff must be >= 2, got {self.d}")
+        object.__setattr__(self, "d", int(self.d))
 
     @classmethod
     def of(cls, value: "FockCutoff | int") -> "FockCutoff":
         if isinstance(value, FockCutoff):
             return value
-        return cls(int(value))
+        return cls(value)
 
     @property
     def dim(self) -> int:

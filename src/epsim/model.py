@@ -313,13 +313,35 @@ def h_nh_block(
 ) -> np.ndarray:
     """Fixed-excitation block of the undriven non-Hermitian Hamiltonian.
 
+    Built in closed form in the basis |n_a, N - n_a>, n_a = 0 .. N, with
+    s = 2 n_th + 1:
+      diagonal      -i [gamma_a (s n_a + n_th) + gamma_b (s (N - n_a) + n_th)]
+      off-diagonal  g sqrt((n_a + 1)(N - n_a))
     The drive is dropped (it only adds a uniform complex shift to every
     eigenvalue, leaving coalescence positions untouched), so the block is an
-    exact invariant subspace.
+    exact invariant subspace. The gain terms use a a_dag = a_dag a + 1 at
+    every level, so the block is the untruncated one: the cutoff only bounds
+    N <= d - 1. It equals excitation_block(build_h_nh(...)) up to rounding
+    for N <= d - 2, and for N = d - 1 at n_th = 0; at N = d - 1 with
+    n_th > 0 the truncated build drops the gain term of the top level.
     """
-    return excitation_block(
-        build_h_nh(params.with_(eps=0.0), cutoff), n_total, cutoff
-    )
+    d = FockCutoff.of(cutoff).d
+    if not 0 <= n_total < d:
+        raise ValueError(
+            f"excitation number {n_total} outside 0 .. {d - 1} at cutoff d={d}"
+        )
+    s = 2.0 * params.n_th + 1.0
+    block = np.zeros((n_total + 1, n_total + 1), dtype=complex)
+    for n_a in range(n_total + 1):
+        n_b = n_total - n_a
+        block[n_a, n_a] = -1j * (
+            params.gamma_a * (s * n_a + params.n_th)
+            + params.gamma_b * (s * n_b + params.n_th)
+        )
+        if n_b:
+            hop = params.g * math.sqrt((n_a + 1) * n_b)
+            block[n_a, n_a + 1] = block[n_a + 1, n_a] = hop
+    return block
 
 
 _PT_MONOMIAL_MAP = {"c+c": "d+d", "d+d": "c+c", "c+d": "d+c", "d+c": "c+d", "I": "I"}

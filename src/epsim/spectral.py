@@ -38,12 +38,31 @@ class Spectrum:
     norm: float = 0.0
 
 
+def _eigenpairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of a stack of square matrices, shape (m, n, n).
+
+    Returns the eigenvalues (m, n), the unit-norm right eigenvectors (m, n, n,
+    one per column) and the residuals ||A v - lambda v|| (m, n). Raises
+    numpy's LinAlgError when the solve fails for any matrix of the stack.
+    """
+    values, vectors = np.linalg.eig(stack)
+    vectors = vectors / np.linalg.norm(vectors, axis=-2, keepdims=True)
+    residuals = np.linalg.norm(stack @ vectors - vectors * values[..., None, :], axis=-2)
+    return values, vectors, residuals
+
+
+def _residual_bound(norm):
+    return DEFAULT_RESIDUAL_TOL * np.maximum(norm, np.finfo(float).tiny)
+
+
 def eig(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
     """All eigenvalues (and right eigenvectors) of a dense complex matrix."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    norm = float(np.linalg.norm(a))
+    # the norm coalescence_scan takes of its stack, bit for bit (the
+    # axis-free np.linalg.norm sums in another order)
+    norm = float(np.linalg.norm(a, axis=(-2, -1)))
     if not want_vectors:
         try:
             values = np.linalg.eigvals(a)
@@ -53,14 +72,13 @@ def eig(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
             ) from exc
         return Spectrum(eigenvalues=values, norm=norm)
     try:
-        values, vectors = np.linalg.eig(a)
+        values, vectors, residuals = _eigenpairs(a[None])
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(
             f"eig failed for dim={a.shape[0]}, norm={norm:.3e}: {exc}"
         ) from exc
-    vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    residuals = np.linalg.norm(a @ vectors - vectors * values[None, :], axis=0)
-    bound = DEFAULT_RESIDUAL_TOL * max(norm, np.finfo(float).tiny)
+    values, vectors, residuals = values[0], vectors[0], residuals[0]
+    bound = _residual_bound(norm)
     if np.any(residuals > bound):
         worst = int(np.argmax(residuals))
         raise EigenConvergenceError(
@@ -185,13 +203,9 @@ class CoalescenceReport:
         return np.inf if self.best is None else self.best.min_angle
 
 
-def coalescence_report(
-    a: np.ndarray,
-    param: float,
-    cluster_eps: float | None = None,
-    angle_eps: float = DEFAULT_ANGLE_EPS,
+def _report(
+    spectrum: Spectrum, param: float, cluster_eps: float | None, angle_eps: float
 ) -> CoalescenceReport:
-    spectrum = eig(a, want_vectors=True)
     eps = CLUSTER_EPS_SCALE * spectrum.norm if cluster_eps is None else cluster_eps
     clusters = []
     best = None
@@ -211,6 +225,15 @@ def coalescence_report(
     )
 
 
+def coalescence_report(
+    a: np.ndarray,
+    param: float,
+    cluster_eps: float | None = None,
+    angle_eps: float = DEFAULT_ANGLE_EPS,
+) -> CoalescenceReport:
+    return _report(eig(a, want_vectors=True), param, cluster_eps, angle_eps)
+
+
 def coalescence_scan(
     builder: Callable[[float], np.ndarray],
     grid: Sequence[float],
@@ -219,18 +242,39 @@ def coalescence_scan(
 ) -> list[CoalescenceReport]:
     """One CoalescenceReport per grid point, in grid order.
 
-    Eigensolver failures at individual points are recorded on the report and
-    do not abort the scan.
+    The builder's matrices must be square and of one shape. They are held
+    together (len(grid) * n**2 complex numbers) and diagonalized in one
+    batched solve, normalized and residual-checked as eig does, so each
+    report equals coalescence_report of its matrix. If the batched solve
+    fails, every point is redone on its own with coalescence_report, and so
+    is each point that fails its residual check. Eigensolver failures at
+    individual points are recorded on the report and do not abort the scan.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be sorted ascending")
+    matrices = [np.asarray(builder(x), dtype=complex) for x in grid]
+    shapes = sorted({m.shape for m in matrices})
+    if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
+        raise ValueError(f"expected square matrices of one shape, got shapes {shapes}")
+    stack = np.stack(matrices)
+    norms = np.linalg.norm(stack, axis=(-2, -1))
+    try:
+        values, vectors, residuals = _eigenpairs(stack)
+    except np.linalg.LinAlgError:
+        solved = np.zeros(len(grid), dtype=bool)
+    else:
+        solved = np.all(residuals <= _residual_bound(norms)[:, None], axis=1)
     reports = []
-    for x in grid:
+    for i, x in enumerate(grid):
+        if solved[i]:
+            spectrum = Spectrum(values[i], vectors[i], residuals[i], float(norms[i]))
+            reports.append(_report(spectrum, x, cluster_eps, angle_eps))
+            continue
         try:
-            reports.append(coalescence_report(builder(x), x, cluster_eps, angle_eps))
+            reports.append(coalescence_report(matrices[i], x, cluster_eps, angle_eps))
         except EigenConvergenceError as exc:
             reports.append(CoalescenceReport(param=x, error=str(exc)))
     return reports

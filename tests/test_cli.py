@@ -120,6 +120,21 @@ class TestConfigHandling:
         assert captured.out == ""
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_is_found_before_the_command_runs(
+        self, tmp_path, capsys, monkeypatch, target
+    ):
+        def must_not_run(config):
+            raise AssertionError("the command ran before --out was checked")
+
+        monkeypatch.setitem(cli.COMMANDS, "trajectories", ("trajectories", must_not_run))
+        out = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
+        assert run(["trajectories", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "config error: cannot write" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "o.csv"
         assert run(["ep-scan", "--out", str(out), "--cutoff", "4", "--seed", "9"]) == 0
@@ -251,6 +266,20 @@ class TestScanCommands:
         summary = json.loads(summary_line.split("summary: ", 1)[1])
         assert summary["located"] == pytest.approx(target, abs=0.0101)
         assert summary["uncertainty"] == pytest.approx(0.01)
+
+    def test_thermal_ep_at_smallest_cutoff(self, tmp_path, capsys):
+        # at d = 2 the single-excitation block touches the top Fock level,
+        # where a truncated build would drop the thermal gain term
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "ep-scan",
+            "params": {"g": 1.0, "gamma_a": 3.0, "gamma_b": 1.0, "eps": 1.0, "n_th": 0.2},
+        }))
+        out = tmp_path / "scan.csv"
+        assert run(["ep-scan", "--config", str(cfg), "--cutoff", "2", "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["excluded_points"] == 0
+        assert abs(summary["located"] - md.hep_coupling(1.0, 0.2)) <= 0.01 * (1 + 1e-9)
 
     def test_json_lines_mode(self, tmp_path):
         out = tmp_path / "scan.jsonl"

@@ -180,3 +180,15 @@ class TestStates:
     def test_supermode_state_normalized(self, std_params):
         psi = fs.supermode_state(std_params, 8, 2, 1)
         assert np.linalg.norm(psi) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("value", [6.7, "6", True])
+def test_cutoff_of_rejects_non_integers(value):
+    with pytest.raises(ValueError):
+        FockCutoff.of(value)
+
+
+def test_cutoff_of_accepts_numpy_integers():
+    cut = FockCutoff.of(np.int64(6))
+    assert cut.d == 6 and type(cut.d) is int
+    assert cut == FockCutoff(6)

@@ -395,3 +395,56 @@ class TestBlocks:
     def test_block_out_of_range(self):
         with pytest.raises(ValueError):
             md.block_indices(9, 3)
+
+
+class TestClosedFormBlock:
+    """h_nh_block against the sliced build excitation_block(build_h_nh(...))."""
+
+    @staticmethod
+    def params(n_th):
+        return md.SystemParams(g=1.3, gamma_a=3.0, gamma_b=1.0, eps=1.0, n_th=n_th)
+
+    @staticmethod
+    def sliced(p, d, n_total):
+        return md.excitation_block(md.build_h_nh(p.with_(eps=0.0), d), n_total, d)
+
+    @pytest.mark.parametrize("n_th", [0.0, 0.1, 0.2])
+    @pytest.mark.parametrize("n_total", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [6, 8])
+    def test_matches_sliced_build(self, d, n_total, n_th):
+        p = self.params(n_th)
+        reference = self.sliced(p, d, n_total)
+        block = md.h_nh_block(p, d, n_total)
+        assert block.shape == (n_total + 1, n_total + 1)
+        tol = 1e-14 * np.linalg.norm(reference)
+        assert np.abs(block - reference).max() <= tol
+        # the cutoff only bounds N
+        np.testing.assert_array_equal(block, md.h_nh_block(p, 12, n_total))
+
+    @pytest.mark.parametrize("n_th", [0.1, 0.2])
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_top_level_block_differs_by_the_dropped_gain_term(self, d, n_th):
+        # at N = d - 1 the first (n_b = d - 1) and last (n_a = d - 1) basis
+        # states sit on the top level, where the truncated a a_dag is 0, not d
+        p = self.params(n_th)
+        n_total = d - 1
+        diff = md.h_nh_block(p, d, n_total) - self.sliced(p, d, n_total)
+        tol = 1e-14 * np.linalg.norm(md.h_nh_block(p, d, n_total))
+        off = np.abs(diff) > tol
+        expected = np.zeros_like(off)
+        expected[0, 0] = expected[-1, -1] = True
+        np.testing.assert_array_equal(off, expected)
+        assert diff[0, 0] == pytest.approx(-1j * p.gamma_b * n_th * d, rel=1e-12)
+        assert diff[-1, -1] == pytest.approx(-1j * p.gamma_a * n_th * d, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_top_level_block_exact_without_thermal_photons(self, d):
+        p = self.params(0.0)
+        reference = self.sliced(p, d, d - 1)
+        block = md.h_nh_block(p, d, d - 1)
+        assert np.abs(block - reference).max() <= 1e-14 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("n_total", [-1, 6, 7])
+    def test_excitation_number_outside_cutoff(self, n_total):
+        with pytest.raises(ValueError):
+            md.h_nh_block(self.params(0.1), 6, n_total)

@@ -6,8 +6,10 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name, capsys):
-    runpy.run_path(str(SCRIPTS / name))["run"]()
+def run_script(name, capsys, **overrides):
+    run = runpy.run_path(str(SCRIPTS / name))["run"]
+    run.__globals__.update(overrides)
+    run()
     return capsys.readouterr().out
 
 
@@ -25,3 +27,21 @@ def test_trajectory_demo_postselection_matches_propagator(capsys):
     line = next(l for l in out.splitlines() if "|diff| = " in l)
     diff = float(line.split("|diff| = ", 1)[1].split(",")[0])
     assert diff < 1e-8
+
+
+def test_spectrum_sweep_transition_moves_with_n(tmp_path, capsys):
+    # PT eigenvalues are real below kappa = g/(2n+1) and complex above it
+    out = run_script("spectrum_sweep.py", capsys, OUT=tmp_path)
+    step = 0.02
+    for n_th in (0.0, 0.1, 0.2):
+        path = tmp_path / f"spectrum_n{n_th:g}.csv"
+        assert f"wrote {path}" in out
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+        header = lines[0].split(",")
+        rows = [dict(zip(header, map(float, l.split(",")))) for l in lines[1:]]
+        threshold = 1.0 / (2 * n_th + 1)
+        below = [r for r in rows if r["sweep_value"] < threshold - step / 2]
+        above = [r for r in rows if r["sweep_value"] > threshold + step / 2]
+        assert below and above
+        assert all(r["im_pt_analytic"] == 0.0 for r in below), n_th
+        assert all(r["im_pt_analytic"] != 0.0 for r in above), n_th

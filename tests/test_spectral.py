@@ -246,3 +246,104 @@ class TestScan:
         estimate = sp.estimate_ep(reports, 0.01)
         assert estimate is not None
         assert abs(estimate.value - 1.0) <= 0.01
+
+
+def report_key(report):
+    """Everything a CoalescenceReport carries, in a form == compares bit for bit."""
+    best = next(
+        (i for i, cluster in enumerate(report.clusters) if cluster is report.best), None
+    )
+    return (
+        report.param,
+        report.error,
+        report.coalescing,
+        best,
+        [
+            (c.indices, c.eigenvalues.tobytes(), c.min_angle)
+            for c in report.clusters
+        ],
+    )
+
+
+def lep_builder(g):
+    return lv.dynamical_matrix(md.SystemParams(g=g, gamma_a=3.0, gamma_b=1.0)).matrix
+
+
+def ep_builder(g):
+    p = md.SystemParams(g=g, gamma_a=3.0, gamma_b=1.0, eps=1.0, n_th=0.2)
+    return md.h_nh_block(p, 6, 1)
+
+
+class TestBatchedScan:
+    """coalescence_scan diagonalizes its grid in one batch."""
+
+    @pytest.mark.parametrize(
+        "builder, grid",
+        [
+            (lep_builder, 0.8 + 0.001 * np.arange(1001)),
+            (ep_builder, 1.2 + 0.002 * np.arange(201)),
+        ],
+        ids=["lep-1001", "ep-201"],
+    )
+    def test_equals_per_point_reports(self, builder, grid):
+        batched = sp.coalescence_scan(builder, list(grid))
+        single = [sp.coalescence_report(builder(x), x) for x in grid]
+        assert any(r.coalescing for r in single)
+        assert [report_key(r) for r in batched] == [report_key(r) for r in single]
+
+    def test_cluster_tolerance_uses_the_batched_norm(self):
+        # eps = CLUSTER_EPS_SCALE * norm sets cluster membership, so eig's norm
+        # must equal the norm the scan takes of its stack, bit for bit
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((200, 3, 3)) + 1j * rng.standard_normal((200, 3, 3))
+        batched = np.linalg.norm(stack, axis=(-2, -1))
+        assert [sp.eig(a).norm for a in stack] == batched.tolist()
+
+    SENTINEL = 7.0  # eigenvalues of a matrix with this [0, 0] entry are corrupted
+
+    @pytest.mark.parametrize("with_nan", [False, True], ids=["residual", "nan-and-residual"])
+    def test_bad_points_are_recorded_on_their_own(self, monkeypatch, with_nan):
+        grid = list(0.8 + 0.02 * np.arange(41))
+        nan_at, bad_at = grid[10], grid[20]
+        real_eig = np.linalg.eig
+
+        def corrupting_eig(a):
+            values, vectors = real_eig(a)
+            corrupt = np.asarray(a)[..., 0, 0] == self.SENTINEL
+            return np.where(corrupt[..., None], values + 1.0, values), vectors
+
+        def mixed(g):
+            if with_nan and g == nan_at:
+                return np.full((2, 2), np.nan)
+            if g == bad_at:
+                return np.array([[self.SENTINEL, 1.0], [0.5, 2.0]])
+            return lep_builder(g)
+
+        redone = []
+        real_sp_eig = sp.eig
+
+        def counting_eig(a, want_vectors=True):
+            redone.append(a[0, 0])
+            return real_sp_eig(a, want_vectors)
+
+        good = sp.coalescence_scan(lep_builder, grid)
+        monkeypatch.setattr(np.linalg, "eig", corrupting_eig)
+        monkeypatch.setattr(sp, "eig", counting_eig)
+        reports = sp.coalescence_scan(mixed, grid)
+
+        errors = {r.param: r.error for r in reports if r.error is not None}
+        assert set(errors) == ({nan_at, bad_at} if with_nan else {bad_at})
+        assert "residual bound violated" in errors[bad_at]
+        # a failed batch redoes every point, a failed residual only its own
+        assert len(redone) == (len(grid) if with_nan else 1)
+        for report, reference in zip(reports, good):
+            if report.param not in errors:
+                assert report_key(report) == report_key(reference)
+
+    def test_unequal_shapes_raise(self):
+        with pytest.raises(ValueError, match="one shape"):
+            sp.coalescence_scan(lambda x: np.eye(2 if x < 1.0 else 3), [0.5, 1.5])
+
+    def test_nonsquare_matrices_raise(self):
+        with pytest.raises(ValueError, match="square"):
+            sp.coalescence_scan(lambda x: np.zeros((2, 3)), [0.5, 1.5])
