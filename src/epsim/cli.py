@@ -38,6 +38,7 @@ from .fockspace import FockCutoff
 
 SWEEP_AXES = ("kappa", "g", "gamma_a", "gamma_b", "eps", "n_th")
 TOLERANCE_KEYS = ("cluster_eps", "angle_eps")
+MAX_SWEEP_POINTS = 10**6
 
 DEFAULT_CONFIGS: dict[str, dict] = {
     # kappa sweep of the four tracked eigenvalue curves, gamma/g = 2, eps/g = 1
@@ -166,6 +167,11 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
             )
         _require(sweep["min"] < sweep["max"], "sweep.min must be < sweep.max")
         _require(sweep["step"] > 0, "sweep.step must be > 0")
+        count = sweep_count(sweep)
+        _require(
+            math.isfinite(count) and count <= MAX_SWEEP_POINTS,
+            f"sweep has {count:.0f} points; at most {MAX_SWEEP_POINTS} are allowed",
+        )
     try:
         cutoff = FockCutoff(data["cutoff"]).d
     except ValueError as exc:
@@ -212,10 +218,13 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
     )
 
 
+def sweep_count(sweep: dict) -> float:
+    """Number of grid points, as a float: inf when (max - min) / step overflows."""
+    return float(np.floor((sweep["max"] - sweep["min"]) / sweep["step"] + 1e-9)) + 1
+
+
 def sweep_values(sweep: dict) -> np.ndarray:
-    lo, hi, step = sweep["min"], sweep["max"], sweep["step"]
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    return sweep["min"] + sweep["step"] * np.arange(int(sweep_count(sweep)))
 
 
 def apply_axis(params: md.SystemParams, axis: str, value: float) -> md.SystemParams:
@@ -262,10 +271,9 @@ def cmd_spectrum(config: SweepConfig) -> Table:
     Numeric values come from dense diagonalization of the built matrices at
     the configured cutoff, matched to each tracked state by nearest distance
     to its analytic value; the reported non-Hermitian numeric values are
-    shifted by +Re(chi_full) to match the imaginary-chi convention of the
+    shifted by +Re(chi_p_full) to match the imaginary-chi convention of the
     analytic column.
     """
-    thermal = config.params.n_th > 0
     columns = [
         "sweep_value", "n_e", "n_f",
         "re_pt_analytic", "im_pt_analytic", "re_pt_numeric", "im_pt_numeric", "err_pt",
@@ -278,20 +286,17 @@ def cmd_spectrum(config: SweepConfig) -> Table:
     rows = []
     for value, point in zip(grid, points):
         der = md.derive(point)
-        h_pt, _ = md.build_h_pt_split(point, config.cutoff, thermal=thermal)
+        h_pt, _ = md.build_h_pt_split(point, config.cutoff)
         pt_vals = sp.eig(h_pt, want_vectors=False).eigenvalues
         nh_vals = sp.eig(
             md.build_h_nh(point, config.cutoff), want_vectors=False
         ).eigenvalues
-        chi_full = der.chi_p_full if thermal else der.chi_full
         for n_e, n_f in md.TRACKED_STATES:
-            pt_a = md.analytic_lambda_pt(n_e, n_f, der, thermal=thermal)
-            nh_a = md.analytic_lambda_nh(n_e, n_f, der, thermal=thermal)
-            nh_a_full = md.analytic_lambda_nh(
-                n_e, n_f, der, thermal=thermal, full_chi=True
-            )
+            pt_a = md.analytic_lambda_pt(n_e, n_f, der)
+            nh_a = md.analytic_lambda_nh(n_e, n_f, der)
+            nh_a_full = md.analytic_lambda_nh(n_e, n_f, der, full_chi=True)
             pt_n = pt_vals[np.argmin(np.abs(pt_vals - pt_a))]
-            nh_n = nh_vals[np.argmin(np.abs(nh_vals - nh_a_full))] + chi_full.real
+            nh_n = nh_vals[np.argmin(np.abs(nh_vals - nh_a_full))] + der.chi_p_full.real
             rows.append([
                 float(value), n_e, n_f,
                 pt_a.real, pt_a.imag, pt_n.real, pt_n.imag, abs(pt_a - pt_n),

@@ -13,7 +13,9 @@ boundary level.
 The displaced operators (c, c+, d, d+) and supermodes (e, e+, f, f+) built
 here are *not* dagger pairs: the "+" partners are constructed explicitly from
 the same linear transformation as their lowercase halves, never by conjugate
-transposition.
+transposition. They are built in the frame of their params, with damping
+rates scaled by (2 n_th + 1); the full-dynamics frame is
+params.with_(n_th=0.0).
 """
 
 from __future__ import annotations
@@ -146,15 +148,13 @@ class DisplacementConstants(NamedTuple):
     xi: float
 
 
-def displacement_constants(
-    params: "SystemParams", thermal: bool = False
-) -> DisplacementConstants:
+def displacement_constants(params: "SystemParams") -> DisplacementConstants:
     """Scalar shifts that absorb the coherent drive into new bosonic operators.
 
-    With thermal=True the damping rates are scaled by (2 n + 1), which is the
-    scaling under which the thermal Hamiltonian takes the optical form.
+    The damping rates are scaled by (2 n + 1), the scaling under which the
+    thermal Hamiltonian takes the optical form (exactly 1 at n = 0).
     """
-    scale = 2.0 * params.n_th + 1.0 if thermal else 1.0
+    scale = 2.0 * params.n_th + 1.0
     ga = params.gamma_a * scale
     gb = params.gamma_b * scale
     g = params.g
@@ -166,16 +166,14 @@ def displacement_constants(
     return DisplacementConstants(alpha, -alpha, delta, -delta, xi)
 
 
-def displaced_ops(
-    params: "SystemParams", cutoff: FockCutoff | int, thermal: bool = False
-) -> DisplacedOps:
+def displaced_ops(params: "SystemParams", cutoff: FockCutoff | int) -> DisplacedOps:
     """Drive-displaced two-mode operators c, c+, d, d+.
 
     c = a + eps*alpha, c+ = a_dag + eps*beta, d = b + eps*delta,
     d+ = b_dag + eps*theta. Note c+ is not the conjugate transpose of c.
     """
     cut = FockCutoff.of(cutoff)
-    k = displacement_constants(params, thermal)
+    k = displacement_constants(params)
     eps = params.eps
     eye = two_mode_identity(cut)
     a = mode_annihilation(Mode.A, cut)
@@ -188,16 +186,16 @@ def displaced_ops(
     )
 
 
-def supermode_rotation(params: "SystemParams", thermal: bool = False) -> np.ndarray:
+def supermode_rotation(params: "SystemParams") -> np.ndarray:
     """2x2 rotation mixing (c, d) into the normal modes (e, f).
 
     Rows follow [[cos(a/2), sin(a/2)], [-sin(a/2), cos(a/2)]] with
-    sin(a/2) = sqrt((Omega + i*kappa) / (2*Omega)). The sine branch is tied to
-    the cosine one through sin*cos = g / (2*Omega), which keeps the rotation
-    complex-orthogonal (R^T R = 1) and diagonalizing on both sides of the
-    coalescence point.
+    sin(a/2) = sqrt((Omega + i*kappa) / (2*Omega)) and kappa scaled by
+    (2 n + 1). The sine branch is tied to the cosine one through
+    sin*cos = g / (2*Omega), which keeps the rotation complex-orthogonal
+    (R^T R = 1) and diagonalizing on both sides of the coalescence point.
     """
-    scale = 2.0 * params.n_th + 1.0 if thermal else 1.0
+    scale = 2.0 * params.n_th + 1.0
     kappa = 0.5 * (params.gamma_a - params.gamma_b) * scale
     g = params.g
     omega = np.sqrt(complex(g * g - kappa * kappa))
@@ -210,12 +208,10 @@ def supermode_rotation(params: "SystemParams", thermal: bool = False) -> np.ndar
     return np.array([[cos_half, sin_half], [-sin_half, cos_half]], dtype=complex)
 
 
-def supermode_ops(
-    params: "SystemParams", cutoff: FockCutoff | int, thermal: bool = False
-) -> SupermodeOps:
+def supermode_ops(params: "SystemParams", cutoff: FockCutoff | int) -> SupermodeOps:
     """Normal-mode operators [e, f]^T = R [c, d]^T and [e+, f+]^T = R [c+, d+]^T."""
-    rot = supermode_rotation(params, thermal)
-    ops = displaced_ops(params, cutoff, thermal)
+    rot = supermode_rotation(params)
+    ops = displaced_ops(params, cutoff)
     e = rot[0, 0] * ops.c + rot[0, 1] * ops.d_op
     f = rot[1, 0] * ops.c + rot[1, 1] * ops.d_op
     e_plus = rot[0, 0] * ops.c_plus + rot[0, 1] * ops.d_plus
@@ -260,11 +256,9 @@ def coherent_state(z: complex, cutoff: FockCutoff | int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def displaced_vacuum(
-    params: "SystemParams", cutoff: FockCutoff | int, thermal: bool = False
-) -> np.ndarray:
+def displaced_vacuum(params: "SystemParams", cutoff: FockCutoff | int) -> np.ndarray:
     """Joint kernel of c and d: the product coherent state |-eps*alpha, -eps*delta>."""
-    k = displacement_constants(params, thermal)
+    k = displacement_constants(params)
     eps = params.eps
     return np.kron(
         coherent_state(-eps * k.alpha, cutoff), coherent_state(-eps * k.delta, cutoff)
@@ -272,11 +266,7 @@ def displaced_vacuum(
 
 
 def supermode_state(
-    params: "SystemParams",
-    cutoff: FockCutoff | int,
-    n_e: int,
-    n_f: int,
-    thermal: bool = False,
+    params: "SystemParams", cutoff: FockCutoff | int, n_e: int, n_f: int
 ) -> np.ndarray:
     """Normalized (e+)^n_e (f+)^n_f acting on the displaced vacuum.
 
@@ -285,8 +275,8 @@ def supermode_state(
     """
     if n_e < 0 or n_f < 0:
         raise ValueError("excitation numbers must be nonnegative")
-    ops = supermode_ops(params, cutoff, thermal)
-    psi = displaced_vacuum(params, cutoff, thermal)
+    ops = supermode_ops(params, cutoff)
+    psi = displaced_vacuum(params, cutoff)
     for _ in range(n_e):
         psi = ops.e_plus @ psi
     for _ in range(n_f):

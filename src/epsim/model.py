@@ -74,7 +74,9 @@ class DerivedParams:
     The *_p fields are the thermal-scaled counterparts (rates multiplied by
     2 n + 1); chi_t is the thermal reordering shift; chi and chi_p keep only
     the imaginary (decay) part while chi_full and chi_p_full carry the whole
-    complex scalar needed for exact matrix identities.
+    complex scalar needed for exact matrix identities. The split and the
+    analytic eigenvalues read the *_p fields; at n = 0 they equal the
+    unscaled ones exactly.
     """
 
     gamma: float
@@ -198,75 +200,56 @@ def build_h_nh_direct(params: SystemParams, cutoff: FockCutoff | int) -> np.ndar
 def build_drift_h(params: SystemParams, cutoff: FockCutoff | int) -> np.ndarray:
     """Drift-only non-Hermitian Hamiltonian H - i*ga*a_dag a - i*gb*b_dag b.
 
-    Independent of n_th by construction; identical to build_h_nh at n_th = 0.
+    The full-dynamics frame: build_h_nh_direct at n_th = 0, so independent
+    of n_th by construction and identical to build_h_nh at n_th = 0.
     """
-    cut = FockCutoff.of(cutoff)
-    num_a = fs.embed(fs.number_op(cut), Mode.A, cut)
-    num_b = fs.embed(fs.number_op(cut), Mode.B, cut)
-    return (
-        build_hamiltonian(params, cut)
-        - 1j * params.gamma_a * num_a
-        - 1j * params.gamma_b * num_b
-    )
+    return build_h_nh_direct(params.with_(n_th=0.0), cutoff)
 
 
 def build_h_pt_split(
-    params: SystemParams, cutoff: FockCutoff | int, thermal: bool = False
+    params: SystemParams, cutoff: FockCutoff | int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split into a PT-symmetric part and a commuting uniform-decay part.
 
     Returns (h_pt, h_decay) with
-      h_pt    = g (c+ d + d+ c) - i*kappa (c+ c - d+ d)
-      h_decay = -i*gamma (c+ c + d+ d) - chi_full * I
-    using thermal-scaled rates when thermal=True. The sum reconstructs the
-    normal-ordered non-Hermitian Hamiltonian exactly (full complex chi),
-    and the two parts commute on the interior projector.
+      h_pt    = g (c+ d + d+ c) - i*kappa' (c+ c - d+ d)
+      h_decay = -i*gamma' (c+ c + d+ d) - chi'_full * I
+    in the rates of the params' frame (scaled by 2 n + 1). The sum
+    reconstructs the normal-ordered non-Hermitian Hamiltonian exactly (full
+    complex chi), and the two parts commute on the interior projector.
     """
     cut = FockCutoff.of(cutoff)
     der = derive(params)
-    kappa = der.kappa_p if thermal else der.kappa
-    gamma = der.gamma_p if thermal else der.gamma
-    chi_full = der.chi_p_full if thermal else der.chi_full
-    ops = fs.displaced_ops(params, cut, thermal)
+    ops = fs.displaced_ops(params, cut)
     cpc = ops.c_plus @ ops.c
     dpd = ops.d_plus @ ops.d_op
     h_pt = (
         params.g * (ops.c_plus @ ops.d_op + ops.d_plus @ ops.c)
-        - 1j * kappa * cpc
-        + 1j * kappa * dpd
+        - 1j * der.kappa_p * cpc
+        + 1j * der.kappa_p * dpd
     )
-    h_decay = -1j * gamma * (cpc + dpd) - chi_full * fs.two_mode_identity(cut)
+    eye = fs.two_mode_identity(cut)
+    h_decay = -1j * der.gamma_p * (cpc + dpd) - der.chi_p_full * eye
     return h_pt, h_decay
 
 
-def analytic_lambda_pt(
-    n_e: int, n_f: int, derived: DerivedParams, thermal: bool = False
-) -> complex:
-    """Balanced-frame eigenvalue Omega * (N_e - N_f)."""
-    omega = derived.omega_p if thermal else derived.omega
-    return omega * (n_e - n_f)
+def analytic_lambda_pt(n_e: int, n_f: int, derived: DerivedParams) -> complex:
+    """Balanced-frame eigenvalue Omega' * (N_e - N_f)."""
+    return derived.omega_p * (n_e - n_f)
 
 
 def analytic_lambda_nh(
-    n_e: int,
-    n_f: int,
-    derived: DerivedParams,
-    thermal: bool = False,
-    full_chi: bool = False,
+    n_e: int, n_f: int, derived: DerivedParams, full_chi: bool = False
 ) -> complex:
-    """Eigenvalue Omega (N_e - N_f) - i*gamma (N_e + N_f) - chi.
+    """Eigenvalue Omega' (N_e - N_f) - i*gamma' (N_e + N_f) - chi'.
 
-    By default chi keeps only its imaginary part (the convention used for
-    the reported spectra); full_chi=True adds back the real part so the
-    value matches a direct numeric diagonalization of the built matrix.
+    Uses the rates scaled by (2 n + 1) of the derived params. By default chi'
+    keeps only its imaginary part (the convention used for the reported
+    spectra); full_chi=True adds back the real part so the value matches a
+    direct numeric diagonalization of the built matrix.
     """
-    if thermal:
-        omega, gamma = derived.omega_p, derived.gamma_p
-        chi = derived.chi_p_full if full_chi else derived.chi_p
-    else:
-        omega, gamma = derived.omega, derived.gamma
-        chi = derived.chi_full if full_chi else derived.chi
-    return omega * (n_e - n_f) - 1j * gamma * (n_e + n_f) - chi
+    chi = derived.chi_p_full if full_chi else derived.chi_p
+    return derived.omega_p * (n_e - n_f) - 1j * derived.gamma_p * (n_e + n_f) - chi
 
 
 def hep_coupling(kappa: float, n_th: float = 0.0) -> float:
@@ -348,7 +331,7 @@ _PT_MONOMIAL_MAP = {"c+c": "d+d", "d+d": "c+c", "c+d": "d+c", "d+c": "c+d", "I":
 
 
 def pt_coefficient_tableau(
-    params: SystemParams, cutoff: FockCutoff | int, thermal: bool = False
+    params: SystemParams, cutoff: FockCutoff | int
 ) -> tuple[dict[str, complex], float]:
     """Fit the PT part onto the displaced-operator monomial basis.
 
@@ -356,7 +339,7 @@ def pt_coefficient_tableau(
     least-squares fit residual (which should be at rounding level).
     """
     cut = FockCutoff.of(cutoff)
-    ops = fs.displaced_ops(params, cut, thermal)
+    ops = fs.displaced_ops(params, cut)
     basis = {
         "c+c": ops.c_plus @ ops.c,
         "d+d": ops.d_plus @ ops.d_op,
@@ -364,7 +347,7 @@ def pt_coefficient_tableau(
         "d+c": ops.d_plus @ ops.c,
         "I": fs.two_mode_identity(cut),
     }
-    h_pt, _ = build_h_pt_split(params, cut, thermal)
+    h_pt, _ = build_h_pt_split(params, cut)
     names = list(basis)
     mat = np.stack([basis[name].ravel() for name in names], axis=1)
     coeffs, *_ = np.linalg.lstsq(mat, h_pt.ravel(), rcond=None)
@@ -372,9 +355,7 @@ def pt_coefficient_tableau(
     return dict(zip(names, coeffs)), residual
 
 
-def pt_symmetry_defect(
-    params: SystemParams, cutoff: FockCutoff | int, thermal: bool = False
-) -> float:
+def pt_symmetry_defect(params: SystemParams, cutoff: FockCutoff | int) -> float:
     """Max deviation of the PT-part tableau under the PT substitution rules.
 
     PT maps c -> -d, d -> -c (and likewise the "+" partners) and conjugates
@@ -382,7 +363,7 @@ def pt_symmetry_defect(
     c+d <-> d+c with conjugated coefficients. Zero defect means the
     substitution rules map the PT part onto itself.
     """
-    tableau, residual = pt_coefficient_tableau(params, cutoff, thermal)
+    tableau, residual = pt_coefficient_tableau(params, cutoff)
     defect = max(
         abs(tableau[name] - np.conj(tableau[image]))
         for name, image in _PT_MONOMIAL_MAP.items()

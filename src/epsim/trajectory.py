@@ -68,10 +68,13 @@ class TrajectoryConfig:
                 or not np.isfinite(value)
             ):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        for name in ("n_traj", "sample_every"):
+        for name in ("n_traj", "sample_every", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= self.seed < 2**64:  # a Philox key word
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        FockCutoff.of(self.cutoff)
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.guard_threshold <= 0:

@@ -174,12 +174,9 @@ def test_criterion_07_structural_identities():
         # frame relation is the eigenvalue additivity asserted afterwards.
         for n_th in (0.0, 0.2):
             undriven = p.with_(eps=0.0, n_th=n_th)
-            thermal = n_th > 0
-            pt0, dec0 = md.build_h_pt_split(undriven, cut, thermal=thermal)
-            der0 = md.derive(undriven)
-            gamma_eff = der0.gamma_p if thermal else der0.gamma
+            pt0, dec0 = md.build_h_pt_split(undriven, cut)
             for t_gamma in (0.1, 1.0):
-                t = t_gamma / gamma_eff
+                t = t_gamma / md.derive(undriven).gamma_p
                 frame = sp.mat_exp(-1j * dec0 * t)
                 frame_inv = sp.mat_exp(1j * dec0 * t)
                 delta = (frame_inv @ pt0 @ frame - pt0)[np.ix_(idx, idx)]
@@ -211,10 +208,6 @@ def test_criterion_07_structural_identities():
         assert (der_cold.gamma_p, der_cold.kappa_p) == (der_cold.gamma, der_cold.kappa)
         assert der_cold.omega_p == der_cold.omega
         assert der_cold.chi_p == der_cold.chi and der_cold.chi_t == 0.0
-        split_opt = md.build_h_pt_split(cold, 6)
-        split_therm = md.build_h_pt_split(cold, 6, thermal=True)
-        np.testing.assert_array_equal(split_opt[0], split_therm[0])
-        np.testing.assert_array_equal(split_opt[1], split_therm[1])
 
 
 def test_criterion_08_trajectory_unraveling():

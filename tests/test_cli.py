@@ -96,12 +96,15 @@ class TestConfigHandling:
             {"cutoff": 6.5},
             {"cutoff": "6"},
             {"sweep": None},
+            {"sweep": {"step": 1e-17}},
+            {"sweep": {"max": 1e300, "step": 1e-300}},
         ],
         ids=[
             "angle_eps-string", "tolerances-null",
             "cluster_eps-string", "angle_eps-negative", "angle_eps-nan",
             "cluster_eps-zero", "tolerances-unknown-key", "seed-bool",
             "seed-negative", "cutoff-float", "cutoff-string", "sweep-null",
+            "sweep-too-many-points", "sweep-count-overflow",
         ],
     )
     def test_bad_field_exit_code(self, tmp_path, capsys, fields):
@@ -243,9 +246,24 @@ class TestSpectrumCommand:
         _, _, rows = read_rows(out)
         der = md.derive(md.SystemParams.from_mean_split(1.0, 2.0, 0.5, eps=1.0, n_th=0.1))
         first = rows[0]
-        lam = md.analytic_lambda_nh(1, 0, der, thermal=True)
+        lam = md.analytic_lambda_nh(1, 0, der)
         assert float(first["re_nh_analytic"]) == pytest.approx(lam.real)
         assert float(first["im_nh_analytic"]) == pytest.approx(lam.imag)
+
+    def test_n_th_sweep_from_cold_base_matches_numeric(self, tmp_path):
+        # each sweep point is analysed in the frame of its own n_th, so the
+        # analytic column tracks the numeric one across the thermal sweep
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "hamiltonian-spectrum",
+            "params": {"g": 1.0, "gamma_a": 2.5, "gamma_b": 1.5, "eps": 1.0, "n_th": 0.0},
+            "sweep": {"axis": "n_th", "min": 0.0, "max": 0.3, "step": 0.1},
+        }))
+        out = tmp_path / "spec.csv"
+        assert run(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        _, _, rows = read_rows(out)
+        assert len(rows) == 4 * 4
+        assert max(float(r["err_nh"]) for r in rows) < 1e-3
 
 
 class TestScanCommands:

@@ -127,7 +127,7 @@ class TestSupermodeRotation:
     @given(params=valid_params())
     def test_supermode_interior_commutators(self, params):
         der = md.derive(params)
-        if abs(der.omega) < 1e-3:  # rotation ill-conditioned at the EP
+        if abs(der.omega_p) < 1e-3:  # rotation ill-conditioned at the EP
             return
         cut = FockCutoff(4)
         ops = fs.supermode_ops(params, cut)

@@ -167,7 +167,7 @@ class TestSplit:
 
     @given(params=valid_params())
     def test_thermal_reconstruction_matches_direct_form(self, params):
-        h_pt, h_0 = md.build_h_pt_split(params, 4, thermal=True)
+        h_pt, h_0 = md.build_h_pt_split(params, 4)
         direct = md.build_h_nh_direct(params, 4)
         np.testing.assert_allclose(
             h_pt + h_0, direct, atol=1e-12 * max(1.0, np.abs(direct).max())
@@ -205,15 +205,13 @@ class TestAnalyticEigenvalues:
 
     def test_nh_thermal_value(self, thermal_params):
         der = md.derive(thermal_params)
-        assert md.analytic_lambda_nh(1, 0, der, thermal=True) == pytest.approx(
-            0.8 - 3.55j
-        )
+        assert md.analytic_lambda_nh(1, 0, der) == pytest.approx(0.8 - 3.55j)
 
     @given(params=valid_params(), n_e=st.integers(0, 3), n_f=st.integers(0, 3))
     def test_thermal_formula_reduces_at_zero_n(self, params, n_e, n_f):
         der = md.derive(params.with_(n_th=0.0))
-        assert md.analytic_lambda_nh(n_e, n_f, der, thermal=True) == md.analytic_lambda_nh(
-            n_e, n_f, der
+        assert md.analytic_lambda_nh(n_e, n_f, der) == (
+            der.omega * (n_e - n_f) - 1j * der.gamma * (n_e + n_f) - der.chi
         )
 
     @pytest.mark.parametrize("n_th", [0.1, 0.2])
@@ -224,11 +222,10 @@ class TestAnalyticEigenvalues:
         for kappa, broken in ((boundary - 0.02, False), (boundary + 0.02, True)):
             p = md.SystemParams.from_mean_split(1.0, 2.0, kappa, eps=1.0, n_th=n_th)
             der = md.derive(p)
-            lam = md.analytic_lambda_pt(1, 0, der, thermal=True)
+            lam = md.analytic_lambda_pt(1, 0, der)
             assert (abs(complex(lam).imag) > 1e-12) == broken
             pair_gap = abs(
-                md.analytic_lambda_nh(1, 0, der, thermal=True)
-                - md.analytic_lambda_nh(0, 1, der, thermal=True)
+                md.analytic_lambda_nh(1, 0, der) - md.analytic_lambda_nh(0, 1, der)
             )
             assert pair_gap == pytest.approx(2 * abs(der.omega_p), abs=1e-12)
 
@@ -270,12 +267,14 @@ class TestSpectralMatch:
         assert errors[8] < errors[6] and errors[10] < errors[8]
         assert errors[10] < 1e-5
 
-    def test_labeled_states_are_eigenvectors(self, std_params):
+    @pytest.mark.parametrize("n_th", [0.0, 0.1])
+    def test_labeled_states_are_eigenvectors(self, std_params, n_th):
+        p = std_params.with_(n_th=n_th)
         cut = FockCutoff(14)
-        h = md.build_h_nh(std_params, cut)
-        der = md.derive(std_params)
+        h = md.build_h_nh(p, cut)
+        der = md.derive(p)
         for n_e, n_f in md.TRACKED_STATES:
-            psi = fs.supermode_state(std_params, cut, n_e, n_f)
+            psi = fs.supermode_state(p, cut, n_e, n_f)
             lam = md.analytic_lambda_nh(n_e, n_f, der, full_chi=True)
             assert np.linalg.norm(h @ psi - lam * psi) < 1e-5
 
@@ -323,10 +322,8 @@ class TestFrameInvariance:
     def test_undriven_frame_invariance(self, n_th, t_gamma):
         p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=0.0, n_th=n_th)
         cut = FockCutoff(8)
-        thermal = n_th > 0
-        h_pt, h_0 = md.build_h_pt_split(p, cut, thermal=thermal)
-        der = md.derive(p)
-        t = t_gamma / (der.gamma_p if thermal else der.gamma)
+        h_pt, h_0 = md.build_h_pt_split(p, cut)
+        t = t_gamma / md.derive(p).gamma_p
         s = sp.mat_exp(-1j * h_0 * t)
         s_inv = sp.mat_exp(1j * h_0 * t)
         idx = fs.interior_indices(cut)

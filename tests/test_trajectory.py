@@ -40,6 +40,11 @@ class TestConfig:
             ("t_final", None),
             ("t_final", float("inf")),
             ("guard_threshold", "1e-6"),
+            ("seed", 1.5),
+            ("seed", True),
+            ("seed", -3),
+            ("seed", 2**64),
+            ("cutoff", 6.5),
         ],
     )
     def test_rejects_wrong_types(self, field, value):
