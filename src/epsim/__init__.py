@@ -1,8 +1,9 @@
 """Numerical workbench for exceptional points of two coupled lossy driven modes.
 
 Subpackages:
-  fockspace   truncated two-mode operator algebra
-  model       parameters, Hamiltonians, analytic eigenvalues, EP positions
+  fockspace   truncated two-mode operator algebra (cutoff only)
+  model       parameters and their thermal frame, displaced and supermode
+              operators, Hamiltonians, analytic eigenvalues, EP positions
   spectral    dense eigensolver front end and coalescence diagnostics
   liouvillian master-equation superoperator and first-moment dynamics
   trajectory  quantum-jump unraveling

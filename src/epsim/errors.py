@@ -13,10 +13,6 @@ class NumericalError(EpsimError):
     """Base class for runtime numerical failures."""
 
 
-class SingularTransformError(NumericalError):
-    """Displaced-operator transformation undefined (xi = g^2 + ga*gb = 0)."""
-
-
 class EPDegenerateError(NumericalError):
     """Supermode rotation requested exactly at the coalescence point."""
 

@@ -10,12 +10,8 @@ commutation identities are asserted on the interior levels (every mode
 occupation <= d - 2, see interior_indices); the defect is confined to the
 boundary level.
 
-The displaced operators (c, c+, d, d+) and supermodes (e, e+, f, f+) built
-here are *not* dagger pairs: the "+" partners are constructed explicitly from
-the same linear transformation as their lowercase halves, never by conjugate
-transposition. They are built in the frame of their params, with damping
-rates scaled by (2 n_th + 1); the full-dynamics frame is
-params.with_(n_th=0.0).
+Everything here depends on the cutoff only. The operators that depend on the
+physical parameters (displaced operators, supermodes) are built in model.
 """
 
 from __future__ import annotations
@@ -23,14 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-
-from .errors import EPDegenerateError, SingularTransformError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .model import SystemParams
 
 DEFAULT_DIM = 8
 
@@ -63,20 +53,6 @@ class FockCutoff:
 class Mode(Enum):
     A = 0
     B = 1
-
-
-class DisplacedOps(NamedTuple):
-    c: np.ndarray
-    c_plus: np.ndarray
-    d_op: np.ndarray
-    d_plus: np.ndarray
-
-
-class SupermodeOps(NamedTuple):
-    e: np.ndarray
-    e_plus: np.ndarray
-    f: np.ndarray
-    f_plus: np.ndarray
 
 
 def annihilation(cutoff: FockCutoff | int) -> np.ndarray:
@@ -140,85 +116,6 @@ def interior_indices(cutoff: FockCutoff | int, margin: int = 1) -> np.ndarray:
     return (keep[:, None] * d + keep[None, :]).ravel()
 
 
-class DisplacementConstants(NamedTuple):
-    alpha: complex
-    beta: complex
-    delta: complex
-    theta: complex
-    xi: float
-
-
-def displacement_constants(params: "SystemParams") -> DisplacementConstants:
-    """Scalar shifts that absorb the coherent drive into new bosonic operators.
-
-    The damping rates are scaled by (2 n + 1), the scaling under which the
-    thermal Hamiltonian takes the optical form (exactly 1 at n = 0).
-    """
-    scale = 2.0 * params.n_th + 1.0
-    ga = params.gamma_a * scale
-    gb = params.gamma_b * scale
-    g = params.g
-    xi = g * g + ga * gb
-    if xi == 0.0:
-        raise SingularTransformError("xi = g^2 + gamma_a*gamma_b vanishes")
-    alpha = (gb - 1j * g) / xi
-    delta = (ga - 1j * g) / xi
-    return DisplacementConstants(alpha, -alpha, delta, -delta, xi)
-
-
-def displaced_ops(params: "SystemParams", cutoff: FockCutoff | int) -> DisplacedOps:
-    """Drive-displaced two-mode operators c, c+, d, d+.
-
-    c = a + eps*alpha, c+ = a_dag + eps*beta, d = b + eps*delta,
-    d+ = b_dag + eps*theta. Note c+ is not the conjugate transpose of c.
-    """
-    cut = FockCutoff.of(cutoff)
-    k = displacement_constants(params)
-    eps = params.eps
-    eye = two_mode_identity(cut)
-    a = mode_annihilation(Mode.A, cut)
-    b = mode_annihilation(Mode.B, cut)
-    return DisplacedOps(
-        c=a + eps * k.alpha * eye,
-        c_plus=dagger(a) + eps * k.beta * eye,
-        d_op=b + eps * k.delta * eye,
-        d_plus=dagger(b) + eps * k.theta * eye,
-    )
-
-
-def supermode_rotation(params: "SystemParams") -> np.ndarray:
-    """2x2 rotation mixing (c, d) into the normal modes (e, f).
-
-    Rows follow [[cos(a/2), sin(a/2)], [-sin(a/2), cos(a/2)]] with
-    sin(a/2) = sqrt((Omega + i*kappa) / (2*Omega)) and kappa scaled by
-    (2 n + 1). The sine branch is tied to the cosine one through
-    sin*cos = g / (2*Omega), which keeps the rotation complex-orthogonal
-    (R^T R = 1) and diagonalizing on both sides of the coalescence point.
-    """
-    scale = 2.0 * params.n_th + 1.0
-    kappa = 0.5 * (params.gamma_a - params.gamma_b) * scale
-    g = params.g
-    omega = np.sqrt(complex(g * g - kappa * kappa))
-    if omega == 0:
-        raise EPDegenerateError(
-            f"supermodes undefined at the coalescence point (g = kappa = {g})"
-        )
-    cos_half = np.sqrt((omega - 1j * kappa) / (2.0 * omega))
-    sin_half = g / (2.0 * omega * cos_half)
-    return np.array([[cos_half, sin_half], [-sin_half, cos_half]], dtype=complex)
-
-
-def supermode_ops(params: "SystemParams", cutoff: FockCutoff | int) -> SupermodeOps:
-    """Normal-mode operators [e, f]^T = R [c, d]^T and [e+, f+]^T = R [c+, d+]^T."""
-    rot = supermode_rotation(params)
-    ops = displaced_ops(params, cutoff)
-    e = rot[0, 0] * ops.c + rot[0, 1] * ops.d_op
-    f = rot[1, 0] * ops.c + rot[1, 1] * ops.d_op
-    e_plus = rot[0, 0] * ops.c_plus + rot[0, 1] * ops.d_plus
-    f_plus = rot[1, 0] * ops.c_plus + rot[1, 1] * ops.d_plus
-    return SupermodeOps(e, e_plus, f, f_plus)
-
-
 def shuffle_operator(cutoff: FockCutoff | int) -> np.ndarray:
     """Perfect-shuffle permutation exchanging the two tensor factors."""
     cut = FockCutoff.of(cutoff)
@@ -254,34 +151,3 @@ def coherent_state(z: complex, cutoff: FockCutoff | int) -> np.ndarray:
         [z**k / math.sqrt(math.factorial(k)) for k in range(d)], dtype=complex
     )
     return amps / np.linalg.norm(amps)
-
-
-def displaced_vacuum(params: "SystemParams", cutoff: FockCutoff | int) -> np.ndarray:
-    """Joint kernel of c and d: the product coherent state |-eps*alpha, -eps*delta>."""
-    k = displacement_constants(params)
-    eps = params.eps
-    return np.kron(
-        coherent_state(-eps * k.alpha, cutoff), coherent_state(-eps * k.delta, cutoff)
-    )
-
-
-def supermode_state(
-    params: "SystemParams", cutoff: FockCutoff | int, n_e: int, n_f: int
-) -> np.ndarray:
-    """Normalized (e+)^n_e (f+)^n_f acting on the displaced vacuum.
-
-    These are right eigenvectors of the non-Hermitian Hamiltonian away from
-    the coalescence point; they are not mutually orthogonal.
-    """
-    if n_e < 0 or n_f < 0:
-        raise ValueError("excitation numbers must be nonnegative")
-    ops = supermode_ops(params, cutoff)
-    psi = displaced_vacuum(params, cutoff)
-    for _ in range(n_e):
-        psi = ops.e_plus @ psi
-    for _ in range(n_f):
-        psi = ops.f_plus @ psi
-    norm = np.linalg.norm(psi)
-    if norm == 0:
-        raise ValueError("state annihilated by truncation; increase the cutoff")
-    return psi / norm

@@ -192,23 +192,22 @@ def dynamical_matrix(params: md.SystemParams) -> DynamicalMatrix:
     return DynamicalMatrix(matrix=m, drive=np.array([params.eps, params.eps]))
 
 
-def lambda_pm(derived: md.DerivedParams) -> tuple[complex, complex]:
+def _full_dynamics(params: md.SystemParams) -> md.DerivedParams:
+    """The unscaled rates of the first moments, whatever n_th."""
+    return md.derive(params.with_(n_th=0.0))
+
+
+def lambda_pm(params: md.SystemParams) -> tuple[complex, complex]:
     """Closed-form eigenvalues of the dynamical matrix: +-Omega - i*gamma."""
-    return derived.omega - 1j * derived.gamma, -derived.omega - 1j * derived.gamma
+    der = _full_dynamics(params)
+    return der.omega_p - 1j * der.gamma_p, -der.omega_p - 1j * der.gamma_p
 
 
-def v_pm(
-    derived: md.DerivedParams, g: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigenvectors [+-Omega - i*kappa, g], normalized.
-
-    The coupling g is recovered from the derived quantities (g^2 = Omega^2 +
-    kappa^2) unless passed explicitly.
-    """
-    if g is None:
-        g = float(np.sqrt(derived.omega**2 + derived.kappa**2).real)
-    plus = np.array([derived.omega - 1j * derived.kappa, g], dtype=complex)
-    minus = np.array([-derived.omega - 1j * derived.kappa, g], dtype=complex)
+def v_pm(params: md.SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenvectors [+-Omega - i*kappa, g], normalized."""
+    der = _full_dynamics(params)
+    plus = np.array([der.omega_p - 1j * der.kappa_p, params.g], dtype=complex)
+    minus = np.array([-der.omega_p - 1j * der.kappa_p, params.g], dtype=complex)
     return plus / np.linalg.norm(plus), minus / np.linalg.norm(minus)
 
 
@@ -320,12 +319,10 @@ def liouvillian_spectrum_check(
     cut = FockCutoff.of(cutoff)
     if cut.d > 8:
         raise ValueError(f"spectrum check limited to d <= 8, got d={cut.d}")
-    der = md.derive(params)
+    der = _full_dynamics(params)
     spectrum = sector_spectrum(build_liouvillian(params.with_(eps=0.0), cut), cut)
     values = spectrum.eigenvalues
-    targets = np.array(
-        [-der.gamma + 1j * der.omega, -der.gamma - 1j * der.omega], dtype=complex
-    )
+    targets = np.array([-der.gamma_p + 1j * der.omega_p, -der.gamma_p - 1j * der.omega_p])
     dists = np.abs(values[None, :] - targets[:, None])
     nearest_idx = np.argmin(dists, axis=1)
     nearest = values[nearest_idx]
@@ -334,7 +331,7 @@ def liouvillian_spectrum_check(
 
     eps_cluster = sp.CLUSTER_EPS_SCALE * spectrum.norm
     clusters = sp.cluster_eigenvalues(values, eps_cluster)
-    anchor = -der.gamma + 0j
+    anchor = -der.gamma_p + 0j
     near_gamma = min(clusters, key=lambda grp: min(abs(values[i] - anchor) for i in grp))
     min_angle = None
     if len(near_gamma) >= 2:

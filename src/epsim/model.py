@@ -1,4 +1,5 @@
-"""Parameter bookkeeping and Hamiltonian builders for two coupled lossy modes.
+"""Parameter bookkeeping, the thermal frame, and Hamiltonian builders for two
+coupled lossy modes.
 
 The physical model: two bosonic modes with exchange coupling g, coherent
 drive eps on both modes, field damping rates gamma_a, gamma_b, and a common
@@ -11,17 +12,26 @@ uniform-decay part -i*gamma*(c+ c + d+ d) - chi*I. The scalar chi produced
 by completing the square is 2*eps^2*(g + i*gamma)/xi; its imaginary part is
 the physically relevant uniform decay shift, while the real part is an
 overall phase that must be kept for exact matrix reconstruction.
+
+derive is the one place that decides the frame: every rate of DerivedParams
+is scaled by 2 n_th + 1 (exactly 1 at n_th = 0), and the full-dynamics frame
+is params.with_(n_th=0.0). The builders of the displaced operators
+(c, c+, d, d+) and the supermodes (e, e+, f, f+) read derive. Their "+"
+partners are *not* dagger pairs: they are built from the same linear
+transformation as their lowercase halves, never by conjugate transposition.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import fockspace as fs
-from .errors import ChiPoleError
+from .errors import ChiPoleError, EPDegenerateError
 from .fockspace import FockCutoff, Mode
 
 # Supermode excitation labels (N_e, N_f) of the four tracked eigenstates.
@@ -41,7 +51,7 @@ class SystemParams:
     def __post_init__(self):
         for name in ("g", "gamma_a", "gamma_b", "eps", "n_th"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:  # finite, also for an int
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.g <= 0:
             raise ValueError(f"coupling g must be > 0, got {self.g}")
@@ -69,22 +79,17 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Closed-form quantities derived from one parameter set.
+    """Closed-form quantities of one parameter set, in the frame of its n_th.
 
-    The *_p fields are the thermal-scaled counterparts (rates multiplied by
-    2 n + 1); chi_t is the thermal reordering shift; chi and chi_p keep only
-    the imaginary (decay) part while chi_full and chi_p_full carry the whole
-    complex scalar needed for exact matrix identities. The split and the
-    analytic eigenvalues read the *_p fields; at n = 0 they equal the
-    unscaled ones exactly.
+    Every rate is scaled by 2 n + 1, exactly 1 at n = 0; the full-dynamics
+    frame is derive(params.with_(n_th=0.0)). chi_t is the thermal reordering
+    shift; chi_p keeps only the imaginary (decay) part of the drive-induced
+    scalar while chi_p_full carries the whole complex scalar needed for exact
+    matrix identities.
     """
 
-    gamma: float
-    kappa: float
-    xi: float
-    omega: complex
-    chi: complex
-    chi_full: complex
+    gamma_a_p: float
+    gamma_b_p: float
     gamma_p: float
     kappa_p: float
     xi_p: float
@@ -103,39 +108,136 @@ def _branch_sqrt(disc: float) -> complex:
 
 def derive(params: SystemParams) -> DerivedParams:
     g = params.g
-    gamma = 0.5 * (params.gamma_a + params.gamma_b)
-    kappa = 0.5 * (params.gamma_a - params.gamma_b)
-    xi = g * g + params.gamma_a * params.gamma_b
-    if xi == 0.0:
+    scale = 2.0 * params.n_th + 1.0
+    gamma_a_p = params.gamma_a * scale
+    gamma_b_p = params.gamma_b * scale
+    gamma_p = 0.5 * (params.gamma_a + params.gamma_b) * scale
+    kappa_p = 0.5 * (params.gamma_a - params.gamma_b) * scale
+    xi_p = g * g + gamma_a_p * gamma_b_p
+    if xi_p == 0.0:
         raise ChiPoleError("pole of chi: g^2 + gamma^2 - kappa^2 = 0")
     eps2 = params.eps * params.eps
-    chi_full = 2.0 * eps2 * (g + 1j * gamma) / xi
-    chi = 1j * (2.0 * eps2 * gamma / xi)
-
-    scale = 2.0 * params.n_th + 1.0
-    gamma_p = gamma * scale
-    kappa_p = kappa * scale
-    xi_p = g * g + (params.gamma_a * scale) * (params.gamma_b * scale)
-    if xi_p == 0.0:
-        raise ChiPoleError("pole of thermal chi: g^2 + (gamma'^2 - kappa'^2) = 0")
     chi_t = 1j * (params.n_th * (params.gamma_a + params.gamma_b))
-    chi_p = chi_t + 1j * (2.0 * eps2 * gamma_p / xi_p)
-    chi_p_full = chi_t + 2.0 * eps2 * (g + 1j * gamma_p) / xi_p
     return DerivedParams(
-        gamma=gamma,
-        kappa=kappa,
-        xi=xi,
-        omega=_branch_sqrt(g * g - kappa * kappa),
-        chi=chi,
-        chi_full=chi_full,
+        gamma_a_p=gamma_a_p,
+        gamma_b_p=gamma_b_p,
         gamma_p=gamma_p,
         kappa_p=kappa_p,
         xi_p=xi_p,
         omega_p=_branch_sqrt(g * g - kappa_p * kappa_p),
         chi_t=chi_t,
-        chi_p=chi_p,
-        chi_p_full=chi_p_full,
+        chi_p=chi_t + 1j * (2.0 * eps2 * gamma_p / xi_p),
+        chi_p_full=chi_t + 2.0 * eps2 * (g + 1j * gamma_p) / xi_p,
     )
+
+
+class DisplacedOps(NamedTuple):
+    c: np.ndarray
+    c_plus: np.ndarray
+    d_op: np.ndarray
+    d_plus: np.ndarray
+
+
+class SupermodeOps(NamedTuple):
+    e: np.ndarray
+    e_plus: np.ndarray
+    f: np.ndarray
+    f_plus: np.ndarray
+
+
+def displacement_constants(params: SystemParams) -> tuple[complex, complex]:
+    """Shifts (alpha, delta) that absorb the coherent drive into c and d.
+
+    alpha = (gb' - i g) / xi' and delta = (ga' - i g) / xi'; the "+" partners
+    shift by -alpha and -delta.
+    """
+    der = derive(params)
+    alpha = (der.gamma_b_p - 1j * params.g) / der.xi_p
+    delta = (der.gamma_a_p - 1j * params.g) / der.xi_p
+    return alpha, delta
+
+
+def displaced_ops(params: SystemParams, cutoff: FockCutoff | int) -> DisplacedOps:
+    """Drive-displaced two-mode operators c, c+, d, d+.
+
+    c = a + eps*alpha, c+ = a_dag - eps*alpha, d = b + eps*delta,
+    d+ = b_dag - eps*delta. Note c+ is not the conjugate transpose of c.
+    """
+    cut = FockCutoff.of(cutoff)
+    alpha, delta = displacement_constants(params)
+    eps = params.eps
+    eye = fs.two_mode_identity(cut)
+    a = fs.mode_annihilation(Mode.A, cut)
+    b = fs.mode_annihilation(Mode.B, cut)
+    return DisplacedOps(
+        c=a + eps * alpha * eye,
+        c_plus=fs.dagger(a) + eps * (-alpha) * eye,
+        d_op=b + eps * delta * eye,
+        d_plus=fs.dagger(b) + eps * (-delta) * eye,
+    )
+
+
+def displaced_vacuum(params: SystemParams, cutoff: FockCutoff | int) -> np.ndarray:
+    """Joint kernel of c and d: the product coherent state |-eps*alpha, -eps*delta>."""
+    alpha, delta = displacement_constants(params)
+    eps = params.eps
+    return np.kron(
+        fs.coherent_state(-eps * alpha, cutoff), fs.coherent_state(-eps * delta, cutoff)
+    )
+
+
+def supermode_rotation(params: SystemParams) -> np.ndarray:
+    """2x2 rotation mixing (c, d) into the normal modes (e, f).
+
+    Rows follow [[cos(a/2), sin(a/2)], [-sin(a/2), cos(a/2)]] with
+    sin(a/2) = sqrt((Omega' + i*kappa') / (2*Omega')). The sine branch is
+    tied to the cosine one through sin*cos = g / (2*Omega'), which keeps the
+    rotation complex-orthogonal (R^T R = 1) and diagonalizing on both sides
+    of the coalescence point.
+    """
+    der = derive(params)
+    g, kappa = params.g, der.kappa_p
+    omega = np.complex128(der.omega_p)
+    if omega == 0:
+        raise EPDegenerateError(
+            f"supermodes undefined at the coalescence point (g = kappa = {g})"
+        )
+    cos_half = np.sqrt((omega - 1j * kappa) / (2.0 * omega))
+    sin_half = g / (2.0 * omega * cos_half)
+    return np.array([[cos_half, sin_half], [-sin_half, cos_half]], dtype=complex)
+
+
+def supermode_ops(params: SystemParams, cutoff: FockCutoff | int) -> SupermodeOps:
+    """Normal-mode operators [e, f]^T = R [c, d]^T and [e+, f+]^T = R [c+, d+]^T."""
+    rot = supermode_rotation(params)
+    ops = displaced_ops(params, cutoff)
+    e = rot[0, 0] * ops.c + rot[0, 1] * ops.d_op
+    f = rot[1, 0] * ops.c + rot[1, 1] * ops.d_op
+    e_plus = rot[0, 0] * ops.c_plus + rot[0, 1] * ops.d_plus
+    f_plus = rot[1, 0] * ops.c_plus + rot[1, 1] * ops.d_plus
+    return SupermodeOps(e, e_plus, f, f_plus)
+
+
+def supermode_state(
+    params: SystemParams, cutoff: FockCutoff | int, n_e: int, n_f: int
+) -> np.ndarray:
+    """Normalized (e+)^n_e (f+)^n_f acting on the displaced vacuum.
+
+    These are right eigenvectors of the non-Hermitian Hamiltonian away from
+    the coalescence point; they are not mutually orthogonal.
+    """
+    if n_e < 0 or n_f < 0:
+        raise ValueError("excitation numbers must be nonnegative")
+    ops = supermode_ops(params, cutoff)
+    psi = displaced_vacuum(params, cutoff)
+    for _ in range(n_e):
+        psi = ops.e_plus @ psi
+    for _ in range(n_f):
+        psi = ops.f_plus @ psi
+    norm = np.linalg.norm(psi)
+    if norm == 0:
+        raise ValueError("state annihilated by truncation; increase the cutoff")
+    return psi / norm
 
 
 def build_hamiltonian(params: SystemParams, cutoff: FockCutoff | int) -> np.ndarray:
@@ -185,15 +287,14 @@ def build_h_nh_direct(params: SystemParams, cutoff: FockCutoff | int) -> np.ndar
     level only).
     """
     cut = FockCutoff.of(cutoff)
-    scale = 2.0 * params.n_th + 1.0
+    der = derive(params)
     num_a = fs.embed(fs.number_op(cut), Mode.A, cut)
     num_b = fs.embed(fs.number_op(cut), Mode.B, cut)
-    chi_t = 1j * (params.n_th * (params.gamma_a + params.gamma_b))
     return (
         build_hamiltonian(params, cut)
-        - 1j * (params.gamma_a * scale) * num_a
-        - 1j * (params.gamma_b * scale) * num_b
-        - chi_t * fs.two_mode_identity(cut)
+        - 1j * der.gamma_a_p * num_a
+        - 1j * der.gamma_b_p * num_b
+        - der.chi_t * fs.two_mode_identity(cut)
     )
 
 
@@ -220,7 +321,7 @@ def build_h_pt_split(
     """
     cut = FockCutoff.of(cutoff)
     der = derive(params)
-    ops = fs.displaced_ops(params, cut)
+    ops = displaced_ops(params, cut)
     cpc = ops.c_plus @ ops.c
     dpd = ops.d_plus @ ops.d_op
     h_pt = (
@@ -339,7 +440,7 @@ def pt_coefficient_tableau(
     least-squares fit residual (which should be at rounding level).
     """
     cut = FockCutoff.of(cutoff)
-    ops = fs.displaced_ops(params, cut)
+    ops = displaced_ops(params, cut)
     basis = {
         "c+c": ops.c_plus @ ops.c,
         "d+d": ops.d_plus @ ops.d_op,

@@ -2,9 +2,11 @@
 
 The eigensolver contract (Hessenberg reduction followed by shifted-QR
 iteration to Schur form, eigenvectors by back-substitution) is fulfilled by
-LAPACK's zgeev through numpy; this module adds the residual guarantee,
-failure reporting, eigenvalue clustering and the eigenvector-coalescence
-metric used to locate exceptional points on parameter grids.
+LAPACK's zgeev through numpy; this module adds failure reporting, a
+residual guarantee on eigenpairs, eigenvalue clustering and the
+eigenvector-coalescence metric used to locate exceptional points on
+parameter grids. Eigenvalue-only solves (eig with want_vectors=False, as
+the spectrum command runs them) have no vectors and so no residual check.
 
 Norms are Frobenius throughout.
 """
@@ -56,7 +58,10 @@ def _residual_bound(norm):
 
 
 def eig(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
-    """All eigenvalues (and right eigenvectors) of a dense complex matrix."""
+    """All eigenvalues (and right eigenvectors) of a dense complex matrix.
+
+    The eigenpairs are residual-checked; eigenvalues alone are not.
+    """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -285,7 +290,6 @@ class EPEstimate:
     value: float
     uncertainty: float
     min_angle: float
-    eigenvalue: complex
 
 
 def estimate_ep(
@@ -301,6 +305,5 @@ def estimate_ep(
                 value=report.param,
                 uncertainty=grid_step,
                 min_angle=report.min_angle,
-                eigenvalue=complex(np.mean(report.best.eigenvalues)),
             )
     return best

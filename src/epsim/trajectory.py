@@ -22,6 +22,7 @@ Trajectories are independent; partial sums are merged in chunk order.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,7 @@ class TrajectoryConfig:
             if (
                 isinstance(value, bool)
                 or not isinstance(value, (int, float, np.integer, np.floating))
-                or not np.isfinite(value)
+                or not abs(value) <= sys.float_info.max  # finite, also for an int
             ):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
         for name in ("n_traj", "sample_every", "seed"):

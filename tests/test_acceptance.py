@@ -142,12 +142,12 @@ def test_criterion_06_moment_matrix_closed_forms():
             kappa = rng.uniform(0.0, min(gamma, 0.9 * g))
             p = md.SystemParams.from_mean_split(g, gamma, kappa, eps=rng.uniform(0, 1))
             der = md.derive(p)
-            if abs(der.omega) < 0.05 * g:  # eigenvectors undefined at coalescence
+            if abs(der.omega_p) < 0.05 * g:  # eigenvectors undefined at coalescence
                 continue
             tested += 1
             spec = sp.eig(lv.dynamical_matrix(p).matrix)
-            lam_p, lam_m = lv.lambda_pm(der)
-            v_p, v_m = lv.v_pm(der, g=p.g)
+            lam_p, lam_m = lv.lambda_pm(p)
+            v_p, v_m = lv.v_pm(p)
             i_p = int(np.argmin(np.abs(spec.eigenvalues - lam_p)))
             i_m = int(np.argmin(np.abs(spec.eigenvalues - lam_m)))
             assert abs(spec.eigenvalues[i_p] - lam_p) <= 1e-12
@@ -186,7 +186,7 @@ def test_criterion_07_structural_identities():
         h_nh_big = md.build_h_nh(p, big)
         pt_big, dec_big = md.build_h_pt_split(p, big)
         for n_e, n_f in md.TRACKED_STATES:
-            v = fs.supermode_state(p, big, n_e, n_f)
+            v = md.supermode_state(p, big, n_e, n_f)
             lam = np.vdot(v, h_nh_big @ v)
             add = np.vdot(v, pt_big @ v) + np.vdot(v, dec_big @ v)
             assert abs(lam - add) <= 1e-8
@@ -205,9 +205,12 @@ def test_criterion_07_structural_identities():
             md.build_drift_h(cold, 6), md.build_h_nh(cold, 6), atol=1e-13
         )
         der_cold = md.derive(cold)
-        assert (der_cold.gamma_p, der_cold.kappa_p) == (der_cold.gamma, der_cold.kappa)
-        assert der_cold.omega_p == der_cold.omega
-        assert der_cold.chi_p == der_cold.chi and der_cold.chi_t == 0.0
+        ga, gb = cold.gamma_a, cold.gamma_b
+        assert (der_cold.gamma_p, der_cold.kappa_p) == ((ga + gb) / 2, (ga - gb) / 2)
+        assert der_cold.xi_p == cold.g * cold.g + ga * gb
+        assert der_cold.omega_p == np.sqrt(cold.g**2 - der_cold.kappa_p**2)
+        assert der_cold.chi_p == 1j * (2 * cold.eps**2 * der_cold.gamma_p / der_cold.xi_p)
+        assert der_cold.chi_t == 0.0
 
 
 def test_criterion_08_trajectory_unraveling():
@@ -268,4 +271,4 @@ def test_criterion_10_liouvillian_spectrum_witness():
         der = md.derive(at_ep)
         assert ep_witness.cluster_size >= 2
         assert ep_witness.degenerate_pair_flagged
-        assert ep_witness.nearest[0] == pytest.approx(-der.gamma + 0j, abs=1e-6)
+        assert ep_witness.nearest[0] == pytest.approx(-der.gamma_p + 0j, abs=1e-6)

@@ -98,6 +98,14 @@ class TestConfigHandling:
             {"sweep": None},
             {"sweep": {"step": 1e-17}},
             {"sweep": {"max": 1e300, "step": 1e-300}},
+            # JSON integers too large for a float
+            {"sweep": {"min": 10**400}},
+            {"sweep": {"max": 10**400}},
+            {"sweep": {"step": 10**400}},
+            {"params": {"g": 10**400}},
+            {"params": {"n_th": 10**400}},
+            {"tolerances": {"angle_eps": 10**400}},
+            {"tolerances": {"cluster_eps": 10**400}},
         ],
         ids=[
             "angle_eps-string", "tolerances-null",
@@ -105,6 +113,8 @@ class TestConfigHandling:
             "cluster_eps-zero", "tolerances-unknown-key", "seed-bool",
             "seed-negative", "cutoff-float", "cutoff-string", "sweep-null",
             "sweep-too-many-points", "sweep-count-overflow",
+            "sweep.min-huge-int", "sweep.max-huge-int", "sweep.step-huge-int",
+            "g-huge-int", "n_th-huge-int", "angle_eps-huge-int", "cluster_eps-huge-int",
         ],
     )
     def test_bad_field_exit_code(self, tmp_path, capsys, fields):
@@ -112,7 +122,11 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"mode": "ep-scan", **fields}))
         assert run(["ep-scan", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
-        assert "config error" in captured.err
+        assert captured.err.startswith("config error:")
+        assert "Traceback" not in captured.err
+        (body,) = fields.values()
+        if isinstance(body, dict) and 10**400 in body.values():
+            assert all(key in captured.err for key in body)
         assert captured.out == ""
 
     def test_unwritable_out_exit_code(self, tmp_path, capsys):
@@ -345,6 +359,10 @@ class TestTrajectoriesCommand:
             {"guard_threshold": "1e-6"},
             {"t_final": 1e-12},
             {"n_trajs": 3},
+            # JSON integers too large for a float
+            {"dt": 10**400},
+            {"t_final": 10**400},
+            {"guard_threshold": 10**400},
         ],
     )
     def test_bad_settings_exit_code(self, tmp_path, capsys, settings):
@@ -353,7 +371,11 @@ class TestTrajectoriesCommand:
         trajectories.update(settings)
         cfg.write_text(json.dumps({"mode": "trajectories", "trajectories": trajectories}))
         assert run(["trajectories", "--config", str(cfg)]) == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        (key,) = settings
+        assert key in err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

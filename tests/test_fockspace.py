@@ -77,21 +77,26 @@ class TestEmbed:
 
 class TestDisplacedOps:
     def test_hand_evaluated_constants(self, std_params):
-        k = fs.displacement_constants(std_params)
-        assert k.xi == pytest.approx(4.75)
-        assert k.alpha == pytest.approx(0.3157894736842105 - 0.21052631578947367j)
-        assert k.beta == pytest.approx(-k.alpha)
-        assert k.delta == pytest.approx((2.5 - 1j) / 4.75)
+        alpha, delta = md.displacement_constants(std_params)
+        assert md.derive(std_params).xi_p == pytest.approx(4.75)
+        assert alpha == pytest.approx(0.3157894736842105 - 0.21052631578947367j)
+        assert delta == pytest.approx((2.5 - 1j) / 4.75)
+        # the "+" partners shift by beta = -alpha and theta = -delta
+        ops = md.displaced_ops(std_params, 2)
+        a = fs.mode_annihilation(Mode.A, 2)
+        b = fs.mode_annihilation(Mode.B, 2)
+        np.testing.assert_array_equal(ops.c_plus - fs.dagger(a), -alpha * np.eye(4))
+        np.testing.assert_array_equal(ops.d_plus - fs.dagger(b), -delta * np.eye(4))
 
     def test_zero_drive_reduces_to_bare_operators(self, std_params):
-        ops = fs.displaced_ops(std_params.with_(eps=0.0), 4)
+        ops = md.displaced_ops(std_params.with_(eps=0.0), 4)
         np.testing.assert_array_equal(ops.c, fs.mode_annihilation(Mode.A, 4))
         np.testing.assert_array_equal(ops.d_op, fs.mode_annihilation(Mode.B, 4))
 
     @given(params=valid_params())
     def test_interior_commutation_relations(self, params):
         cut = FockCutoff(4)
-        ops = fs.displaced_ops(params, cut)
+        ops = md.displaced_ops(params, cut)
         idx = fs.interior_indices(cut)
         eye = np.eye(cut.dim)
         for lower, upper in ((ops.c, ops.c_plus), (ops.d_op, ops.d_plus)):
@@ -106,23 +111,23 @@ class TestDisplacedOps:
 class TestSupermodeRotation:
     def test_balanced_limit_is_symmetric_beam_splitter(self):
         p = md.SystemParams(g=1.0, gamma_a=1.0, gamma_b=1.0)
-        r = fs.supermode_rotation(p)
+        r = md.supermode_rotation(p)
         s = 1 / np.sqrt(2)
         np.testing.assert_allclose(r, [[s, s], [-s, s]], atol=1e-15)
 
     def test_hand_evaluated_entries(self, std_params):
         # sqrt((Omega + i*kappa)/(2*Omega)) at g=1, kappa=0.5, by hand
-        r = fs.supermode_rotation(std_params)
+        r = md.supermode_rotation(std_params)
         assert r[0, 1] == pytest.approx(0.7339449125069353 + 0.19665994659516434j)
         assert r[0, 0] == pytest.approx(0.7339449125069353 - 0.19665994659516434j)
 
     def test_complex_orthogonal(self, std_params):
-        r = fs.supermode_rotation(std_params)
+        r = md.supermode_rotation(std_params)
         np.testing.assert_allclose(r.T @ r, np.eye(2), atol=1e-14)
 
     def test_degenerate_point_rejected(self):
         with pytest.raises(EPDegenerateError):
-            fs.supermode_rotation(md.SystemParams(g=1.0, gamma_a=3.0, gamma_b=1.0))
+            md.supermode_rotation(md.SystemParams(g=1.0, gamma_a=3.0, gamma_b=1.0))
 
     @given(params=valid_params())
     def test_supermode_interior_commutators(self, params):
@@ -130,7 +135,7 @@ class TestSupermodeRotation:
         if abs(der.omega_p) < 1e-3:  # rotation ill-conditioned at the EP
             return
         cut = FockCutoff(4)
-        ops = fs.supermode_ops(params, cut)
+        ops = md.supermode_ops(params, cut)
         idx = fs.interior_indices(cut)
         eye = np.eye(cut.dim)
         scale = max(1.0, np.linalg.norm(ops.e) * np.linalg.norm(ops.e_plus))
@@ -172,13 +177,13 @@ class TestStates:
 
     def test_displaced_vacuum_is_annihilated_by_c_and_d(self, std_params):
         cut = FockCutoff(14)
-        ops = fs.displaced_ops(std_params, cut)
-        vac = fs.displaced_vacuum(std_params, cut)
+        ops = md.displaced_ops(std_params, cut)
+        vac = md.displaced_vacuum(std_params, cut)
         assert np.linalg.norm(ops.c @ vac) < 1e-8
         assert np.linalg.norm(ops.d_op @ vac) < 1e-8
 
     def test_supermode_state_normalized(self, std_params):
-        psi = fs.supermode_state(std_params, 8, 2, 1)
+        psi = md.supermode_state(std_params, 8, 2, 1)
         assert np.linalg.norm(psi) == pytest.approx(1.0)
 
 

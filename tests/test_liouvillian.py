@@ -206,19 +206,18 @@ class TestDynamicalMatrix:
         )
 
     def test_lambda_pm_closed_form(self, std_params):
-        der = md.derive(std_params)
-        lam_p, lam_m = lv.lambda_pm(der)
+        lam_p, lam_m = lv.lambda_pm(std_params)
         assert lam_p == pytest.approx(0.8660254037844386 - 2j)
         assert lam_m == pytest.approx(-0.8660254037844386 - 2j)
 
     @given(params=valid_params(min_g=0.5))
     def test_closed_forms_match_numerics(self, params):
-        der = md.derive(params)
-        if abs(der.omega) < 0.05:  # eigenvectors ill-conditioned at the EP
+        der = md.derive(params.with_(n_th=0.0))
+        if abs(der.omega_p) < 0.05:  # eigenvectors ill-conditioned at the EP
             return
         spec = sp.eig(lv.dynamical_matrix(params).matrix)
-        lam_p, lam_m = lv.lambda_pm(der)
-        v_p, v_m = lv.v_pm(der, g=params.g)
+        lam_p, lam_m = lv.lambda_pm(params)
+        v_p, v_m = lv.v_pm(params)
         i_p = int(np.argmin(np.abs(spec.eigenvalues - lam_p)))
         i_m = int(np.argmin(np.abs(spec.eigenvalues - lam_m)))
         assert abs(spec.eigenvalues[i_p] - lam_p) < 1e-12
@@ -226,11 +225,32 @@ class TestDynamicalMatrix:
         assert sp.principal_angle(spec.eigenvectors[:, i_p], v_p) < 1e-8
         assert sp.principal_angle(spec.eigenvectors[:, i_m], v_m) < 1e-8
 
+    @pytest.mark.parametrize("n_th", [0.0, 0.1, 0.2])
+    def test_closed_forms_take_the_unscaled_frame(self, n_th):
+        # the first moments see the unscaled rates whatever n_th is
+        cold = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=1.0)
+        p = cold.with_(n_th=n_th)
+        gamma, kappa = 2.0, 0.5
+        omega = np.sqrt(1.0 - kappa * kappa)
+        assert lv.lambda_pm(p) == lv.lambda_pm(cold)
+        assert lv.lambda_pm(p) == pytest.approx((omega - 1j * gamma, -omega - 1j * gamma))
+        for v, v_cold, sign in zip(lv.v_pm(p), lv.v_pm(cold), (1, -1)):
+            np.testing.assert_array_equal(v, v_cold)
+            closed = np.array([sign * omega - 1j * kappa, 1.0])
+            np.testing.assert_allclose(v, closed / np.linalg.norm(closed), rtol=1e-15)
+        targets = lv.liouvillian_spectrum_check(p, 3, tol=np.inf).targets
+        np.testing.assert_array_equal(
+            targets, lv.liouvillian_spectrum_check(cold, 3, tol=np.inf).targets
+        )
+        np.testing.assert_allclose(
+            targets, [-gamma + 1j * omega, -gamma - 1j * omega], rtol=1e-15
+        )
+
     def test_coalescence_at_ep(self):
-        der = md.derive(md.SystemParams.from_mean_split(1.0, 2.0, 1.0))
-        lam_p, lam_m = lv.lambda_pm(der)
+        p = md.SystemParams.from_mean_split(1.0, 2.0, 1.0)
+        lam_p, lam_m = lv.lambda_pm(p)
         assert lam_p == lam_m == -2j
-        v_p, v_m = lv.v_pm(der)
+        v_p, v_m = lv.v_pm(p)
         assert sp.principal_angle(v_p, v_m) < 1e-12
 
 
@@ -262,7 +282,7 @@ class TestSpectrumWitness:
         gen = lv.build_liouvillian(std_params.with_(eps=0.1), 6).matrix
         der = md.derive(std_params)
         vals = np.linalg.eigvals(gen)
-        for target in (-der.gamma + 1j * der.omega, -der.gamma - 1j * der.omega):
+        for target in (-der.gamma_p + 1j * der.omega_p, -der.gamma_p - 1j * der.omega_p):
             assert np.min(np.abs(vals - target)) < 1e-10
 
     def test_cutoff_guard(self, std_params):
@@ -281,14 +301,14 @@ class TestSpectrumWitness:
 
 def dense_witness(params, d, angle_eps=sp.DEFAULT_ANGLE_EPS):
     """The spectrum witness from one dense eigensolve of the whole generator."""
-    der = md.derive(params)
+    der = md.derive(params.with_(n_th=0.0))
     matrix = lv.build_liouvillian(params.with_(eps=0.0), d).matrix
     values, vectors = np.linalg.eig(matrix)
-    targets = np.array([-der.gamma + 1j * der.omega, -der.gamma - 1j * der.omega])
+    targets = np.array([-der.gamma_p + 1j * der.omega_p, -der.gamma_p - 1j * der.omega_p])
     dists = np.abs(values[None, :] - targets[:, None])
     nearest_idx = np.argmin(dists, axis=1)
     clusters = sp.cluster_eigenvalues(values, sp.CLUSTER_EPS_SCALE * np.linalg.norm(matrix))
-    near_gamma = min(clusters, key=lambda grp: min(abs(values[i] + der.gamma) for i in grp))
+    near_gamma = min(clusters, key=lambda grp: min(abs(values[i] + der.gamma_p) for i in grp))
     min_angle = None
     if len(near_gamma) >= 2:
         min_angle = min(

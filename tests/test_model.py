@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,9 @@ class TestParams:
             md.SystemParams(g=1.0, gamma_a=-0.1, gamma_b=1.0)
         with pytest.raises(ValueError):
             md.SystemParams(g=1.0, gamma_a=1.0, gamma_b=1.0, n_th=-1.0)
+        for name in ("g", "gamma_a", "gamma_b", "eps", "n_th"):  # an int beyond floats
+            with pytest.raises(ValueError, match=name):
+                md.SystemParams(**{"g": 1.0, "gamma_a": 1.0, "gamma_b": 1.0, name: 10**400})
 
     def test_from_mean_split(self):
         p = md.SystemParams.from_mean_split(1.0, 2.0, 0.5)
@@ -27,16 +32,16 @@ class TestParams:
 class TestDerive:
     def test_arithmetic_from_definitions(self, std_params):
         der = md.derive(std_params)
-        assert der.gamma == 2.0
-        assert der.kappa == 0.5
-        assert der.xi == 4.75
-        assert der.omega == pytest.approx(0.8660254037844386)
+        assert der.gamma_p == 2.0
+        assert der.kappa_p == 0.5
+        assert der.xi_p == 4.75
+        assert der.omega_p == pytest.approx(0.8660254037844386)
 
     def test_chi_value(self, std_params):
         der = md.derive(std_params)
-        assert der.chi == pytest.approx(0.8421052631578947j)
+        assert der.chi_p == pytest.approx(0.8421052631578947j)
         # completing the square also produces a real part 2 eps^2 g / xi
-        assert der.chi_full == pytest.approx(
+        assert der.chi_p_full == pytest.approx(
             0.42105263157894735 + 0.8421052631578947j
         )
 
@@ -49,23 +54,26 @@ class TestDerive:
 
     @given(params=valid_params())
     def test_thermal_reduction_exact_at_zero_n(self, params):
+        ga, gb, g = params.gamma_a, params.gamma_b, params.g
         der = md.derive(params.with_(n_th=0.0))
-        assert der.gamma_p == der.gamma
-        assert der.kappa_p == der.kappa
-        assert der.omega_p == der.omega
-        assert der.chi_p == der.chi
+        assert (der.gamma_a_p, der.gamma_b_p) == (ga, gb)
+        assert der.gamma_p == (ga + gb) / 2
+        assert der.kappa_p == (ga - gb) / 2
+        assert der.xi_p == g * g + ga * gb
+        assert der.omega_p == cmath.sqrt(g * g - der.kappa_p * der.kappa_p)
+        assert der.chi_p == 1j * (2 * params.eps * params.eps * der.gamma_p / der.xi_p)
         assert der.chi_t == 0.0
 
     @given(params=valid_params())
     def test_omega_branch(self, params):
-        der = md.derive(params)
-        assert der.omega**2 == pytest.approx(params.g**2 - der.kappa**2)
-        assert der.omega.real >= 0.0 and der.omega.imag >= 0.0
+        der = md.derive(params.with_(n_th=0.0))
+        assert der.omega_p**2 == pytest.approx(params.g**2 - der.kappa_p**2)
+        assert der.omega_p.real >= 0.0 and der.omega_p.imag >= 0.0
 
     def test_chi_plus_conjugate_structure(self, std_params):
         # imaginary part of the full scalar equals the reported chi
         der = md.derive(std_params)
-        assert der.chi == pytest.approx(1j * der.chi_full.imag)
+        assert der.chi_p == pytest.approx(1j * der.chi_p_full.imag)
 
 
 class TestHamiltonian:
@@ -209,9 +217,13 @@ class TestAnalyticEigenvalues:
 
     @given(params=valid_params(), n_e=st.integers(0, 3), n_f=st.integers(0, 3))
     def test_thermal_formula_reduces_at_zero_n(self, params, n_e, n_f):
+        ga, gb, g = params.gamma_a, params.gamma_b, params.g
+        gamma, kappa = (ga + gb) / 2, (ga - gb) / 2
+        omega = cmath.sqrt(g * g - kappa * kappa)
+        chi = 1j * (2 * params.eps * params.eps * gamma / (g * g + ga * gb))
         der = md.derive(params.with_(n_th=0.0))
         assert md.analytic_lambda_nh(n_e, n_f, der) == (
-            der.omega * (n_e - n_f) - 1j * der.gamma * (n_e + n_f) - der.chi
+            omega * (n_e - n_f) - 1j * gamma * (n_e + n_f) - chi
         )
 
     @pytest.mark.parametrize("n_th", [0.1, 0.2])
@@ -274,7 +286,7 @@ class TestSpectralMatch:
         h = md.build_h_nh(p, cut)
         der = md.derive(p)
         for n_e, n_f in md.TRACKED_STATES:
-            psi = fs.supermode_state(p, cut, n_e, n_f)
+            psi = md.supermode_state(p, cut, n_e, n_f)
             lam = md.analytic_lambda_nh(n_e, n_f, der, full_chi=True)
             assert np.linalg.norm(h @ psi - lam * psi) < 1e-5
 
@@ -291,7 +303,7 @@ class TestEigenvalueAdditivity:
             nh = np.linalg.eigvals(md.excitation_block(md.build_h_nh(p, 6), n_total, 6))
             pt = (
                 np.linalg.eigvals(md.excitation_block(h_pt, n_total, 6))
-                - 1j * der.gamma * n_total
+                - 1j * der.gamma_p * n_total
             )
             assert_multiset_close(nh, pt, atol=1e-8)
 
@@ -302,7 +314,7 @@ class TestEigenvalueAdditivity:
         h_nh = md.build_h_nh(std_params, cut)
         h_pt, h_0 = md.build_h_pt_split(std_params, cut)
         for n_e, n_f in md.TRACKED_STATES:
-            v = fs.supermode_state(std_params, cut, n_e, n_f)
+            v = md.supermode_state(std_params, cut, n_e, n_f)
             lam = np.vdot(v, h_nh @ v)
             mu = np.vdot(v, h_pt @ v)
             nu = np.vdot(v, h_0 @ v)
@@ -355,8 +367,8 @@ class TestPTSymmetry:
         der = md.derive(std_params)
         assert residual < 1e-10
         assert tableau["c+d"] == pytest.approx(std_params.g)
-        assert tableau["c+c"] == pytest.approx(-1j * der.kappa)
-        assert tableau["d+d"] == pytest.approx(1j * der.kappa)
+        assert tableau["c+c"] == pytest.approx(-1j * der.kappa_p)
+        assert tableau["d+d"] == pytest.approx(1j * der.kappa_p)
         assert abs(tableau["I"]) < 1e-10
 
 
