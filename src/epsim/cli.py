@@ -244,7 +244,7 @@ def _meta(config: SweepConfig, schema: str) -> dict:
     units = (
         "absolute rate units (g swept)"
         if config.sweep and config.sweep["axis"] == "g"
-        else f"rates in units of g (g = {config.params.g})"
+        else f"rates in units of g (g = {config.raw['params']['g']})"  # as written
     )
     return {
         "epsim-version": __version__,

@@ -39,7 +39,3 @@ class InvalidDensityMatrixError(NumericalError):
 
 class SpectrumWitnessError(NumericalError):
     """Generator spectrum missed the first-moment eigenvalues at tolerance."""
-
-
-class StepSizeError(NumericalError):
-    """Trajectory step size violates the first-order jump-probability bound."""

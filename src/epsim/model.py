@@ -53,6 +53,9 @@ class SystemParams:
             value = getattr(self, name)
             if not abs(value) <= sys.float_info.max:  # finite, also for an int
                 raise ValueError(f"{name} must be finite, got {value}")
+            if not isinstance(value, float):
+                # a Python int would stay exact and overflow later in g * g
+                object.__setattr__(self, name, float(value))
         if self.g <= 0:
             raise ValueError(f"coupling g must be > 0, got {self.g}")
         for name in ("gamma_a", "gamma_b", "eps", "n_th"):

@@ -1,22 +1,43 @@
 """Monte Carlo wave-function (quantum-jump) unraveling of the master equation.
 
-First-order fixed-step unraveling: per step the jump probability of channel i
-is p_i = dt * <psi|C_i^dag C_i|psi>; with probability sum(p_i) one channel is
-selected proportionally to p_i and applied, otherwise the state advances with
-the no-jump propagator exp(-i H_nh dt). The state is renormalized after every
-step in both branches; the per-trajectory survival probability is tracked
-separately as the running product of the per-step no-jump probabilities.
+Waiting-time (integrated) unraveling on the time grid t_k = k * dt
+(Dalibard, Castin & Molmer, PRL 68, 580 (1992); Plenio & Knight, RMP 70,
+101 (1998), Sec. III). Per trajectory:
 
-A batch of trajectories is stepped as the columns of one matrix. The jump
-decisions come from the pre-step states; the columns that jump are copied,
-the whole batch is propagated and renormalized with one matrix product, and
-the jumped columns are then overwritten with the collapsed copies.
+- Start from the normalized initial state and draw a threshold r ~ U(0, 1).
+- Between jumps the state phi evolves with the no-jump propagator
+  U = exp(-i H_nh dt) and is not renormalized. The trajectory jumps at the
+  first grid step k at which ||phi||^2 < r; the jump time is recorded as
+  k * dt, the first grid time at or after the continuous-time jump.
+- The channel is drawn with probability proportional to <phi|C_i^dag C_i|phi>
+  of that pre-jump state; the state becomes C_i phi / ||C_i phi|| and a new r
+  is drawn.
+- Survival is the product of the norm^2 decays of the no-jump stretches:
+  ||phi||^2 at the jump step for each finished stretch, times ||phi||^2 now
+  for the current one. Postselection (no jumps, r = 0) gives
+  ||exp(-i H_nh t) psi_0||^2, with no error from the step dt.
+
+dt is the grid of jump times and samples, not an accuracy parameter: the
+no-jump propagator is exact at any dt, and a smaller dt only places jump
+times more finely. Each trajectory reads its uniforms in the order r, then
+per jump the channel uniform and the next r.
+
+The engine never steps dt by dt between jumps. ||phi||^2 never increases
+under no-jump evolution (H is Hermitian, so d||phi||^2/dt = -sum_i
+<C_i^dag C_i> <= 0), so the first step with ||phi||^2 < r is found by
+binary lifting: with U_k = U^(2^k) precomputed for 2^k up to the longest
+sample interval, each pending trajectory advances by descending powers of
+two as long as the advanced state stays at or above its threshold, and the
+next single step is its jump. A batch of trajectories is propagated as the
+columns of one matrix, so a sample interval costs (its largest number of
+jumps + 1) rounds of at most K + 1 batched products. The engine keeps each
+column normalized and folds the norm^2 it removes into that column's
+threshold and survival.
 
 Randomness comes from one counter-based Philox stream per trajectory, keyed
-by (seed, trajectory index), so results are bit-for-bit reproducible and
-independent of batching. Each stream is read in blocks of steps: consecutive
-draws continue the same stream, so the numbers do not depend on the block
-length and random-number memory does not grow with the number of steps.
+by (seed, trajectory index), so results are reproducible and independent of
+batching. Each stream is read in blocks of uniforms: consecutive draws
+continue the same stream, so the numbers do not depend on the block length.
 Trajectories are independent; partial sums are merged in chunk order.
 """
 
@@ -31,14 +52,12 @@ from . import fockspace as fs
 from . import liouvillian as lv
 from . import model as md
 from . import spectral as sp
-from .errors import StepSizeError, TruncationGuardError
+from .errors import TruncationGuardError
 from .fockspace import FockCutoff
 
-JUMP_PROBABILITY_CAP = 0.05
 TOP_LEVEL_GUARD = 1e-6
 CHUNK_SIZE = 1024
-_DRAW_BLOCK = 256  # steps per block of random draws
-_DRAWS_PER_STEP = 2  # one uniform for the jump decision, one for the channel
+_DRAW_BLOCK = 16  # uniforms read from one trajectory's stream at a time
 
 
 @dataclass(frozen=True)
@@ -119,7 +138,6 @@ class TrajectoryResult:
     final_state: np.ndarray
     sample_times: np.ndarray
     sampled_states: np.ndarray
-    no_jump_probs: np.ndarray  # per step: 1 - total jump probability
 
 
 @dataclass
@@ -150,36 +168,60 @@ def no_jump_propagator(
     return sp.mat_exp(-1j * dt * md.build_h_nh(params, cutoff))
 
 
-def _creation_channel_masks(
-    params: md.SystemParams, cut: FockCutoff
-) -> list[np.ndarray | None]:
-    """Per channel: boolean mask of top-level basis states, None for loss channels.
+def _top_level_masks(params: md.SystemParams, cut: FockCutoff) -> np.ndarray:
+    """(channel, basis state): 1.0 on the top-level states a creation channel guards.
 
     Channel order matches build_collapse_ops: thermal gain channels (the
-    creation-type jumps) sit at indices 1 and 3.
+    creation-type jumps) sit at indices 1 and 3; loss channels guard nothing.
     """
+    n_a = np.arange(cut.dim) // cut.d
+    n_b = np.arange(cut.dim) % cut.d
+    none = np.zeros(cut.dim, dtype=bool)
     if params.n_th == 0.0:
-        return [None, None]
-    d = cut.d
-    n_a = np.arange(cut.dim) // d
-    n_b = np.arange(cut.dim) % d
-    return [None, n_a == d - 1, None, n_b == d - 1]
+        return np.array([none, none], dtype=float)
+    return np.array([none, n_a == cut.d - 1, none, n_b == cut.d - 1], dtype=float)
+
+
+def _populations(states: np.ndarray) -> np.ndarray:
+    return np.square(states.real) + np.square(states.imag)
+
+
+class _Draws:
+    """Each trajectory's uniforms, read from its Philox stream _DRAW_BLOCK at a time."""
+
+    def __init__(self, seed: int, indices: range):
+        self.streams = [philox_stream(seed, traj) for traj in indices]
+        self.block = _DRAW_BLOCK
+        self.buffer = np.empty((len(indices), self.block))
+        self.used = np.full(len(indices), self.block)
+
+    def next(self, cols: np.ndarray) -> np.ndarray:
+        """The next uniform of each trajectory at chunk positions cols."""
+        for col in cols[self.used[cols] == self.block]:
+            self.buffer[col] = self.streams[col].random(self.block)
+            self.used[col] = 0
+        values = self.buffer[cols, self.used[cols]]
+        self.used[cols] += 1
+        return values
 
 
 class _Engine:
     """Precomputed matrices shared by every trajectory of one configuration."""
 
     def __init__(self, params: md.SystemParams, config: TrajectoryConfig):
-        self.params = params
         self.config = config
         self.cut = FockCutoff.of(config.cutoff)
-        self.propagator = no_jump_propagator(params, self.cut, config.dt)
+        # powers[k] = exp(-i H_nh dt 2^k) for 2^k up to the longest sample interval
+        longest = max(np.diff(config.sample_steps))
+        self.powers = [no_jump_propagator(params, self.cut, config.dt)]
+        while 2 ** len(self.powers) <= longest:
+            self.powers.append(self.powers[-1] @ self.powers[-1])
         self.collapse = md.build_collapse_ops(params, self.cut)
         # C^dag C is diagonal in the Fock basis for every channel here.
         self.ctc_diag = np.stack(
             [np.real(np.diag(fs.dagger(c) @ c)) for c in self.collapse]
         )
-        self.guard_masks = _creation_channel_masks(params, self.cut)
+        self.top_levels = _top_level_masks(params, self.cut)
 
     def run_chunk(
         self,
@@ -188,38 +230,32 @@ class _Engine:
         record: bool = False,
         allow_jumps: bool = True,
     ) -> dict:
-        """Step the trajectories `indices` from `initial` over the whole grid.
+        """Carry the trajectories `indices` from `initial` over the whole grid.
 
-        Every step propagates and renormalizes the whole batch, then
-        overwrites the columns that jumped with their collapsed pre-step
-        states. Each trajectory's random numbers are drawn from its own
-        Philox stream in blocks of _DRAW_BLOCK steps.
+        The batch goes from one sample time to the next in rounds (see
+        _advance); jumps are located to the grid step, their channels drawn
+        and their collapses applied in batches. Thresholds and channel
+        uniforms come from each trajectory's own Philox stream (_Draws).
 
         Returns the chunk's sums at the sample times and each trajectory's
-        jump record and survival. With record, the states at the sample times
-        ("states", (n_samples, dim, batch)) and the per-step no-jump
-        probabilities ("no_jump_probs", (n_steps, batch)) are returned too.
-        Without allow_jumps no random numbers are drawn and every step is a
-        no-jump step (the postselected record).
+        jump record and survival (product of the norm^2 decays of its no-jump
+        stretches). With record, the normalized states at the sample times
+        ("states", (n_samples, dim, batch)) are returned too. Without
+        allow_jumps every threshold is 0 and no random numbers are drawn: the
+        postselected no-jump record.
         """
         cfg = self.config
-        n_steps = cfg.n_steps
         batch = len(indices)
-        if allow_jumps:
-            streams = [philox_stream(cfg.seed, traj) for traj in indices]
-            block = min(_DRAW_BLOCK, n_steps)
-            # (step in block, draw, trajectory): each step reads contiguous rows
-            draws = np.empty((block, _DRAWS_PER_STEP, batch))
-        no_jumps = np.zeros(batch, dtype=bool)
-
         states = np.tile(initial[:, None], (1, batch)).astype(complex)
-        # Work arrays reused every step; allocating them afresh made a step
-        # about 15 % slower at batch 1024, d=6.
-        advanced = np.empty_like(states)
-        weights = np.empty(states.shape)
         survival = np.ones(batch)
         jump_counts = np.zeros(batch)
-        jumps: list[list[tuple[float, int]]] = [[] for _ in range(batch)]
+        if allow_jumps:
+            draws = _Draws(cfg.seed, indices)
+            threshold = draws.next(np.arange(batch))
+        else:
+            draws = None
+            threshold = np.zeros(batch)
+        events: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
         sample_steps = cfg.sample_steps
         n_samples = len(sample_steps)
@@ -229,80 +265,23 @@ class _Engine:
         jumps_sum = np.zeros(n_samples)
         if record:
             state_log = np.zeros((n_samples, dim, batch), dtype=complex)
-            prob_log = np.zeros((n_steps, batch))
-        cursor = 0
 
-        def take_sample(at_step: int, cursor: int) -> int:
-            while cursor < n_samples and sample_steps[cursor] == at_step:
-                rho_sum[cursor] += states @ states.conj().T
-                survival_sum[cursor] += survival.sum()
-                jumps_sum[cursor] += jump_counts.sum()
-                if record:
-                    state_log[cursor] = states
-                cursor += 1
-            return cursor
-
-        cursor = take_sample(0, cursor)
-        for step in range(n_steps):
-            np.square(np.abs(states, out=weights), out=weights)
-            probs = cfg.dt * (self.ctc_diag @ weights)  # (n_ch, batch)
-            p_tot = probs.sum(axis=0)
-            if np.any(p_tot > JUMP_PROBABILITY_CAP):
-                worst = float(p_tot.max())
-                raise StepSizeError(
-                    f"jump probability {worst:.4f} exceeds {JUMP_PROBABILITY_CAP} "
-                    f"at step {step}; reduce dt"
+        for i, stop in enumerate(sample_steps):
+            if i:
+                self._advance(
+                    states, threshold, survival, jump_counts,
+                    sample_steps[i - 1], stop, draws, events,
                 )
+            rho_sum[i] = states @ states.conj().T
+            survival_sum[i] = survival.sum()
+            jumps_sum[i] = jump_counts.sum()
             if record:
-                prob_log[step] = 1.0 - p_tot
-            if allow_jumps:
-                row = step % block
-                if row == 0:
-                    width = min(block, n_steps - step)
-                    for col, stream in enumerate(streams):
-                        draws[:width, :, col] = stream.random((width, _DRAWS_PER_STEP))
-                jump_mask = draws[row, 0] < p_tot
-            else:
-                jump_mask = no_jumps
+                state_log[i] = states
 
-            jump_cols = np.flatnonzero(jump_mask)
-            before = states[:, jump_cols]
-            np.matmul(self.propagator, states, out=advanced)
-            states, advanced = advanced, states
-            states *= 1.0 / np.linalg.norm(states, axis=0)
-            survival *= np.where(jump_mask, 1.0, 1.0 - p_tot)
-
-            if jump_cols.size:
-                cum = np.cumsum(probs[:, jump_cols], axis=0)
-                targets = draws[row, 1, jump_cols] * p_tot[jump_cols]
-                channels = (cum < targets[None, :]).sum(axis=0)
-                channels = np.minimum(channels, len(self.collapse) - 1)
-                t_jump = (step + 1) * cfg.dt
-                for channel in np.unique(channels):
-                    local = np.flatnonzero(channels == channel)
-                    mask = self.guard_masks[channel]
-                    if mask is not None:
-                        top_pop = np.sum(np.abs(before[mask][:, local]) ** 2, axis=0)
-                        if np.any(top_pop > cfg.guard_threshold):
-                            raise TruncationGuardError(
-                                f"creation jump on channel {channel} with top-level "
-                                f"population {top_pop.max():.3e} > {cfg.guard_threshold}; "
-                                f"increase the cutoff"
-                            )
-                    jumped = self.collapse[channel] @ before[:, local]
-                    norms = np.linalg.norm(jumped, axis=0, keepdims=True)
-                    if np.any(norms == 0):
-                        raise TruncationGuardError(
-                            f"jump on channel {channel} annihilated the state"
-                        )
-                    sel = jump_cols[local]
-                    states[:, sel] = jumped / norms
-                    for col in sel:
-                        jumps[col].append((t_jump, int(channel)))
-                jump_counts[jump_cols] += 1.0
-
-            cursor = take_sample(step + 1, cursor)
-
+        jumps: list[list[tuple[float, int]]] = [[] for _ in range(batch)]
+        for cols, steps, channels in events:
+            for col, step, channel in zip(cols.tolist(), steps.tolist(), channels.tolist()):
+                jumps[col].append((step * cfg.dt, channel))
         out = {
             "rho_sum": rho_sum,
             "survival_sum": survival_sum,
@@ -312,8 +291,114 @@ class _Engine:
         }
         if record:
             out["states"] = state_log
-            out["no_jump_probs"] = prob_log
         return out
+
+    def _advance(
+        self,
+        states: np.ndarray,
+        threshold: np.ndarray,
+        survival: np.ndarray,
+        jump_counts: np.ndarray,
+        start: int,
+        stop: int,
+        draws: _Draws | None,
+        events: list,
+    ) -> None:
+        """Carry every column from grid step start to stop, in place.
+
+        Each round lifts the pending columns as far as their thresholds allow
+        (_lift); those still short of stop jump at their next step and stay
+        pending. Jump events (columns, grid steps, channels) go to events.
+        """
+        cols = np.arange(states.shape[1])
+        remaining = np.full(cols.size, stop - start)
+        while cols.size:
+            psi = states[:, cols]
+            thr = threshold[cols]
+            surv = survival[cols]
+            self._lift(psi, thr, surv, remaining)
+            jumping = np.flatnonzero(remaining > 0)
+            if jumping.size:
+                remaining = remaining[jumping] - 1
+                pending = cols[jumping]
+                jumped = self.powers[0] @ psi[:, jumping]  # collapsed below
+                populations = _populations(jumped)
+                norm2 = populations.sum(axis=0)
+                surv[jumping] *= norm2
+                channels = self._collapse(jumped, populations, norm2, draws.next(pending))
+                psi[:, jumping] = jumped
+                thr[jumping] = draws.next(pending)
+                jump_counts[pending] += 1.0
+                events.append((pending, stop - remaining, channels))
+            states[:, cols] = psi
+            threshold[cols] = thr
+            survival[cols] = surv
+            cols = cols[jumping]
+
+    def _lift(
+        self,
+        psi: np.ndarray,
+        threshold: np.ndarray,
+        survival: np.ndarray,
+        remaining: np.ndarray,
+    ) -> None:
+        """Advance each column by the most steps, up to remaining, without a jump.
+
+        By descending powers of two, a column takes 2^k more steps while
+        it has that many left and its advanced norm^2 stays >= its threshold.
+        Because norm^2 is non-increasing this finds the last step before the
+        jump. An advanced column is renormalized; its threshold is divided and
+        its survival multiplied by the norm^2 it lost. Works in place.
+        """
+        for k in reversed(range(len(self.powers))):
+            size = 1 << k
+            movable = remaining >= size
+            if not movable.any():
+                continue
+            advanced = self.powers[k] @ psi
+            norm2 = _populations(advanced).sum(axis=0)
+            sel = np.flatnonzero(movable & (norm2 >= threshold))
+            kept = norm2[sel]
+            psi[:, sel] = advanced[:, sel] / np.sqrt(kept)
+            threshold[sel] /= kept
+            survival[sel] *= kept
+            remaining[sel] -= size
+
+    def _collapse(
+        self,
+        psi: np.ndarray,
+        populations: np.ndarray,
+        norm2: np.ndarray,
+        uniforms: np.ndarray,
+    ) -> np.ndarray:
+        """Draw a channel per column, check it and collapse psi in place.
+
+        Returns the channels. Raises TruncationGuardError for a creation jump
+        on a state with top-level population above guard_threshold, or for a
+        jump that annihilates the state.
+        """
+        weights = self.ctc_diag @ populations  # (n_ch, n)
+        cum = np.cumsum(weights, axis=0)
+        channels = (cum < uniforms * cum[-1]).sum(axis=0)
+        channels = np.minimum(channels, len(self.collapse) - 1)
+        top = (self.top_levels @ populations)[channels, np.arange(channels.size)] / norm2
+        worst = int(np.argmax(top))
+        if top[worst] > self.config.guard_threshold:
+            raise TruncationGuardError(
+                f"creation jump on channel {channels[worst]} with top-level "
+                f"population {top[worst]:.3e} > {self.config.guard_threshold}; "
+                f"increase the cutoff"
+            )
+        for channel, op in enumerate(self.collapse):
+            sel = np.flatnonzero(channels == channel)
+            if sel.size:
+                psi[:, sel] = op @ psi[:, sel]
+        norms = np.linalg.norm(psi, axis=0)
+        if np.any(norms == 0):
+            channel = channels[np.flatnonzero(norms == 0)[0]]
+            raise TruncationGuardError(f"jump on channel {channel} annihilated the state")
+        psi /= norms
+        return channels
 
 
 def _check_initial(initial: np.ndarray | None, cut: FockCutoff) -> np.ndarray:
@@ -345,7 +430,6 @@ def _single(
         final_state=out["states"][-1][:, 0],
         sample_times=config.sample_times,
         sampled_states=out["states"][:, :, 0],
-        no_jump_probs=out["no_jump_probs"][:, 0],
     )
 
 
@@ -407,8 +491,7 @@ def postselect_no_jump(
     """Deterministic no-jump (postselected) evolution with survival tracking.
 
     The sampled states equal the normalized exp(-i H_nh t) evolution of the
-    initial state; the survival probability is the product of per-step
-    no-jump probabilities of the postselected record.
+    initial state; the survival probability is ||exp(-i H_nh t_final) psi_0||^2.
     """
     return _single(params, config, initial, 0, allow_jumps=False)
 

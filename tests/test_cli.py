@@ -279,6 +279,28 @@ class TestSpectrumCommand:
         assert len(rows) == 4 * 4
         assert max(float(r["err_nh"]) for r in rows) < 1e-3
 
+    def test_huge_integer_g_matches_float(self, tmp_path):
+        # an integer parameter is made a float once, so 10**300 runs as 1e300
+        # instead of overflowing in integer arithmetic (g * g)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        echo = ("# config: ", "# units: ")
+        outputs = []
+        for g in ("1" + "0" * 300, "1e300"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(
+                '{"mode": "hamiltonian-spectrum", "cutoff": 3, "params": {"g": %s}, '
+                '"sweep": {"axis": "kappa", "min": 0.0, "max": 0.5, "step": 0.25}}' % g
+            )
+            done = subprocess.run(
+                [sys.executable, "-m", "epsim", "spectrum", "--config", str(cfg)],
+                env=env, capture_output=True, text=True,
+            )
+            table = [line for line in done.stdout.splitlines() if not line.startswith(echo)]
+            outputs.append((done.returncode, table, done.stderr))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+        assert "Traceback" not in outputs[0][2]
+
 
 class TestScanCommands:
     @pytest.mark.parametrize(
@@ -378,14 +400,19 @@ class TestTrajectoriesCommand:
         assert key in err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # hot baths at cutoff 2: a second gain jump on one mode trips the
+        # top-level guard (TruncationGuardError)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "mode": "trajectories",
-            "params": {"g": 1.0, "gamma_a": 2.0, "gamma_b": 2.0, "eps": 4.0, "n_th": 0.0},
+            "params": {"g": 1.0, "gamma_a": 2.0, "gamma_b": 2.0, "eps": 0.0, "n_th": 5.0},
+            "cutoff": 2,
             "trajectories": {"dt": 0.01, "t_final": 1.0, "n_traj": 10},
         }))
         assert run(["trajectories", "--config", str(cfg)]) == 2
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "increase the cutoff" in err
 
 
 class TestLiouvillianCheckCommand:

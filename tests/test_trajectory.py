@@ -9,7 +9,7 @@ from epsim import liouvillian as lv
 from epsim import model as md
 from epsim import spectral as sp
 from epsim import trajectory as tj
-from epsim.errors import StepSizeError, TruncationGuardError
+from epsim.errors import TruncationGuardError
 
 
 @pytest.fixture
@@ -125,10 +125,10 @@ class TestDeterminism:
 
 
 def reference_chunk(params, config, psi0, indices):
-    """One trajectory at a time, following the module docstring literally.
+    """One trajectory at a time, one U_0 step per dt, as the module docstring says.
 
-    Returns each trajectory's jump record, survival and states at the
-    sample times.
+    Returns each trajectory's jump record, survival and normalized states at
+    the sample times.
     """
     propagator = tj.no_jump_propagator(params, config.cutoff, config.dt)
     collapse = md.build_collapse_ops(params, config.cutoff)
@@ -136,26 +136,26 @@ def reference_chunk(params, config, psi0, indices):
     records, survivals, sampled = [], [], []
     for index in indices:
         rng = tj.philox_stream(config.seed, index)
-        psi = psi0.astype(complex)
-        survival = 1.0
+        phi = psi0.astype(complex)
+        threshold = rng.random()
+        finished = 1.0  # norm^2 decays of the finished no-jump stretches
         record = []
-        states = [psi]
-        for step in range(config.n_steps):
-            u_jump, u_channel = rng.random(2)
-            p = config.dt * np.array([np.vdot(c @ psi, c @ psi).real for c in collapse])
-            p_tot = p.sum()
-            if u_jump < p_tot:
-                channel = min(int(np.sum(np.cumsum(p) < u_channel * p_tot)), len(p) - 1)
-                psi = collapse[channel] @ psi
-                record.append(((step + 1) * config.dt, channel))
-            else:
-                psi = propagator @ psi
-                survival *= 1.0 - p_tot
-            psi = psi / np.linalg.norm(psi)
-            if step + 1 in sample_steps:
-                states.append(psi)
+        states = [phi]
+        for step in range(1, config.n_steps + 1):
+            phi = propagator @ phi
+            norm2 = np.vdot(phi, phi).real
+            if norm2 < threshold:
+                w = np.array([np.vdot(c @ phi, c @ phi).real for c in collapse])
+                channel = min(int(np.sum(np.cumsum(w) < rng.random() * w.sum())), len(w) - 1)
+                finished *= norm2
+                phi = collapse[channel] @ phi
+                phi = phi / np.linalg.norm(phi)
+                record.append((step * config.dt, channel))
+                threshold = rng.random()
+            if step in sample_steps:
+                states.append(phi / np.linalg.norm(phi))
         records.append(record)
-        survivals.append(survival)
+        survivals.append(finished * np.vdot(phi, phi).real)
         sampled.append(np.stack(states))
     return records, np.array(survivals), np.stack(sampled, axis=-1)
 
@@ -213,14 +213,12 @@ class TestEngineAlgorithm:
 
 
 class TestNormBookkeeping:
-    def test_survival_equals_product_of_step_probs(self, std_params, fast_config):
+    def test_survival_matches_reference_stepper(self, std_params, fast_config):
         result = tj.run_trajectory(std_params, fast_config, traj_index=2)
-        jump_steps = {round(t / fast_config.dt) - 1 for t, _ in result.jumps}
-        product = 1.0
-        for step, q in enumerate(result.no_jump_probs):
-            if step not in jump_steps:
-                product *= q
-        assert result.survival == pytest.approx(product, rel=1e-10)
+        psi0 = fs.basis_state(6, 0, 0)
+        records, survivals, _ = reference_chunk(std_params, fast_config, psi0, [2])
+        assert result.jumps == records[0]
+        assert result.survival == pytest.approx(survivals[0], rel=1e-10)
         assert 0.0 < result.survival <= 1.0
 
     def test_postselected_matches_exponential_evolution(self, std_params):
@@ -231,11 +229,11 @@ class TestNormBookkeeping:
         reference /= np.linalg.norm(reference)
         assert np.linalg.norm(post.final_state - reference) < 1e-8
 
-    def test_postselected_survival_is_product_of_step_probs(self, std_params):
+    def test_postselected_survival_is_propagated_norm(self, std_params):
         cfg = tj.TrajectoryConfig(dt=0.01, t_final=1.0, n_traj=1, seed=0, cutoff=6)
         post = tj.postselect_no_jump(std_params, cfg)
-        assert len(post.no_jump_probs) == cfg.n_steps
-        assert post.survival == pytest.approx(np.prod(post.no_jump_probs), rel=1e-12)
+        propagated = sp.mat_exp(-1j * md.build_h_nh(std_params, 6) * 1.0) @ fs.basis_state(6, 0, 0)
+        assert post.survival == pytest.approx(np.vdot(propagated, propagated).real, rel=1e-10)
 
     def test_closed_system_postselection_equals_trajectory(self):
         # no channel can fire, so the two paths step the same record
@@ -247,7 +245,8 @@ class TestNormBookkeeping:
         assert single.jumps == []
         assert np.array_equal(post.sampled_states, single.sampled_states)
         assert np.array_equal(post.final_state, single.final_state)
-        assert post.survival == single.survival == 1.0
+        # survival is a product of norm^2 decays, 1 up to rounding here
+        assert post.survival == single.survival == pytest.approx(1.0, abs=1e-12)
 
 
 class TestJumpStatistics:
@@ -292,11 +291,27 @@ class TestJumpStatistics:
 
 class TestGuards:
     @pytest.mark.parametrize("run", [tj.run_ensemble, tj.postselect_no_jump])
-    def test_step_size_error(self, run):
+    def test_coarse_step_runs(self, run):
+        # dt * 2 * gamma = 0.06 per step: the waiting-time unraveling has no
+        # bound on the jump probability per step
         p = md.SystemParams(g=1e-300, gamma_a=3.0, gamma_b=0.0, eps=0.0)
         cfg = tj.TrajectoryConfig(dt=0.01, t_final=0.1, n_traj=4, seed=1, cutoff=3)
-        with pytest.raises(StepSizeError):
-            run(p, cfg, fs.basis_state(3, 1, 0))
+        run(p, cfg, fs.basis_state(3, 1, 0))  # completes
+
+    def test_coarse_step_jump_times_are_exponential(self):
+        # jump times are the grid times at or after the jump, so their CDF is
+        # compared with 1 - exp(-2 gamma t) at the grid times
+        p = md.SystemParams(g=1e-300, gamma_a=3.0, gamma_b=0.0, eps=0.0)
+        cfg = tj.TrajectoryConfig(
+            dt=0.01, t_final=1.5, n_traj=2000, seed=1, cutoff=3, sample_every=150
+        )
+        ensemble = tj.run_ensemble(p, cfg, fs.basis_state(3, 1, 0))
+        assert all(len(j) <= 1 for j in ensemble.jump_records)
+        times = np.sort([j[0][0] for j in ensemble.jump_records if j])
+        grid = cfg.dt * np.arange(1, cfg.n_steps + 1)
+        empirical = np.searchsorted(times, grid + 0.5 * cfg.dt) / cfg.n_traj
+        ks = np.max(np.abs(empirical - (1.0 - np.exp(-2.0 * 3.0 * grid))))
+        assert ks <= 0.05
 
     def test_truncation_guard_on_creation_jump(self):
         # a gain jump fired on a state with top-level weight must abort
