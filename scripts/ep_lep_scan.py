@@ -28,7 +28,7 @@ def run() -> None:
     for n_th in (0.0, 0.1, 0.2, 0.3):
         base = md.SystemParams.from_mean_split(1.0, 2.0, KAPPA, eps=1.0, n_th=n_th)
         hep = locate(lambda g: md.h_nh_block(base.with_(g=g), 6, 1))
-        lep = locate(lambda g: lv.dynamical_matrix(base.with_(g=g)).matrix)
+        lep = locate(lambda g: lv.dynamical_matrix(base.with_(g=g)))
         print(
             f"{n_th:5.2f} {hep:12.3f} {lep:8.3f} {hep - lep:8.3f} "
             f"{2 * n_th * KAPPA:10.3f}"

@@ -38,4 +38,4 @@ class InvalidDensityMatrixError(NumericalError):
 
 
 class SpectrumWitnessError(NumericalError):
-    """Generator spectrum missed the first-moment eigenvalues at tolerance."""
+    """Generator has entries between the sectors its spectrum check splits it into."""

@@ -15,13 +15,14 @@ and the spectrum check diagonalizes it one sector at a time: 21 sectors, the
 largest 146 x 146, instead of one dense 1296 x 1296 problem at d = 6.
 
 The first-moment dynamical matrix M = [[-i*ga, g], [g, -i*gb]] generates
-d/dt [<a>, <b>] = -i M v - [eps, eps]; its degeneracy at g = kappa defines
+d/dt [<a>, <b>] = -i M v - eps; its degeneracy at g = kappa defines
 the coalescence of the full dissipative dynamics, independently of the
 thermal photon number (the n-dependent terms cancel in the first moments).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -35,6 +36,8 @@ from .fockspace import FockCutoff, Mode
 
 if TYPE_CHECKING:  # scipy.sparse is imported where it is used, not at import time
     import scipy.sparse
+
+MAX_WITNESS_CUTOFF = 8  # largest d the spectrum check diagonalizes
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -105,7 +108,8 @@ def build_liouvillian_from_hnh(
     return Superoperator(gen, cut.dim)
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
+    tol = 1e-8
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidDensityMatrixError(f"not square: shape {rho.shape}")
@@ -143,7 +147,7 @@ class MomentCheck:
     """First-moment derivatives from the full generator vs the closed form."""
 
     lhs: np.ndarray  # (d<a>/dt, d<b>/dt) via tr(op L[rho])
-    rhs: np.ndarray  # closed-form -i M v - v0
+    rhs: np.ndarray  # closed-form -i M v - eps
     diff: np.ndarray
 
     @property
@@ -171,25 +175,16 @@ def moment_rhs_check(
     lhs = np.array([np.trace(a @ rho_dot), np.trace(b @ rho_dot)])
     mean_a = np.trace(a @ rho)
     mean_b = np.trace(b @ rho)
-    dyn = dynamical_matrix(params)
-    rhs = -1j * dyn.matrix @ np.array([mean_a, mean_b]) - dyn.drive
+    rhs = -1j * dynamical_matrix(params) @ np.array([mean_a, mean_b]) - params.eps
     return MomentCheck(lhs=lhs, rhs=rhs, diff=lhs - rhs)
 
 
-@dataclass
-class DynamicalMatrix:
-    """Generator of the first-moment vector [<a>, <b>]: v_dot = -i M v - drive."""
-
-    matrix: np.ndarray
-    drive: np.ndarray
-
-
-def dynamical_matrix(params: md.SystemParams) -> DynamicalMatrix:
-    m = np.array(
+def dynamical_matrix(params: md.SystemParams) -> np.ndarray:
+    """M of the first-moment vector v = [<a>, <b>]: v_dot = -i M v - eps."""
+    return np.array(
         [[-1j * params.gamma_a, params.g], [params.g, -1j * params.gamma_b]],
         dtype=complex,
     )
-    return DynamicalMatrix(matrix=m, drive=np.array([params.eps, params.eps]))
 
 
 def _full_dynamics(params: md.SystemParams) -> md.DerivedParams:
@@ -262,17 +257,16 @@ class SectorSpectrum:
         return self.blocks[s][1].eigenvectors[:, i - first]
 
 
-def sector_spectrum(gen: Superoperator, cutoff: FockCutoff | int) -> SectorSpectrum:
+def sector_spectrum(gen: Superoperator) -> SectorSpectrum:
     """Diagonalize a generator that conserves k = N_ket - N_bra, one block per k.
 
-    Raises SpectrumWitnessError when the generator has an entry between
-    different sectors, where the union of the block spectra would not be
-    its spectrum. Each block's eigenpairs carry the residual bound
+    The cutoff d is read from the generator (hilbert_dim = d^2). Raises
+    SpectrumWitnessError when the generator has an entry between different
+    sectors, where the union of the block spectra would not be its
+    spectrum. Each block's eigenpairs carry the residual bound
     tol * ||block|| <= tol * ||L|| of spectral.eig.
     """
-    labels = sector_labels(cutoff)
-    if gen.csr.shape != (labels.size, labels.size):
-        raise ValueError(f"generator shape {gen.csr.shape} does not match cutoff {cutoff}")
+    labels = sector_labels(math.isqrt(gen.hilbert_dim))
     rows, cols = gen.csr.nonzero()
     crossing = int(np.count_nonzero(labels[rows] != labels[cols]))
     if crossing:
@@ -294,12 +288,9 @@ def sector_spectrum(gen: Superoperator, cutoff: FockCutoff | int) -> SectorSpect
 
 
 def liouvillian_spectrum_check(
-    params: md.SystemParams,
-    cutoff: FockCutoff | int,
-    tol: float = 1e-6,
-    angle_eps: float = sp.DEFAULT_ANGLE_EPS,
+    params: md.SystemParams, cutoff: FockCutoff | int
 ) -> SpectrumWitness:
-    """Check the generator spectrum contains the first-moment eigenvalues.
+    """Measure how closely the generator spectrum contains the first-moment pair.
 
     Runs with the drive removed: the drive enters the moment dynamics only
     as the affine term, so the generator spectrum is drive-independent (the
@@ -315,12 +306,15 @@ def liouvillian_spectrum_check(
     containment is only truncation-limited (converging with the cutoff);
     the n-independence of the full-dynamics coalescence is carried by the
     dynamical matrix, for which this check is a consistency witness only.
+
+    The witness measures and does not judge: callers compare distances with
+    their own bound. A coalescing pair is flagged below sp.DEFAULT_ANGLE_EPS.
     """
     cut = FockCutoff.of(cutoff)
-    if cut.d > 8:
-        raise ValueError(f"spectrum check limited to d <= 8, got d={cut.d}")
+    if cut.d > MAX_WITNESS_CUTOFF:
+        raise ValueError(f"spectrum check limited to d <= {MAX_WITNESS_CUTOFF}, got d={cut.d}")
     der = _full_dynamics(params)
-    spectrum = sector_spectrum(build_liouvillian(params.with_(eps=0.0), cut), cut)
+    spectrum = sector_spectrum(build_liouvillian(params.with_(eps=0.0), cut))
     values = spectrum.eigenvalues
     targets = np.array([-der.gamma_p + 1j * der.omega_p, -der.gamma_p - 1j * der.omega_p])
     dists = np.abs(values[None, :] - targets[:, None])
@@ -337,12 +331,6 @@ def liouvillian_spectrum_check(
     if len(near_gamma) >= 2:
         vectors = {i: spectrum.vector(i) for i in near_gamma}
         min_angle = sp.cluster_min_angle(vectors, near_gamma, spectrum.sectors)
-    flagged = min_angle is not None and min_angle < angle_eps
-    if distances.max() > tol:
-        raise SpectrumWitnessError(
-            f"generator spectrum misses first-moment eigenvalues: "
-            f"distances {distances} exceed tol {tol}"
-        )
     return SpectrumWitness(
         targets=targets,
         nearest=nearest,
@@ -350,5 +338,5 @@ def liouvillian_spectrum_check(
         zero_mode_distance=zero_dist,
         cluster_size=len(near_gamma),
         cluster_min_angle=min_angle,
-        degenerate_pair_flagged=flagged,
+        degenerate_pair_flagged=min_angle is not None and min_angle < sp.DEFAULT_ANGLE_EPS,
     )

@@ -38,6 +38,15 @@ from .fockspace import FockCutoff, Mode
 TRACKED_STATES: tuple[tuple[int, int], ...] = ((1, 0), (0, 1), (2, 0), (0, 2))
 
 
+def is_finite_number(value) -> bool:
+    """A finite real number: int or float, numpy scalars included, bool not."""
+    return (
+        isinstance(value, (int, float, np.integer, np.floating))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max  # finite, also for an int
+    )
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical parameter set of one model instance (all rates in one unit)."""
@@ -51,8 +60,8 @@ class SystemParams:
     def __post_init__(self):
         for name in ("g", "gamma_a", "gamma_b", "eps", "n_th"):
             value = getattr(self, name)
-            if not abs(value) <= sys.float_info.max:  # finite, also for an int
-                raise ValueError(f"{name} must be finite, got {value}")
+            if not is_finite_number(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
             if not isinstance(value, float):
                 # a Python int would stay exact and overflow later in g * g
                 object.__setattr__(self, name, float(value))

@@ -163,6 +163,11 @@ def cluster_eigenvalues(values: np.ndarray, eps: float) -> list[list[int]]:
             i = parent[i]
         return i
 
+    # Vectorized over offsets rather than a plain loop over sorted pairs: the
+    # n_th = 0 generator spectrum at d = 6 (1296 values, real parts exactly
+    # degenerate in large groups) clusters in 7.5 ms here against 95 ms for
+    # the pair loop (cluster_reference in the tests); 2-value scan spectra
+    # cost about 13 us either way (2-core x86 host, numpy 2.4).
     order = np.argsort(values.real, kind="stable")
     ordered = values[order]
     re = ordered.real

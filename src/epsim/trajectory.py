@@ -43,7 +43,6 @@ Trajectories are independent; partial sums are merged in chunk order.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +51,13 @@ from . import fockspace as fs
 from . import liouvillian as lv
 from . import model as md
 from . import spectral as sp
-from .errors import TruncationGuardError
+from .errors import NumericalError, TruncationGuardError
 from .fockspace import FockCutoff
 
 TOP_LEVEL_GUARD = 1e-6
 CHUNK_SIZE = 1024
 _DRAW_BLOCK = 16  # uniforms read from one trajectory's stream at a time
+_NORM2_FLOOR = np.finfo(float).tiny  # smallest norm^2 a skip may renormalize by
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,7 @@ class TrajectoryConfig:
     def __post_init__(self):
         for name in ("dt", "t_final", "guard_threshold"):
             value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float, np.integer, np.floating))
-                or not abs(value) <= sys.float_info.max  # finite, also for an int
-            ):
+            if not md.is_finite_number(value):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
         for name in ("n_traj", "sample_every", "seed"):
             value = getattr(self, name)
@@ -308,7 +304,10 @@ class _Engine:
 
         Each round lifts the pending columns as far as their thresholds allow
         (_lift); those still short of stop jump at their next step and stay
-        pending. Jump events (columns, grid steps, channels) go to events.
+        pending. A zero threshold (postselection) never jumps: such a column
+        is short of stop only because a long skip underflowed, and the next
+        round carries it on. Jump events (columns, grid steps, channels) go
+        to events.
         """
         cols = np.arange(states.shape[1])
         remaining = np.full(cols.size, stop - start)
@@ -316,10 +315,17 @@ class _Engine:
             psi = states[:, cols]
             thr = threshold[cols]
             surv = survival[cols]
+            before = remaining.copy()
             self._lift(psi, thr, surv, remaining)
-            jumping = np.flatnonzero(remaining > 0)
+            carried = remaining > 0
+            if np.any(carried & (thr == 0) & (remaining == before)):
+                raise NumericalError(
+                    f"no-jump norm^2 underflows within one step dt = {self.config.dt}; "
+                    f"decrease dt"
+                )
+            jumping = np.flatnonzero(carried & (thr > 0))
             if jumping.size:
-                remaining = remaining[jumping] - 1
+                remaining[jumping] -= 1
                 pending = cols[jumping]
                 jumped = self.powers[0] @ psi[:, jumping]  # collapsed below
                 populations = _populations(jumped)
@@ -329,11 +335,12 @@ class _Engine:
                 psi[:, jumping] = jumped
                 thr[jumping] = draws.next(pending)
                 jump_counts[pending] += 1.0
-                events.append((pending, stop - remaining, channels))
+                events.append((pending, stop - remaining[jumping], channels))
             states[:, cols] = psi
             threshold[cols] = thr
             survival[cols] = surv
-            cols = cols[jumping]
+            cols = cols[carried]
+            remaining = remaining[carried]
 
     def _lift(
         self,
@@ -348,7 +355,9 @@ class _Engine:
         it has that many left and its advanced norm^2 stays >= its threshold.
         Because norm^2 is non-increasing this finds the last step before the
         jump. An advanced column is renormalized; its threshold is divided and
-        its survival multiplied by the norm^2 it lost. Works in place.
+        its survival multiplied by the norm^2 it lost. A skip whose norm^2
+        underflows below the smallest normal float is not taken, so the
+        division stays finite. Works in place.
         """
         for k in reversed(range(len(self.powers))):
             size = 1 << k
@@ -357,7 +366,7 @@ class _Engine:
                 continue
             advanced = self.powers[k] @ psi
             norm2 = _populations(advanced).sum(axis=0)
-            sel = np.flatnonzero(movable & (norm2 >= threshold))
+            sel = np.flatnonzero(movable & (norm2 >= threshold) & (norm2 >= _NORM2_FLOOR))
             kept = norm2[sel]
             psi[:, sel] = advanced[:, sel] / np.sqrt(kept)
             threshold[sel] /= kept

@@ -106,6 +106,10 @@ class TestConfigHandling:
             {"params": {"n_th": 10**400}},
             {"tolerances": {"angle_eps": 10**400}},
             {"tolerances": {"cluster_eps": 10**400}},
+            # JSON booleans and strings are not numbers
+            {"params": {"g": True}},
+            {"params": {"eps": False}},
+            {"params": {"g": "1.0"}},
         ],
         ids=[
             "angle_eps-string", "tolerances-null",
@@ -115,6 +119,7 @@ class TestConfigHandling:
             "sweep-too-many-points", "sweep-count-overflow",
             "sweep.min-huge-int", "sweep.max-huge-int", "sweep.step-huge-int",
             "g-huge-int", "n_th-huge-int", "angle_eps-huge-int", "cluster_eps-huge-int",
+            "g-bool", "eps-bool", "g-string",
         ],
     )
     def test_bad_field_exit_code(self, tmp_path, capsys, fields):
@@ -125,8 +130,10 @@ class TestConfigHandling:
         assert captured.err.startswith("config error:")
         assert "Traceback" not in captured.err
         (body,) = fields.values()
-        if isinstance(body, dict) and 10**400 in body.values():
-            assert all(key in captured.err for key in body)
+        if isinstance(body, dict) and any(
+            isinstance(value, (bool, str)) or value == 10**400 for value in body.values()
+        ):
+            assert all(f"{key} must" in captured.err for key in body)
         assert captured.out == ""
 
     def test_unwritable_out_exit_code(self, tmp_path, capsys):

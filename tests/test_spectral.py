@@ -20,7 +20,7 @@ class TestEig:
     def test_dynamical_matrix_closed_form(self):
         # quadratic formula on the 2x2 moment generator at g=1, kappa=0.5, gamma=2
         p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5)
-        spec = sp.eig(lv.dynamical_matrix(p).matrix)
+        spec = sp.eig(lv.dynamical_matrix(p))
         assert_multiset_close(
             spec.eigenvalues,
             [0.8660254037844386 - 2j, -0.8660254037844386 - 2j],
@@ -188,10 +188,10 @@ class TestClustering:
 
     def test_ep_signature_of_moment_matrix(self):
         # eigenvector angle below angle_eps at g=kappa, above 10x away from it
-        at_ep = lv.dynamical_matrix(md.SystemParams.from_mean_split(1.0, 2.0, 1.0)).matrix
+        at_ep = lv.dynamical_matrix(md.SystemParams.from_mean_split(1.0, 2.0, 1.0))
         report = sp.coalescence_report(at_ep, 1.0)
         assert report.coalescing and report.min_angle < sp.DEFAULT_ANGLE_EPS
-        away = lv.dynamical_matrix(md.SystemParams.from_mean_split(1.1, 2.0, 1.0)).matrix
+        away = lv.dynamical_matrix(md.SystemParams.from_mean_split(1.1, 2.0, 1.0))
         spec = sp.eig(away)
         angle = sp.principal_angle(spec.eigenvectors[:, 0], spec.eigenvectors[:, 1])
         assert angle > 10 * sp.DEFAULT_ANGLE_EPS
@@ -226,7 +226,7 @@ class TestScan:
 
         def builder(g):
             p = md.SystemParams.from_mean_split(g, 2.0, 1.0)
-            return lv.dynamical_matrix(p).matrix
+            return lv.dynamical_matrix(p)
 
         reports = sp.coalescence_scan(builder, grid)
         estimate = sp.estimate_ep(reports, 0.01)
@@ -266,7 +266,7 @@ def report_key(report):
 
 
 def lep_builder(g):
-    return lv.dynamical_matrix(md.SystemParams(g=g, gamma_a=3.0, gamma_b=1.0)).matrix
+    return lv.dynamical_matrix(md.SystemParams(g=g, gamma_a=3.0, gamma_b=1.0))
 
 
 def ep_builder(g):

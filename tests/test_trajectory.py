@@ -9,7 +9,7 @@ from epsim import liouvillian as lv
 from epsim import model as md
 from epsim import spectral as sp
 from epsim import trajectory as tj
-from epsim.errors import TruncationGuardError
+from epsim.errors import NumericalError, TruncationGuardError
 
 
 @pytest.fixture
@@ -178,8 +178,8 @@ class TestEngineAlgorithm:
 
     @pytest.mark.parametrize("block", [7, 1000])
     def test_draw_block_does_not_change_results(self, monkeypatch, block):
-        # 300 steps: blocks of 256 (the default), of 7 (not a divisor) and
-        # one block longer than the run read the same streams
+        # blocks of 16 (the default), of 7 (not a divisor of it) and one
+        # block longer than any stream is read here read the same streams
         p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=1.0, n_th=0.2)
         cfg = tj.TrajectoryConfig(
             dt=1e-3, t_final=0.3, n_traj=16, seed=12, cutoff=4,
@@ -247,6 +247,28 @@ class TestNormBookkeeping:
         assert np.array_equal(post.final_state, single.final_state)
         # survival is a product of norm^2 decays, 1 up to rounding here
         assert post.survival == single.survival == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_postselection_survives_norm_underflow(self):
+        # over the 16-step skip the norm^2 (e^-1600) underflows; the uniform
+        # decay leaves the exchange oscillation cos t |1,0> - i sin t |0,1>
+        p = md.SystemParams(g=1.0, gamma_a=50.0, gamma_b=50.0)
+        cfg = tj.TrajectoryConfig(
+            dt=1.0, t_final=16.0, n_traj=1, seed=1, cutoff=3, sample_every=16
+        )
+        post = tj.postselect_no_jump(p, cfg, fs.basis_state(3, 1, 0))
+        t = cfg.t_final
+        expected = np.cos(t) * fs.basis_state(3, 1, 0) - 1j * np.sin(t) * fs.basis_state(3, 0, 1)
+        np.testing.assert_allclose(post.final_state, expected, atol=1e-12)
+        assert post.survival == 0.0
+
+    def test_postselection_underflow_within_one_step_raises(self):
+        p = md.SystemParams(g=1.0, gamma_a=50.0, gamma_b=50.0)
+        cfg = tj.TrajectoryConfig(
+            dt=8.0, t_final=16.0, n_traj=1, seed=1, cutoff=3, sample_every=2
+        )
+        with pytest.raises(NumericalError, match="decrease dt"):
+            tj.postselect_no_jump(p, cfg, fs.basis_state(3, 1, 0))
 
 
 class TestJumpStatistics:
