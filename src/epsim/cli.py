@@ -168,10 +168,11 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
         cutoff = FockCutoff(data["cutoff"]).d
     except ValueError as exc:
         raise ConfigError(f"config field 'cutoff': {exc}") from exc
-    _require(
-        mode != "liouvillian-check" or cutoff <= lv.MAX_WITNESS_CUTOFF,
-        f"liouvillian-check requires cutoff <= {lv.MAX_WITNESS_CUTOFF}",
-    )
+    if mode == "liouvillian-check":
+        try:
+            lv.check_witness_cutoff(cutoff)
+        except ValueError as exc:
+            raise ConfigError(f"config field 'cutoff': {exc}") from exc
     seed = data["seed"]
     _require(
         isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,

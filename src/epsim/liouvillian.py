@@ -10,9 +10,14 @@ nonzero at d = 6). Superoperator.matrix gives the dense form on request.
 With the drive removed, every term of the generator conserves
 k = N_ket - N_bra, the total photon number on the ket side of rho minus that
 on the bra side, for every thermal occupation (a U(1) symmetry of the
-superoperator). The drive-free generator is therefore block-diagonal in k,
-and the spectrum check diagonalizes it one sector at a time: 21 sectors, the
-largest 146 x 146, instead of one dense 1296 x 1296 problem at d = 6.
+superoperator). The drive-free generator is therefore block-diagonal in k.
+The spectrum check solves only the three sectors that hold what it
+measures: k = +1 and k = -1 (the first moments <a>, <b> and their
+conjugates, with the pair -gamma +- i*Omega) and k = 0 (the steady state),
+by shift-invert sparse eigensolves near the targets (spectral.eigs_near),
+140-146 positions each at d = 6 and about 2 d^3 / 3 in general. No dense
+eigensolve of a sector is left, and the cutoff is limited only by a memory
+estimate (witness_peak_bytes against WITNESS_MEMORY_BUDGET, d <= 26).
 
 The first-moment dynamical matrix M = [[-i*ga, g], [g, -i*gb]] generates
 d/dt [<a>, <b>] = -i M v - eps; its degeneracy at g = kappa defines
@@ -37,7 +42,9 @@ from .fockspace import FockCutoff, Mode
 if TYPE_CHECKING:  # scipy.sparse is imported where it is used, not at import time
     import scipy.sparse
 
-MAX_WITNESS_CUTOFF = 8  # largest d the spectrum check diagonalizes
+WITNESS_MEMORY_BUDGET = 2**30  # bytes a spectrum check may need (witness_peak_bytes)
+WITNESS_SHIFT = 0.1  # shift-invert offset right of -gamma and of 0, in units of gamma + g
+_GENERATOR_COPIES = 5  # generators a liouvillian-check run holds at once (witness_peak_bytes)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -235,56 +242,59 @@ def sector_labels(cutoff: FockCutoff | int) -> np.ndarray:
     return np.subtract.outer(n_total, n_total).ravel(order="F")
 
 
-@dataclass
-class SectorSpectrum:
-    """Eigenpairs of a generator that is block-diagonal in k, sector by sector.
-
-    eigenvalues is the union of the sector spectra in ascending k; sectors[i]
-    is the position (in that order) of the sector that eigenvalue i comes
-    from. blocks[s] holds that sector's vec(rho) positions and its residual-
-    checked spectrum, whose eigenvectors live on those positions only.
-    """
-
-    eigenvalues: np.ndarray
-    sectors: np.ndarray
-    blocks: list[tuple[np.ndarray, sp.Spectrum]]
-    norm: float  # Frobenius norm of the whole generator
-
-    def vector(self, i: int) -> np.ndarray:
-        """Eigenvector of eigenvalue i, on its own sector's positions."""
-        s = int(self.sectors[i])
-        first = int(np.searchsorted(self.sectors, s))
-        return self.blocks[s][1].eigenvectors[:, i - first]
-
-
-def sector_spectrum(gen: Superoperator) -> SectorSpectrum:
-    """Diagonalize a generator that conserves k = N_ket - N_bra, one block per k.
+def sector_block(gen: Superoperator, k: int) -> scipy.sparse.csc_array:
+    """The block of a generator on the vec(rho) positions of sector k, in CSC form.
 
     The cutoff d is read from the generator (hilbert_dim = d^2). Raises
-    SpectrumWitnessError when the generator has an entry between different
-    sectors, where the union of the block spectra would not be its
-    spectrum. Each block's eigenpairs carry the residual bound
-    tol * ||block|| <= tol * ||L|| of spectral.eig.
+    SpectrumWitnessError when the generator has an entry between sector k
+    and another sector, where the block's eigenpairs would not be the
+    generator's.
     """
     labels = sector_labels(math.isqrt(gen.hilbert_dim))
-    rows, cols = gen.csr.nonzero()
-    crossing = int(np.count_nonzero(labels[rows] != labels[cols]))
+    idx = np.flatnonzero(labels == k)
+    rows = gen.csr[idx]
+    cols = gen.csr[:, idx].tocsc()
+    crossing = sum(
+        int(np.count_nonzero(labels[part.indices[part.data != 0]] != k))
+        for part in (rows, cols)
+    )
     if crossing:
         raise SpectrumWitnessError(
-            f"generator has {crossing} entries between sectors of N_ket - N_bra"
+            f"generator has {crossing} entries between sector {k} of N_ket - N_bra "
+            f"and other sectors"
         )
-    blocks = []
-    for k in np.unique(labels):
-        idx = np.flatnonzero(labels == k)
-        block = gen.csr[idx][:, idx].toarray()
-        blocks.append((idx, sp.eig(block, want_vectors=True)))
-    sizes = [len(idx) for idx, _ in blocks]
-    return SectorSpectrum(
-        eigenvalues=np.concatenate([spec.eigenvalues for _, spec in blocks]),
-        sectors=np.repeat(np.arange(len(blocks)), sizes),
-        blocks=blocks,
-        norm=float(np.linalg.norm(gen.csr.data)),
-    )
+    return rows[:, idx].tocsc()
+
+
+def witness_peak_bytes(cutoff: FockCutoff | int) -> float:
+    """Closed-form estimate of the peak memory (bytes) a spectrum check needs.
+
+    It counts what grows with d, not the interpreter and its libraries. The
+    driven generator with gain channels stores d^2 (17 d^2 - 24 d + 8)
+    entries (exact for d >= 2; drive-free and n_th = 0 generators store
+    fewer), 20 bytes each in CSR, and a liouvillian-check run holds up to
+    _GENERATOR_COPIES of them at once: two driven assemblies, the drive-free
+    generator and the temporaries of its assembly. The largest solved block
+    is k = 0, with n = d (2 d^2 + 1) / 3 positions; its sparse LU held at
+    most n^1.75 entries, 20 bytes each, at every d measured (4 to 24). Against
+    the peak resident growth of liouvillian-check runs at n_th = 0.2 (d = 16,
+    20, 24: 95, 219 and 476 MB) the estimate is 30-50 % high.
+    """
+    d = FockCutoff.of(cutoff).d
+    generator = d * d * (17 * d * d - 24 * d + 8)
+    block = d * (2 * d * d + 1) / 3
+    return 20.0 * (_GENERATOR_COPIES * generator + block**1.75)
+
+
+def check_witness_cutoff(cutoff: FockCutoff | int) -> None:
+    """Raise ValueError when witness_peak_bytes exceeds WITNESS_MEMORY_BUDGET."""
+    d = FockCutoff.of(cutoff).d
+    need = witness_peak_bytes(d)
+    if need > WITNESS_MEMORY_BUDGET:
+        raise ValueError(
+            f"spectrum check at cutoff d={d} needs an estimated {need / 1e6:.0f} MB, "
+            f"over the {WITNESS_MEMORY_BUDGET / 1e6:.0f} MB budget"
+        )
 
 
 def liouvillian_spectrum_check(
@@ -295,10 +305,16 @@ def liouvillian_spectrum_check(
     Runs with the drive removed: the drive enters the moment dynamics only
     as the affine term, so the generator spectrum is drive-independent (the
     test suite verifies this numerically at small drive). Without the drive
-    the generator is block-diagonal in k = N_ket - N_bra; its spectrum is
-    the union of the sector spectra (sector_spectrum), and eigenvectors of
-    different sectors are orthogonal, so cluster angles are computed within
-    a sector only.
+    the generator is block-diagonal in k = N_ket - N_bra. The targets
+    -gamma +- i*Omega and the eigenvalue group nearest -gamma live in the
+    sectors k = +1 and k = -1, the zero mode in k = 0; only those three
+    blocks are solved (sector_block, sp.eigs_near), each settling the
+    eigenvalues nearest its targets. The shifts sit WITNESS_SHIFT *
+    (gamma + g) to the right of -gamma and of 0, never on a target: at the
+    n_th = 0 EP, -gamma is itself a defective eigenvalue, and 0 is always
+    an eigenvalue. Eigenvectors of different sectors are orthogonal, so
+    cluster angles are computed within a sector only; the cluster tolerance
+    is sp.CLUSTER_EPS_SCALE * ||L||_F of the whole generator.
 
     At n_th = 0 the first-moment sector is exactly closed in the truncated
     space, so the containment holds to rounding at any cutoff. For n_th > 0
@@ -309,28 +325,37 @@ def liouvillian_spectrum_check(
 
     The witness measures and does not judge: callers compare distances with
     their own bound. A coalescing pair is flagged below sp.DEFAULT_ANGLE_EPS.
+    Raises ValueError for a cutoff over the memory budget
+    (check_witness_cutoff).
     """
     cut = FockCutoff.of(cutoff)
-    if cut.d > MAX_WITNESS_CUTOFF:
-        raise ValueError(f"spectrum check limited to d <= {MAX_WITNESS_CUTOFF}, got d={cut.d}")
+    check_witness_cutoff(cut)
     der = _full_dynamics(params)
-    spectrum = sector_spectrum(build_liouvillian(params.with_(eps=0.0), cut))
-    values = spectrum.eigenvalues
-    targets = np.array([-der.gamma_p + 1j * der.omega_p, -der.gamma_p - 1j * der.omega_p])
+    gen = build_liouvillian(params.with_(eps=0.0), cut)
+    anchor = -der.gamma_p + 0j
+    targets = np.array([anchor + 1j * der.omega_p, anchor - 1j * der.omega_p])
+    shift = WITNESS_SHIFT * (der.gamma_p + params.g)
+    eps_cluster = sp.CLUSTER_EPS_SCALE * float(np.linalg.norm(gen.csr.data))
+    moments = [
+        sp.eigs_near(sector_block(gen, k), anchor + shift, [*targets, anchor], 4, eps_cluster)
+        for k in (1, -1)
+    ]
+    steady = sp.eigs_near(sector_block(gen, 0), shift, [0.0], 2)
+
+    values = np.concatenate([spectrum.eigenvalues for spectrum in moments])
+    sectors = np.repeat([1, -1], [len(spectrum.eigenvalues) for spectrum in moments])
     dists = np.abs(values[None, :] - targets[:, None])
     nearest_idx = np.argmin(dists, axis=1)
     nearest = values[nearest_idx]
     distances = dists[np.arange(2), nearest_idx]
-    zero_dist = float(np.min(np.abs(values)))
+    zero_dist = float(np.min(np.abs(steady.eigenvalues)))
 
-    eps_cluster = sp.CLUSTER_EPS_SCALE * spectrum.norm
     clusters = sp.cluster_eigenvalues(values, eps_cluster)
-    anchor = -der.gamma_p + 0j
     near_gamma = min(clusters, key=lambda grp: min(abs(values[i] - anchor) for i in grp))
     min_angle = None
     if len(near_gamma) >= 2:
-        vectors = {i: spectrum.vector(i) for i in near_gamma}
-        min_angle = sp.cluster_min_angle(vectors, near_gamma, spectrum.sectors)
+        vectors = [v for spectrum in moments for v in spectrum.eigenvectors.T]
+        min_angle = sp.cluster_min_angle(vectors, near_gamma, sectors)
     return SpectrumWitness(
         targets=targets,
         nearest=nearest,

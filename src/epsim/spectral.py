@@ -7,6 +7,9 @@ residual guarantee on eigenpairs, eigenvalue clustering and the
 eigenvector-coalescence metric used to locate exceptional points on
 parameter grids. Eigenvalue-only solves (eig with want_vectors=False, as
 the spectrum command runs them) have no vectors and so no residual check.
+For sparse matrices too large to diagonalize densely, eigs_near finds the
+eigenpairs nearest a few targets by shift-invert ARPACK, under the same
+residual bound, and proves that it has not missed a nearer eigenvalue.
 
 Norms are Frobenius throughout.
 """
@@ -14,12 +17,15 @@ Norms are Frobenius throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .errors import EigenConvergenceError, MatrixExpOverflowError
+
+if TYPE_CHECKING:  # scipy.sparse is imported where it is used, not at import time
+    import scipy.sparse
 
 DEFAULT_RESIDUAL_TOL = 1e-9
 DEFAULT_ANGLE_EPS = 1e-3
@@ -83,14 +89,97 @@ def eig(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
             f"eig failed for dim={a.shape[0]}, norm={norm:.3e}: {exc}"
         ) from exc
     values, vectors, residuals = values[0], vectors[0], residuals[0]
+    _check_residuals(residuals, norm, f"dim={a.shape[0]}")
+    return Spectrum(values, vectors, residuals, norm)
+
+
+def _check_residuals(residuals: np.ndarray, norm: float, where: str) -> None:
     bound = _residual_bound(norm)
     if np.any(residuals > bound):
         worst = int(np.argmax(residuals))
         raise EigenConvergenceError(
             f"residual bound violated: pair {worst} has ||Av - lv|| = "
-            f"{residuals[worst]:.3e} > {bound:.3e} (dim={a.shape[0]})"
+            f"{residuals[worst]:.3e} > {bound:.3e} ({where})"
         )
+
+
+def eigs_near(
+    a: scipy.sparse.sparray,
+    sigma: complex,
+    targets: Sequence[complex],
+    count: int,
+    cluster_eps: float = 0.0,
+) -> Spectrum:
+    """Eigenpairs of a sparse square matrix nearest sigma, enough to settle targets.
+
+    Shift-invert ARPACK (scipy.sparse.linalg.eigs, LU of a - sigma I, tol=0,
+    a fixed start vector) returns the count eigenvalues nearest sigma, so
+    every eigenvalue it leaves out lies at least R from sigma, R the largest
+    distance of a returned one. A target's nearest returned eigenvalue is
+    then the matrix's nearest once it lies within R - |target - sigma| of
+    the target; and every eigenvalue chained to it within cluster_eps has
+    been returned once each member of its chain lies strictly within
+    R - cluster_eps of sigma. Until every target passes, count doubles. A
+    block too small for ARPACK (dim < count + 2) is diagonalized densely
+    with eig. sigma must not be an eigenvalue: ARPACK's vectors of a
+    defective eigenvalue at the shift miss the residual bound.
+
+    Returns the eigenpairs in ascending distance from sigma, unit-norm and
+    residual-checked against eig's bound DEFAULT_RESIDUAL_TOL * ||a||_F.
+    Raises EigenConvergenceError when ARPACK or the LU fails, or a pair
+    misses the bound.
+    """
+    import scipy.sparse
+    import scipy.sparse.linalg as spla
+
+    a = scipy.sparse.csc_array(a, dtype=complex)
+    dim = a.shape[0]
+    norm = float(np.linalg.norm(a.data))
+    targets = np.asarray(targets, dtype=complex)
+    start = [1.0, 1j] @ np.random.default_rng(0).standard_normal((2, dim))
+    while True:
+        if dim < count + 2:
+            spectrum = eig(a.toarray())
+            order = np.argsort(np.abs(spectrum.eigenvalues - sigma), kind="stable")
+            return Spectrum(
+                spectrum.eigenvalues[order],
+                spectrum.eigenvectors[:, order],
+                spectrum.residuals[order],
+                spectrum.norm,
+            )
+        try:
+            values, vectors = spla.eigs(a, k=count, sigma=sigma, v0=start, tol=0)
+        except (spla.ArpackError, RuntimeError) as exc:  # RuntimeError: singular LU
+            raise EigenConvergenceError(
+                f"eigs failed for dim={dim}, count={count}, sigma={sigma:.6g}: {exc}"
+            ) from exc
+        order = np.argsort(np.abs(values - sigma), kind="stable")
+        values, vectors = values[order], vectors[:, order]
+        if _settled(values, sigma, targets, cluster_eps):
+            break
+        count *= 2
+    vectors = vectors / np.linalg.norm(vectors, axis=0)
+    residuals = np.linalg.norm(a @ vectors - vectors * values, axis=0)
+    _check_residuals(residuals, norm, f"dim={dim}, sigma={sigma:.6g}")
     return Spectrum(values, vectors, residuals, norm)
+
+
+def _settled(
+    values: np.ndarray, sigma: complex, targets: np.ndarray, cluster_eps: float
+) -> bool:
+    """Whether the eigenvalues nearest sigma settle every target (see eigs_near)."""
+    dist = np.abs(values - sigma)
+    reach = dist.max()
+    groups = cluster_eigenvalues(values, cluster_eps)
+    for target in targets:
+        gaps = np.abs(values - target)
+        nearest = int(np.argmin(gaps))
+        if gaps[nearest] > reach - abs(target - sigma):
+            return False
+        group = next(grp for grp in groups if nearest in grp)
+        if np.any(dist[group] + cluster_eps >= reach):
+            return False
+    return True
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:

@@ -307,7 +307,8 @@ class _Engine:
         pending. A zero threshold (postselection) never jumps: such a column
         is short of stop only because a long skip underflowed, and the next
         round carries it on. Jump events (columns, grid steps, channels) go
-        to events.
+        to events. When one step dt alone underflows a column's norm^2, with
+        or without jumps, NumericalError asks for a smaller dt.
         """
         cols = np.arange(states.shape[1])
         remaining = np.full(cols.size, stop - start)
@@ -319,10 +320,7 @@ class _Engine:
             self._lift(psi, thr, surv, remaining)
             carried = remaining > 0
             if np.any(carried & (thr == 0) & (remaining == before)):
-                raise NumericalError(
-                    f"no-jump norm^2 underflows within one step dt = {self.config.dt}; "
-                    f"decrease dt"
-                )
+                raise self._step_underflow()
             jumping = np.flatnonzero(carried & (thr > 0))
             if jumping.size:
                 remaining[jumping] -= 1
@@ -330,6 +328,8 @@ class _Engine:
                 jumped = self.powers[0] @ psi[:, jumping]  # collapsed below
                 populations = _populations(jumped)
                 norm2 = populations.sum(axis=0)
+                if np.any(norm2 < _NORM2_FLOOR):  # _collapse divides by it
+                    raise self._step_underflow()
                 surv[jumping] *= norm2
                 channels = self._collapse(jumped, populations, norm2, draws.next(pending))
                 psi[:, jumping] = jumped
@@ -341,6 +341,12 @@ class _Engine:
             survival[cols] = surv
             cols = cols[carried]
             remaining = remaining[carried]
+
+    def _step_underflow(self) -> NumericalError:
+        return NumericalError(
+            f"no-jump norm^2 underflows within one step dt = {self.config.dt}; "
+            f"decrease dt"
+        )
 
     def _lift(
         self,

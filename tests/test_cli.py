@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from epsim import cli
+from epsim import liouvillian as lv
 from epsim import model as md
 
 
@@ -441,8 +442,19 @@ class TestLiouvillianCheckCommand:
         assert all(row["passed"] is True for row in body)
 
     def test_cutoff_guard(self, capsys):
-        assert run(["liouvillian-check", "--cutoff", "10"]) == 1
-        assert "cutoff" in capsys.readouterr().err
+        # the first cutoff whose memory estimate exceeds the budget
+        over = next(d for d in range(2, 100) if lv.witness_peak_bytes(d) > lv.WITNESS_MEMORY_BUDGET)
+        assert over > 16
+        assert run(["liouvillian-check", "--cutoff", str(over)]) == 1
+        err = capsys.readouterr().err
+        assert "cutoff" in err
+        assert f"{lv.witness_peak_bytes(over) / 1e6:.0f} MB" in err
+
+    def test_cutoff_16_passes(self, tmp_path):
+        out = tmp_path / "check.csv"
+        assert run(["liouvillian-check", "--cutoff", "16", "--out", str(out)]) == 0
+        _, _, rows = read_rows(out)
+        assert all(r["passed"] == "True" for r in rows)
 
     def test_thermal_witness_reported_as_failed_row(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,3 +1,6 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -113,6 +116,44 @@ class TestSparseAssembly:
         )
 
 
+@dataclass
+class SectorSpectrum:
+    """Eigenpairs of a generator that is block-diagonal in k, sector by sector.
+
+    eigenvalues is the union of the sector spectra in ascending k; sectors[i]
+    is the position (in that order) of the sector that eigenvalue i comes
+    from. blocks[s] holds that sector's vec(rho) positions and its residual-
+    checked spectrum, whose eigenvectors live on those positions only.
+    """
+
+    eigenvalues: np.ndarray
+    sectors: np.ndarray
+    blocks: list[tuple[np.ndarray, sp.Spectrum]]
+    norm: float  # Frobenius norm of the whole generator
+
+    def vector(self, i: int) -> np.ndarray:
+        """Eigenvector of eigenvalue i, on its own sector's positions."""
+        s = int(self.sectors[i])
+        first = int(np.searchsorted(self.sectors, s))
+        return self.blocks[s][1].eigenvectors[:, i - first]
+
+
+def sector_spectrum(gen):
+    """Dense reference: every sector block diagonalized with sp.eig."""
+    labels = lv.sector_labels(math.isqrt(gen.hilbert_dim))
+    blocks = []
+    for k in np.unique(labels):
+        block = lv.sector_block(gen, int(k)).toarray()
+        blocks.append((np.flatnonzero(labels == k), sp.eig(block, want_vectors=True)))
+    sizes = [len(idx) for idx, _ in blocks]
+    return SectorSpectrum(
+        eigenvalues=np.concatenate([spec.eigenvalues for _, spec in blocks]),
+        sectors=np.repeat(np.arange(len(blocks)), sizes),
+        blocks=blocks,
+        norm=float(np.linalg.norm(gen.csr.data)),
+    )
+
+
 class TestSectors:
     def test_sector_count_and_sizes(self):
         sizes = sorted(np.unique(lv.sector_labels(6), return_counts=True)[1])
@@ -135,11 +176,24 @@ class TestSectors:
 
     def test_driven_generator_rejected(self, std_params):
         with pytest.raises(SpectrumWitnessError):
-            lv.sector_spectrum(lv.build_liouvillian(std_params, 3))
+            sector_spectrum(lv.build_liouvillian(std_params, 3))
+
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    def test_sector_block_rejects_entries_between_sectors(self, std_params, k):
+        with pytest.raises(SpectrumWitnessError, match=f"sector {k} "):
+            lv.sector_block(lv.build_liouvillian(std_params, 3), k)
+
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    def test_sector_block_is_the_generator_restricted(self, thermal_params, k):
+        gen = lv.build_liouvillian(thermal_params.with_(eps=0.0), 4)
+        idx = np.flatnonzero(lv.sector_labels(4) == k)
+        block = lv.sector_block(gen, k)
+        assert block.format == "csc"
+        np.testing.assert_array_equal(block.toarray(), gen.matrix[np.ix_(idx, idx)])
 
     def test_vectors_are_eigenvectors_of_the_generator(self, thermal_params):
         gen = lv.build_liouvillian(thermal_params.with_(eps=0.0), 3)
-        spectrum = lv.sector_spectrum(gen)
+        spectrum = sector_spectrum(gen)
         dense = gen.matrix
         for i in range(0, len(spectrum.eigenvalues), 7):
             idx, _ = spectrum.blocks[spectrum.sectors[i]]
@@ -280,8 +334,29 @@ class TestSpectrumWitness:
             assert np.min(np.abs(vals - target)) < 1e-10
 
     def test_cutoff_guard(self, std_params):
-        with pytest.raises(ValueError):
-            lv.liouvillian_spectrum_check(std_params, 9)
+        # the first cutoff whose memory estimate exceeds the budget
+        over = next(d for d in range(2, 100) if lv.witness_peak_bytes(d) > lv.WITNESS_MEMORY_BUDGET)
+        assert over > 16
+        with pytest.raises(ValueError, match=f"cutoff d={over} .* MB"):
+            lv.liouvillian_spectrum_check(std_params, over)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_peak_estimate_counts_exact_sizes(self, d):
+        # the driven thermal generator's entries and the k = 0 block size
+        p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=1.0, n_th=0.2)
+        entries = lv.build_liouvillian(p, d).csr.nnz
+        block = lv.sector_block(lv.build_liouvillian(p.with_(eps=0.0), d), 0).shape[0]
+        assert lv.witness_peak_bytes(d) == pytest.approx(
+            20.0 * (lv._GENERATOR_COPIES * entries + block**1.75), rel=1e-12
+        )
+
+    def test_thermal_witness_converges_in_the_cutoff(self):
+        p = md.SystemParams.from_mean_split(1.0, 2.0, 1.0, eps=0.0, n_th=0.2)
+        distances = [
+            lv.liouvillian_spectrum_check(p, d).distances.max() for d in (6, 8, 12, 16)
+        ]
+        assert all(b < a for a, b in zip(distances, distances[1:])), distances
+        assert distances[-1] < 1e-4
 
     def test_thermal_witness_truncation_limited(self):
         # gain channels couple the moment sector to the truncation boundary,
@@ -291,15 +366,28 @@ class TestSpectrumWitness:
         assert 1e-6 < witness.distances.max() < 0.5
 
 
-def dense_witness(params, d):
-    """The spectrum witness from one dense eigensolve of the whole generator."""
+def dense_witness(params, d, by_sector=False):
+    """The spectrum witness from dense eigensolves of the whole generator.
+
+    With by_sector, the eigenpairs come from sector_spectrum, its vectors
+    zero-padded onto every vec(rho) position.
+    """
     der = md.derive(params.with_(n_th=0.0))
-    matrix = lv.build_liouvillian(params.with_(eps=0.0), d).matrix
-    values, vectors = np.linalg.eig(matrix)
+    gen = lv.build_liouvillian(params.with_(eps=0.0), d)
+    if by_sector:
+        spectrum = sector_spectrum(gen)
+        values, norm = spectrum.eigenvalues, spectrum.norm
+        vectors = np.zeros((values.size, values.size), dtype=complex)
+        for i in range(values.size):
+            vectors[spectrum.blocks[spectrum.sectors[i]][0], i] = spectrum.vector(i)
+    else:
+        matrix = gen.matrix
+        values, vectors = np.linalg.eig(matrix)
+        norm = np.linalg.norm(matrix)
     targets = np.array([-der.gamma_p + 1j * der.omega_p, -der.gamma_p - 1j * der.omega_p])
     dists = np.abs(values[None, :] - targets[:, None])
     nearest_idx = np.argmin(dists, axis=1)
-    clusters = sp.cluster_eigenvalues(values, sp.CLUSTER_EPS_SCALE * np.linalg.norm(matrix))
+    clusters = sp.cluster_eigenvalues(values, sp.CLUSTER_EPS_SCALE * norm)
     near_gamma = min(clusters, key=lambda grp: min(abs(values[i] + der.gamma_p) for i in grp))
     min_angle = None
     if len(near_gamma) >= 2:
@@ -318,26 +406,56 @@ def dense_witness(params, d):
     }
 
 
+def witness_params(n_th, at_ep):
+    if at_ep:
+        return md.SystemParams.from_mean_split(1.0, 2.0, 1.0, eps=0.0, n_th=n_th)
+    return md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=0.0, n_th=n_th)
+
+
+def assert_witness_matches(p, d, ref, at_ep):
+    witness = lv.liouvillian_spectrum_check(p, d)
+    # the moment pair is a second-order EP at g = kappa: ~sqrt(u) there
+    atol = 1e-7 if at_ep else 1e-12
+    np.testing.assert_allclose(witness.nearest, ref["nearest"], atol=atol)
+    np.testing.assert_allclose(witness.distances, ref["distances"], atol=atol)
+    assert witness.zero_mode_distance == pytest.approx(ref["zero_mode_distance"], abs=1e-12)
+    assert witness.cluster_size == ref["cluster_size"]
+    assert witness.degenerate_pair_flagged == ref["degenerate_pair_flagged"]
+
+
 class TestSectorWitnessAgainstDense:
     @pytest.mark.parametrize("n_th", [0.0, 0.2])
     @pytest.mark.parametrize("at_ep", [False, True])
     def test_matches_dense_eigensolve(self, n_th, at_ep):
-        if at_ep:
-            p = md.SystemParams.from_mean_split(1.0, 2.0, 1.0, eps=0.0, n_th=n_th)
-        else:
-            p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=0.0, n_th=n_th)
+        p = witness_params(n_th, at_ep)
         ref = dense_witness(p, 4)
         gen = lv.build_liouvillian(p, 4)
         # At n_th = 0 the EP is of high order in the larger excitation
         # sectors; eigenvalues there are fixed only to ~(u ||L||)^(1/order).
         atol = 5e-2 if (at_ep and n_th == 0.0) else 1e-9
-        assert_multiset_close(lv.sector_spectrum(gen).eigenvalues, ref["eigenvalues"], atol)
+        assert_multiset_close(sector_spectrum(gen).eigenvalues, ref["eigenvalues"], atol)
+        assert_witness_matches(p, 4, ref, at_ep)
 
-        witness = lv.liouvillian_spectrum_check(p, 4)
-        # the moment pair is a second-order EP at g = kappa: ~sqrt(u) there
-        atol = 1e-7 if at_ep else 1e-12
-        np.testing.assert_allclose(witness.nearest, ref["nearest"], atol=atol)
-        np.testing.assert_allclose(witness.distances, ref["distances"], atol=atol)
-        assert witness.zero_mode_distance == pytest.approx(ref["zero_mode_distance"], abs=1e-12)
-        assert witness.cluster_size == ref["cluster_size"]
-        assert witness.degenerate_pair_flagged == ref["degenerate_pair_flagged"]
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    @pytest.mark.parametrize("n_th", [0.0, 0.2])
+    @pytest.mark.parametrize("at_ep", [False, True])
+    def test_matches_dense_at_other_cutoffs(self, d, n_th, at_ep):
+        # the whole generator densely at d = 2 and 3, sector by sector at d = 6
+        p = witness_params(n_th, at_ep)
+        assert_witness_matches(p, d, dense_witness(p, d, by_sector=d == 6), at_ep)
+
+    @pytest.mark.parametrize("k", [1, -1])
+    def test_solved_pairs_meet_the_residual_bound_at_the_ep(self, k):
+        # sigma off the defective eigenvalue -gamma: every returned pair,
+        # the Jordan pair included, is an eigenpair to eig's bound
+        p = md.SystemParams.from_mean_split(1.0, 2.0, 1.0, eps=0.0)
+        gen = lv.build_liouvillian(p, 6)
+        block = lv.sector_block(gen, k)
+        eps = sp.CLUSTER_EPS_SCALE * np.linalg.norm(gen.csr.data)
+        sigma = -2.0 + lv.WITNESS_SHIFT * 3.0  # the witness's shift: gamma + g = 3
+        spectrum = sp.eigs_near(block, sigma, [-2.0], 4, eps)
+        dense = block.toarray()
+        bound = sp.DEFAULT_RESIDUAL_TOL * np.linalg.norm(dense)
+        for value, vector in zip(spectrum.eigenvalues, spectrum.eigenvectors.T):
+            assert np.linalg.norm(dense @ vector - value * vector) <= bound
+        np.testing.assert_allclose(spectrum.eigenvalues[:2], [-2.0, -2.0], atol=1e-7)

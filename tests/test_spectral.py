@@ -7,7 +7,7 @@ from conftest import assert_multiset_close, random_complex_matrix
 from epsim import liouvillian as lv
 from epsim import model as md
 from epsim import spectral as sp
-from epsim.errors import MatrixExpOverflowError
+from epsim.errors import EigenConvergenceError, MatrixExpOverflowError
 
 
 class TestEig:
@@ -82,6 +82,60 @@ class TestEig:
         herm = a + a.conj().T
         vals = sp.eig(herm, want_vectors=False).eigenvalues
         assert np.max(np.abs(vals.imag)) < 1e-10
+
+
+def sparse_csc(dense):
+    import scipy.sparse as sps
+
+    return sps.csc_array(np.asarray(dense, dtype=complex))
+
+
+def sparse_test_matrix(n, seed):
+    """A sparse non-normal matrix: distinct diagonal plus a few couplings."""
+    rng = np.random.default_rng(seed)
+    diagonal = -np.arange(n) * (1.0 + 0.3j) + rng.standard_normal(n) * 0.1
+    couplings = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.05) * 0.5
+    return sparse_csc(np.diag(diagonal) + couplings)
+
+
+class TestEigsNear:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nearest_match_dense_eig(self, seed):
+        a = sparse_test_matrix(80, seed)
+        dense = np.linalg.eigvals(a.toarray())
+        targets = [-3.1 - 0.8j, -5.0 - 1.5j]
+        spectrum = sp.eigs_near(a, -4.0 - 1.0j, targets, 3)
+        for target in targets:
+            got = spectrum.eigenvalues[np.argmin(np.abs(spectrum.eigenvalues - target))]
+            want = dense[np.argmin(np.abs(dense - target))]
+            assert abs(got - want) < 1e-10
+        assert np.all(np.diff(np.abs(spectrum.eigenvalues + 4.0 + 1.0j)) >= 0)
+        assert spectrum.residuals.max() <= sp.DEFAULT_RESIDUAL_TOL * spectrum.norm
+
+    def test_asks_for_more_until_the_target_is_settled(self):
+        # the target 0 lies 10.3 from sigma: two eigenvalues cannot settle it
+        a = sparse_csc(np.diag(np.arange(50.0)))
+        spectrum = sp.eigs_near(a, 10.3, [0.0], 2)
+        assert len(spectrum.eigenvalues) > 2
+        assert np.min(np.abs(spectrum.eigenvalues)) < 1e-12
+
+    def test_cluster_is_returned_whole(self):
+        # a chain 0, 1e-3, 2e-3, ... within cluster_eps of its neighbours
+        values = np.concatenate([np.arange(8) * 1e-3, 5.0 + np.arange(30.0)])
+        a = sparse_csc(np.diag(values))
+        spectrum = sp.eigs_near(a, -0.5, [0.0], 2, cluster_eps=1.5e-3)
+        assert np.count_nonzero(np.abs(spectrum.eigenvalues) < 0.01) == 8
+
+    def test_small_block_solved_densely(self):
+        a = sparse_csc([[1.0, 2.0, 0.0], [0.0, -1.0, 0.5], [0.3, 0.0, 2.0j]])
+        spectrum = sp.eigs_near(a, 0.1, [0.0], 2)
+        assert_multiset_close(spectrum.eigenvalues, np.linalg.eigvals(a.toarray()), atol=1e-12)
+        assert np.all(np.diff(np.abs(spectrum.eigenvalues - 0.1)) >= 0)
+
+    def test_shift_on_an_eigenvalue_raises(self):
+        a = sparse_csc(np.diag(np.arange(10.0)))
+        with pytest.raises(EigenConvergenceError, match="eigs failed"):
+            sp.eigs_near(a, 3.0, [3.0], 2)
 
 
 class TestMatExp:

@@ -270,6 +270,16 @@ class TestNormBookkeeping:
         with pytest.raises(NumericalError, match="decrease dt"):
             tj.postselect_no_jump(p, cfg, fs.basis_state(3, 1, 0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_jump_underflow_within_one_step_raises(self):
+        # one step (e^-800) underflows norm^2 before the jump it leads to
+        p = md.SystemParams(g=1.0, gamma_a=50.0, gamma_b=50.0)
+        cfg = tj.TrajectoryConfig(
+            dt=8.0, t_final=16.0, n_traj=1, seed=1, cutoff=6, sample_every=2
+        )
+        with pytest.raises(NumericalError, match="decrease dt"):
+            tj.run_trajectory(p, cfg, fs.basis_state(6, 1, 0))
+
 
 class TestJumpStatistics:
     def test_closed_system_never_jumps(self):
