@@ -10,14 +10,13 @@ Subpackages:
   cli         parameter-sweep command-line front end
 """
 
-from .fockspace import FockCutoff, Mode
+from .fockspace import FockCutoff
 from .model import DerivedParams, SystemParams, derive, hep_coupling, lep_coupling
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FockCutoff",
-    "Mode",
     "SystemParams",
     "DerivedParams",
     "derive",

@@ -391,6 +391,7 @@ def cmd_liouvillian_check(config: SweepConfig) -> Table:
         )
     checks.append(("trace_annihilation", trace_dev, 1e-10))
     checks.append(("moment_closure", moment_dev, 1e-8))
+    del gen_a, gen_b  # released before the witness assembles its own generator
 
     witness = lv.liouvillian_spectrum_check(params, cutoff)
     checks.append(("spectrum_moment_pair", float(witness.distances.max()), 1e-6))

@@ -1,9 +1,10 @@
 """Truncated two-mode Fock-space operator algebra.
 
-Every operator is a dense ``numpy`` array of complex128. The two-mode basis
-index is ``n_a * d + n_b`` (mode-A major), which fixes the Kronecker
-convention package-wide: mode-A operators embed as ``kron(op, eye(d))`` and
-mode-B operators as ``kron(eye(d), op)``.
+Every operator is a dense ``numpy`` array of complex128. This module owns the
+two-mode basis index ``n_a * d + n_b`` (mode-A major): mode-A operators are
+``kron(op, eye(d))`` and mode-B operators ``kron(eye(d), op)``. Other modules
+read the basis occupations and the fixed operators from
+``FockCutoff.of(d).ops``, built once per d and read-only (TwoModeOps).
 
 Truncation necessarily breaks the ladder algebra at the top level, so
 commutation identities are asserted on the interior levels (every mode
@@ -16,9 +17,10 @@ physical parameters (displaced operators, supermodes) are built in model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,21 +51,61 @@ class FockCutoff:
         """Two-mode Hilbert-space dimension d**2."""
         return self.d * self.d
 
+    @property
+    def ops(self) -> "TwoModeOps":
+        """The fixed two-mode operators of this cutoff, shared and read-only."""
+        return _two_mode_ops(self.d)
 
-class Mode(Enum):
-    A = 0
-    B = 1
+
+class TwoModeOps(NamedTuple):
+    """Operators and basis occupations that depend on the cutoff only.
+
+    Built once per d and shared by every caller, so every array is read-only;
+    occ_a[i] and occ_b[i] are the mode occupations of basis index i.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    a_dag: np.ndarray
+    b_dag: np.ndarray
+    num_a: np.ndarray
+    num_b: np.ndarray
+    hop: np.ndarray  # a_dag b + b_dag a
+    eye: np.ndarray
+    occ_a: np.ndarray
+    occ_b: np.ndarray
+
+
+@functools.cache
+def _two_mode_ops(d: int) -> TwoModeOps:
+    eye_d = np.eye(d, dtype=complex)
+    single = annihilation(d)
+    number = np.diag(np.arange(d, dtype=float)).astype(complex)
+    a = np.kron(single, eye_d)
+    b = np.kron(eye_d, single)
+    a_dag, b_dag = dagger(a), dagger(b)
+    occ_a, occ_b = np.divmod(np.arange(d * d), d)
+    ops = TwoModeOps(
+        a=a,
+        b=b,
+        a_dag=a_dag,
+        b_dag=b_dag,
+        num_a=np.kron(number, eye_d),
+        num_b=np.kron(eye_d, number),
+        hop=a_dag @ b + b_dag @ a,
+        eye=np.eye(d * d, dtype=complex),
+        occ_a=occ_a,
+        occ_b=occ_b,
+    )
+    for array in ops:
+        array.flags.writeable = False
+    return ops
 
 
 def annihilation(cutoff: FockCutoff | int) -> np.ndarray:
     """Single-mode ladder operator: entry (k, k+1) = sqrt(k+1)."""
     d = FockCutoff.of(cutoff).d
     return np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1).astype(complex)
-
-
-def number_op(cutoff: FockCutoff | int) -> np.ndarray:
-    d = FockCutoff.of(cutoff).d
-    return np.diag(np.arange(d, dtype=float)).astype(complex)
 
 
 def dagger(op: np.ndarray) -> np.ndarray:
@@ -73,26 +115,6 @@ def dagger(op: np.ndarray) -> np.ndarray:
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
-
-
-def embed(op: np.ndarray, mode: Mode, cutoff: FockCutoff | int) -> np.ndarray:
-    """Embed a single-mode operator into the two-mode space."""
-    d = FockCutoff.of(cutoff).d
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (d, d):
-        raise ValueError(f"operator shape {op.shape} does not match cutoff d={d}")
-    eye = np.eye(d, dtype=complex)
-    if mode is Mode.A:
-        return np.kron(op, eye)
-    return np.kron(eye, op)
-
-
-def mode_annihilation(mode: Mode, cutoff: FockCutoff | int) -> np.ndarray:
-    return embed(annihilation(cutoff), mode, cutoff)
-
-
-def two_mode_identity(cutoff: FockCutoff | int) -> np.ndarray:
-    return np.eye(FockCutoff.of(cutoff).dim, dtype=complex)
 
 
 def fock_index(cutoff: FockCutoff | int, n_a: int, n_b: int) -> int:
@@ -111,27 +133,20 @@ def basis_state(cutoff: FockCutoff | int, n_a: int, n_b: int) -> np.ndarray:
 
 def interior_indices(cutoff: FockCutoff | int, margin: int = 1) -> np.ndarray:
     """Basis indices with both occupations <= d - 1 - margin."""
-    d = FockCutoff.of(cutoff).d
-    keep = np.arange(d - margin)
-    return (keep[:, None] * d + keep[None, :]).ravel()
+    cut = FockCutoff.of(cutoff)
+    return np.flatnonzero(np.maximum(cut.ops.occ_a, cut.ops.occ_b) < cut.d - margin)
 
 
 def shuffle_operator(cutoff: FockCutoff | int) -> np.ndarray:
     """Perfect-shuffle permutation exchanging the two tensor factors."""
     cut = FockCutoff.of(cutoff)
-    d = cut.d
-    shuffle = np.zeros((cut.dim, cut.dim), dtype=complex)
-    for n_a in range(d):
-        for n_b in range(d):
-            shuffle[n_b * d + n_a, n_a * d + n_b] = 1.0
-    return shuffle
+    return cut.ops.eye[cut.ops.occ_b * cut.d + cut.ops.occ_a]
 
 
 def total_photon_parity(cutoff: FockCutoff | int) -> np.ndarray:
     """Diagonal phase exp(i*pi*(n_a + n_b)), exact +-1 entries."""
-    d = FockCutoff.of(cutoff).d
-    n_tot = np.arange(d)[:, None] + np.arange(d)[None, :]
-    return np.diag(np.where(n_tot.ravel() % 2 == 0, 1.0, -1.0)).astype(complex)
+    ops = FockCutoff.of(cutoff).ops
+    return np.diag((-1.0) ** (ops.occ_a + ops.occ_b)).astype(complex)
 
 
 def parity_pt_operator(cutoff: FockCutoff | int) -> np.ndarray:

@@ -37,7 +37,7 @@ from . import fockspace as fs
 from . import model as md
 from . import spectral as sp
 from .errors import InvalidDensityMatrixError, SpectrumWitnessError
-from .fockspace import FockCutoff, Mode
+from .fockspace import FockCutoff
 
 if TYPE_CHECKING:  # scipy.sparse is imported where it is used, not at import time
     import scipy.sparse
@@ -89,7 +89,7 @@ def build_liouvillian(params: md.SystemParams, cutoff: FockCutoff | int) -> Supe
     x rho is (1 kron x) vec(rho) and rho x is (x^T kron 1) vec(rho).
     """
     cut = FockCutoff.of(cutoff)
-    eye = np.eye(cut.dim, dtype=complex)
+    eye = cut.ops.eye
     h = md.build_hamiltonian(params, cut)
     gen = -1j * (_kron(eye, h) - _kron(h.T, eye))
     for c in md.build_collapse_ops(params, cut):
@@ -107,7 +107,7 @@ def build_liouvillian_from_hnh(
     agree elementwise with build_liouvillian.
     """
     cut = FockCutoff.of(cutoff)
-    eye = np.eye(cut.dim, dtype=complex)
+    eye = cut.ops.eye
     h_nh = md.build_h_nh(params, cut)
     gen = -1j * (_kron(eye, h_nh) - _kron(fs.dagger(h_nh).T, eye))
     for c in md.build_collapse_ops(params, cut):
@@ -176,8 +176,7 @@ def moment_rhs_check(
     cut = FockCutoff.of(cutoff)
     rho = validate_density_matrix(rho)
     gen = liouvillian if liouvillian is not None else build_liouvillian(params, cut)
-    a = fs.mode_annihilation(Mode.A, cut)
-    b = fs.mode_annihilation(Mode.B, cut)
+    a, b = cut.ops.a, cut.ops.b
     rho_dot = gen.apply(rho)
     lhs = np.array([np.trace(a @ rho_dot), np.trace(b @ rho_dot)])
     mean_a = np.trace(a @ rho)
@@ -237,8 +236,8 @@ def sector_labels(cutoff: FockCutoff | int) -> np.ndarray:
     Position i + dim * j holds rho[i, j]; N is the total photon number
     n_a + n_b of a two-mode basis state.
     """
-    d = FockCutoff.of(cutoff).d
-    n_total = np.add.outer(np.arange(d), np.arange(d)).ravel()
+    ops = FockCutoff.of(cutoff).ops
+    n_total = ops.occ_a + ops.occ_b
     return np.subtract.outer(n_total, n_total).ravel(order="F")
 
 
@@ -272,13 +271,13 @@ def witness_peak_bytes(cutoff: FockCutoff | int) -> float:
     It counts what grows with d, not the interpreter and its libraries. The
     driven generator with gain channels stores d^2 (17 d^2 - 24 d + 8)
     entries (exact for d >= 2; drive-free and n_th = 0 generators store
-    fewer), 20 bytes each in CSR, and a liouvillian-check run holds up to
-    _GENERATOR_COPIES of them at once: two driven assemblies, the drive-free
-    generator and the temporaries of its assembly. The largest solved block
-    is k = 0, with n = d (2 d^2 + 1) / 3 positions; its sparse LU held at
-    most n^1.75 entries, 20 bytes each, at every d measured (4 to 24). Against
-    the peak resident growth of liouvillian-check runs at n_th = 0.2 (d = 16,
-    20, 24: 95, 219 and 476 MB) the estimate is 30-50 % high.
+    fewer), 20 bytes each in CSR. It counts _GENERATOR_COPIES of them (two
+    driven assemblies, the drive-free generator and its assembly temporaries),
+    an upper bound, as liouvillian-check releases the driven pair before the
+    witness. The largest solved block is k = 0, with n = d (2 d^2 + 1) / 3
+    positions; its sparse LU held at most n^1.75 entries, 20 bytes each, at
+    every d measured (4 to 24). Against the peak resident growth of runs that
+    held all three (n_th = 0.2; d = 16, 20, 24: 95, 219, 476 MB) it is 30-50 % high.
     """
     d = FockCutoff.of(cutoff).d
     generator = d * d * (17 * d * d - 24 * d + 8)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import fockspace as fs
 from .errors import ChiPoleError, EPDegenerateError
-from .fockspace import FockCutoff, Mode
+from .fockspace import FockCutoff
 
 # Supermode excitation labels (N_e, N_f) of the four tracked eigenstates.
 TRACKED_STATES: tuple[tuple[int, int], ...] = ((1, 0), (0, 1), (2, 0), (0, 2))
@@ -128,7 +128,8 @@ def derive(params: SystemParams) -> DerivedParams:
     xi_p = g * g + gamma_a_p * gamma_b_p
     if xi_p == 0.0:
         raise ChiPoleError("pole of chi: g^2 + gamma^2 - kappa^2 = 0")
-    eps2 = params.eps * params.eps
+    # (2 eps) eps, the closed forms' order: 2 (eps eps) differs where eps^2 is subnormal
+    two_eps2 = 2.0 * params.eps * params.eps
     chi_t = 1j * (params.n_th * (params.gamma_a + params.gamma_b))
     return DerivedParams(
         gamma_a_p=gamma_a_p,
@@ -138,8 +139,8 @@ def derive(params: SystemParams) -> DerivedParams:
         xi_p=xi_p,
         omega_p=_branch_sqrt(g * g - kappa_p * kappa_p),
         chi_t=chi_t,
-        chi_p=chi_t + 1j * (2.0 * eps2 * gamma_p / xi_p),
-        chi_p_full=chi_t + 2.0 * eps2 * (g + 1j * gamma_p) / xi_p,
+        chi_p=chi_t + 1j * (two_eps2 * gamma_p / xi_p),
+        chi_p_full=chi_t + two_eps2 * (g + 1j * gamma_p) / xi_p,
     )
 
 
@@ -175,17 +176,14 @@ def displaced_ops(params: SystemParams, cutoff: FockCutoff | int) -> DisplacedOp
     c = a + eps*alpha, c+ = a_dag - eps*alpha, d = b + eps*delta,
     d+ = b_dag - eps*delta. Note c+ is not the conjugate transpose of c.
     """
-    cut = FockCutoff.of(cutoff)
+    fock = FockCutoff.of(cutoff).ops
     alpha, delta = displacement_constants(params)
     eps = params.eps
-    eye = fs.two_mode_identity(cut)
-    a = fs.mode_annihilation(Mode.A, cut)
-    b = fs.mode_annihilation(Mode.B, cut)
     return DisplacedOps(
-        c=a + eps * alpha * eye,
-        c_plus=fs.dagger(a) + eps * (-alpha) * eye,
-        d_op=b + eps * delta * eye,
-        d_plus=fs.dagger(b) + eps * (-delta) * eye,
+        c=fock.a + eps * alpha * fock.eye,
+        c_plus=fock.a_dag + eps * (-alpha) * fock.eye,
+        d_op=fock.b + eps * delta * fock.eye,
+        d_plus=fock.b_dag + eps * (-delta) * fock.eye,
     )
 
 
@@ -254,14 +252,11 @@ def supermode_state(
 
 def build_hamiltonian(params: SystemParams, cutoff: FockCutoff | int) -> np.ndarray:
     """Hermitian part: g(a_dag b + b_dag a) + i*eps*(a - a_dag) + i*eps*(b - b_dag)."""
-    cut = FockCutoff.of(cutoff)
-    a = fs.mode_annihilation(Mode.A, cut)
-    b = fs.mode_annihilation(Mode.B, cut)
-    ad, bd = fs.dagger(a), fs.dagger(b)
+    fock = FockCutoff.of(cutoff).ops
     return (
-        params.g * (ad @ b + bd @ a)
-        + 1j * params.eps * (a - ad)
-        + 1j * params.eps * (b - bd)
+        params.g * fock.hop
+        + 1j * params.eps * (fock.a - fock.a_dag)
+        + 1j * params.eps * (fock.b - fock.b_dag)
     )
 
 
@@ -269,17 +264,15 @@ def build_collapse_ops(
     params: SystemParams, cutoff: FockCutoff | int
 ) -> list[np.ndarray]:
     """Collapse operators: two loss channels, plus two gain channels if n_th > 0."""
-    cut = FockCutoff.of(cutoff)
-    a = fs.mode_annihilation(Mode.A, cut)
-    b = fs.mode_annihilation(Mode.B, cut)
+    fock = FockCutoff.of(cutoff).ops
     ga, gb, n = params.gamma_a, params.gamma_b, params.n_th
     if n == 0.0:
-        return [math.sqrt(2.0 * ga) * a, math.sqrt(2.0 * gb) * b]
+        return [math.sqrt(2.0 * ga) * fock.a, math.sqrt(2.0 * gb) * fock.b]
     return [
-        math.sqrt(2.0 * ga * (n + 1.0)) * a,
-        math.sqrt(2.0 * ga * n) * fs.dagger(a),
-        math.sqrt(2.0 * gb * (n + 1.0)) * b,
-        math.sqrt(2.0 * gb * n) * fs.dagger(b),
+        math.sqrt(2.0 * ga * (n + 1.0)) * fock.a,
+        math.sqrt(2.0 * ga * n) * fock.a_dag,
+        math.sqrt(2.0 * gb * (n + 1.0)) * fock.b,
+        math.sqrt(2.0 * gb * n) * fock.b_dag,
     ]
 
 
@@ -298,15 +291,13 @@ def build_h_nh_direct(params: SystemParams, cutoff: FockCutoff | int) -> np.ndar
     for n_th > 0 (truncation leaves an a a_dag ordering defect at the top
     level only).
     """
-    cut = FockCutoff.of(cutoff)
+    fock = FockCutoff.of(cutoff).ops
     der = derive(params)
-    num_a = fs.embed(fs.number_op(cut), Mode.A, cut)
-    num_b = fs.embed(fs.number_op(cut), Mode.B, cut)
     return (
-        build_hamiltonian(params, cut)
-        - 1j * der.gamma_a_p * num_a
-        - 1j * der.gamma_b_p * num_b
-        - der.chi_t * fs.two_mode_identity(cut)
+        build_hamiltonian(params, cutoff)
+        - 1j * der.gamma_a_p * fock.num_a
+        - 1j * der.gamma_b_p * fock.num_b
+        - der.chi_t * fock.eye
     )
 
 
@@ -331,9 +322,8 @@ def build_h_pt_split(
     reconstructs the normal-ordered non-Hermitian Hamiltonian exactly (full
     complex chi), and the two parts commute on the interior projector.
     """
-    cut = FockCutoff.of(cutoff)
     der = derive(params)
-    ops = displaced_ops(params, cut)
+    ops = displaced_ops(params, cutoff)
     cpc = ops.c_plus @ ops.c
     dpd = ops.d_plus @ ops.d_op
     h_pt = (
@@ -341,7 +331,7 @@ def build_h_pt_split(
         - 1j * der.kappa_p * cpc
         + 1j * der.kappa_p * dpd
     )
-    eye = fs.two_mode_identity(cut)
+    eye = FockCutoff.of(cutoff).ops.eye
     h_decay = -1j * der.gamma_p * (cpc + dpd) - der.chi_p_full * eye
     return h_pt, h_decay
 
@@ -381,15 +371,11 @@ def lep_coupling(kappa: float) -> float:
 
 def block_indices(n_total: int, cutoff: FockCutoff | int) -> np.ndarray:
     """Two-mode basis indices with n_a + n_b = n_total."""
-    d = FockCutoff.of(cutoff).d
-    idx = [
-        n_a * d + (n_total - n_a)
-        for n_a in range(d)
-        if 0 <= n_total - n_a < d
-    ]
-    if not idx:
-        raise ValueError(f"excitation number {n_total} empty at cutoff d={d}")
-    return np.array(idx, dtype=int)
+    cut = FockCutoff.of(cutoff)
+    idx = np.flatnonzero(cut.ops.occ_a + cut.ops.occ_b == n_total)
+    if not idx.size:
+        raise ValueError(f"excitation number {n_total} empty at cutoff d={cut.d}")
+    return idx
 
 
 def excitation_block(
@@ -458,7 +444,7 @@ def pt_coefficient_tableau(
         "d+d": ops.d_plus @ ops.d_op,
         "c+d": ops.c_plus @ ops.d_op,
         "d+c": ops.d_plus @ ops.c,
-        "I": fs.two_mode_identity(cut),
+        "I": cut.ops.eye,
     }
     h_pt, _ = build_h_pt_split(params, cut)
     names = list(basis)

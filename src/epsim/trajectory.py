@@ -170,12 +170,11 @@ def _top_level_masks(params: md.SystemParams, cut: FockCutoff) -> np.ndarray:
     Channel order matches build_collapse_ops: thermal gain channels (the
     creation-type jumps) sit at indices 1 and 3; loss channels guard nothing.
     """
-    n_a = np.arange(cut.dim) // cut.d
-    n_b = np.arange(cut.dim) % cut.d
+    top = cut.d - 1
     none = np.zeros(cut.dim, dtype=bool)
     if params.n_th == 0.0:
         return np.array([none, none], dtype=float)
-    return np.array([none, n_a == cut.d - 1, none, n_b == cut.d - 1], dtype=float)
+    return np.array([none, cut.ops.occ_a == top, none, cut.ops.occ_b == top], dtype=float)
 
 
 def _populations(states: np.ndarray) -> np.ndarray:

@@ -5,18 +5,18 @@ from hypothesis import strategies as st
 
 from conftest import valid_params
 from epsim import fockspace as fs
+from epsim import liouvillian as lv
 from epsim import model as md
 from epsim.errors import EPDegenerateError
-from epsim.fockspace import FockCutoff, Mode
+from epsim.fockspace import FockCutoff
 
 
 def test_cutoff_validation():
     assert FockCutoff(2).dim == 4
     assert FockCutoff.of(5).d == 5
-    with pytest.raises(ValueError):
-        FockCutoff(1)
-    with pytest.raises(ValueError):
-        FockCutoff(2.5)
+    for bad in (1, 2.5, True):
+        with pytest.raises(ValueError):
+            FockCutoff(bad)
 
 
 class TestLadder:
@@ -44,35 +44,68 @@ class TestLadder:
 
 
 class TestEmbed:
+    """The cached mode operators are single-mode operators embedded by kron."""
+
     def test_embedded_annihilation_action(self):
-        a_full = fs.mode_annihilation(Mode.A, 2)
-        out = a_full @ fs.basis_state(2, 1, 0)
+        out = FockCutoff(2).ops.a @ fs.basis_state(2, 1, 0)
         np.testing.assert_allclose(out, fs.basis_state(2, 0, 0), atol=1e-15)
 
     def test_modes_commute(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        xa = fs.embed(x, Mode.A, 3)
-        yb = fs.embed(y, Mode.B, 3)
-        np.testing.assert_allclose(xa @ yb, yb @ xa, atol=1e-13)
+        ops = FockCutoff(3).ops
+        for x in (ops.a, ops.a_dag, ops.num_a):
+            for y in (ops.b, ops.b_dag, ops.num_b):
+                np.testing.assert_array_equal(x @ y, y @ x)
 
     def test_number_operator_diagonal_mode_a_major(self):
         # Kronecker product by hand: mode-A-major ordering.
-        diag = np.diag(fs.embed(fs.number_op(3), Mode.A, 3)).real
+        diag = np.diag(FockCutoff(3).ops.num_a).real
         np.testing.assert_array_equal(diag, [0, 0, 0, 1, 1, 1, 2, 2, 2])
 
-    def test_embed_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            fs.embed(np.eye(3), Mode.A, 4)
 
-    @given(d=st.integers(min_value=2, max_value=4), seed=st.integers(0, 10**6))
-    def test_embed_preserves_spectrum_with_multiplicity(self, d, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        base = np.sort_complex(np.linalg.eigvals(x))
-        embedded = np.sort_complex(np.linalg.eigvals(fs.embed(x, Mode.B, d)))
-        np.testing.assert_allclose(embedded, np.repeat(base, d), atol=1e-10)
+class TestTwoModeOps:
+    def test_occupations_mode_a_major(self):
+        ops = FockCutoff(3).ops
+        np.testing.assert_array_equal(ops.occ_a, [0, 0, 0, 1, 1, 1, 2, 2, 2])
+        np.testing.assert_array_equal(ops.occ_b, [0, 1, 2, 0, 1, 2, 0, 1, 2])
+
+    def test_total_photon_parity(self):
+        signs = [1, -1, 1, -1, 1, -1, 1, -1, 1]
+        np.testing.assert_array_equal(fs.total_photon_parity(3), np.diag(signs))
+
+    def test_cached_arrays_are_read_only(self):
+        for array in FockCutoff(3).ops:
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_one_operator_set_per_cutoff(self):
+        first, second = FockCutoff(3).ops, FockCutoff.of(3).ops
+        assert all(x is y for x, y in zip(first, second))
+        assert FockCutoff(4).ops.a.shape == (16, 16)
+
+    @pytest.mark.parametrize("eps, n_th", [(0.0, 0.2), (1.0, 0.0)])
+    def test_builders_return_fresh_writeable_arrays(self, eps, n_th):
+        p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=eps, n_th=n_th)
+        rho = np.zeros((9, 9), dtype=complex)
+        rho[0, 0] = 1.0
+        outputs = [
+            md.build_hamiltonian(p, 3),
+            *md.build_collapse_ops(p, 3),
+            md.build_h_nh(p, 3),
+            md.build_h_nh_direct(p, 3),
+            md.build_drift_h(p, 3),
+            *md.displaced_ops(p, 3),
+            *md.build_h_pt_split(p, 3),
+            md.block_indices(1, 3),
+            lv.build_liouvillian(p, 3).csr.data,
+            lv.build_liouvillian_from_hnh(p, 3).csr.data,
+            lv.moment_rhs_check(p, 3, rho).lhs,
+            lv.sector_labels(3),
+            fs.interior_indices(3),
+            fs.parity_pt_operator(3),
+        ]
+        for out in outputs:
+            assert out.flags.writeable
+            assert not any(np.shares_memory(out, cached) for cached in FockCutoff(3).ops)
 
 
 class TestDisplacedOps:
@@ -83,15 +116,14 @@ class TestDisplacedOps:
         assert delta == pytest.approx((2.5 - 1j) / 4.75)
         # the "+" partners shift by beta = -alpha and theta = -delta
         ops = md.displaced_ops(std_params, 2)
-        a = fs.mode_annihilation(Mode.A, 2)
-        b = fs.mode_annihilation(Mode.B, 2)
-        np.testing.assert_array_equal(ops.c_plus - fs.dagger(a), -alpha * np.eye(4))
-        np.testing.assert_array_equal(ops.d_plus - fs.dagger(b), -delta * np.eye(4))
+        fock = FockCutoff(2).ops
+        np.testing.assert_array_equal(ops.c_plus - fock.a_dag, -alpha * np.eye(4))
+        np.testing.assert_array_equal(ops.d_plus - fock.b_dag, -delta * np.eye(4))
 
     def test_zero_drive_reduces_to_bare_operators(self, std_params):
         ops = md.displaced_ops(std_params.with_(eps=0.0), 4)
-        np.testing.assert_array_equal(ops.c, fs.mode_annihilation(Mode.A, 4))
-        np.testing.assert_array_equal(ops.d_op, fs.mode_annihilation(Mode.B, 4))
+        np.testing.assert_array_equal(ops.c, FockCutoff(4).ops.a)
+        np.testing.assert_array_equal(ops.d_op, FockCutoff(4).ops.b)
 
     @given(params=valid_params())
     def test_interior_commutation_relations(self, params):

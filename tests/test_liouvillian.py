@@ -12,7 +12,7 @@ from epsim import liouvillian as lv
 from epsim import model as md
 from epsim import spectral as sp
 from epsim.errors import InvalidDensityMatrixError, SpectrumWitnessError
-from epsim.fockspace import Mode
+from epsim.fockspace import FockCutoff
 
 
 class TestVectorization:
@@ -161,8 +161,8 @@ class TestSectors:
 
     def test_labels_follow_column_stacking(self):
         labels = lv.unvec(lv.sector_labels(3).astype(complex)).real
-        n_op = fs.number_op(3)
-        n_total = np.diag(fs.embed(n_op, Mode.A, 3) + fs.embed(n_op, Mode.B, 3)).real
+        ops = FockCutoff(3).ops
+        n_total = np.diag(ops.num_a + ops.num_b).real
         np.testing.assert_array_equal(labels, n_total[:, None] - n_total[None, :])
 
     @pytest.mark.parametrize("n_th", [0.0, 0.2])
@@ -216,7 +216,7 @@ class TestMomentCheck:
         phi = np.sqrt(0.9) * fs.basis_state(4, 0, 0) + np.sqrt(0.1) * fs.basis_state(4, 1, 0)
         rho = np.outer(phi, phi.conj())
         chk = lv.moment_rhs_check(std_params, 4, rho)
-        assert np.trace(fs.mode_annihilation(Mode.A, 4) @ rho) == pytest.approx(0.3)
+        assert np.trace(FockCutoff(4).ops.a @ rho) == pytest.approx(0.3)
         assert chk.lhs[0] == pytest.approx(
             -std_params.gamma_a * 0.3 - std_params.eps, abs=1e-12
         )

@@ -9,7 +9,7 @@ from conftest import assert_multiset_close, valid_params
 from epsim import fockspace as fs
 from epsim import model as md
 from epsim import spectral as sp
-from epsim.fockspace import FockCutoff, Mode
+from epsim.fockspace import FockCutoff
 
 
 class TestParams:
@@ -102,13 +102,13 @@ class TestCollapseOps:
     def test_optical_prefactor(self):
         p = md.SystemParams(g=1.0, gamma_a=2.0, gamma_b=0.5)
         c1, _ = md.build_collapse_ops(p, 3)
-        np.testing.assert_allclose(c1, 2.0 * fs.mode_annihilation(Mode.A, 3))
+        np.testing.assert_allclose(c1, 2.0 * FockCutoff(3).ops.a)
 
     def test_thermal_prefactor(self):
         p = md.SystemParams(g=1.0, gamma_a=1.0, gamma_b=1.0, n_th=0.5)
         ops = md.build_collapse_ops(p, 3)
         # gain channel sqrt(2 * gamma_a * n) = 1
-        np.testing.assert_allclose(ops[1], fs.dagger(fs.mode_annihilation(Mode.A, 3)))
+        np.testing.assert_allclose(ops[1], fs.dagger(FockCutoff(3).ops.a))
 
     @given(params=valid_params())
     def test_channel_counts(self, params):
@@ -156,8 +156,7 @@ class TestSplit:
     def test_undriven_balanced_forms(self):
         p = md.SystemParams(g=1.3, gamma_a=2.0, gamma_b=2.0, eps=0.0)
         h_pt, h_0 = md.build_h_pt_split(p, 3)
-        a = fs.mode_annihilation(Mode.A, 3)
-        b = fs.mode_annihilation(Mode.B, 3)
+        a, b = FockCutoff(3).ops.a, FockCutoff(3).ops.b
         np.testing.assert_allclose(
             h_pt, 1.3 * (fs.dagger(a) @ b + fs.dagger(b) @ a), atol=1e-14
         )
