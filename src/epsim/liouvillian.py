@@ -3,21 +3,26 @@
 Vectorization is column-stacking throughout: vec(rho) stacks columns
 (Fortran-order ravel), so vec(A rho B) = (B^T kron A) vec(rho).
 
-Generators are assembled sparse: every term is a scipy.sparse.kron of
-Hilbert-space operators, summed in CSR form (about 1 % of the entries are
-nonzero at d = 6). Superoperator.matrix gives the dense form on request.
+Generators are assembled sparse: every term is a Kronecker product of
+Hilbert-space operators (_kron, stored entry for entry as scipy.sparse.kron
+stores it), summed in CSR form (about 1 % of the entries are nonzero at
+d = 6). Superoperator.matrix gives the dense form on request.
 
 With the drive removed, every term of the generator conserves
 k = N_ket - N_bra, the total photon number on the ket side of rho minus that
 on the bra side, for every thermal occupation (a U(1) symmetry of the
 superoperator). The drive-free generator is therefore block-diagonal in k.
-The spectrum check solves only the three sectors that hold what it
-measures: k = +1 and k = -1 (the first moments <a>, <b> and their
-conjugates, with the pair -gamma +- i*Omega) and k = 0 (the steady state),
-by shift-invert sparse eigensolves near the targets (spectral.eigs_near),
-140-146 positions each at d = 6 and about 2 d^3 / 3 in general. No dense
-eigensolve of a sector is left, and the cutoff is limited only by a memory
-estimate (witness_peak_bytes against WITNESS_MEMORY_BUDGET, d <= 26).
+The spectrum check needs three sectors: k = +1 and k = -1 (the first
+moments <a>, <b> and their conjugates, with the pair -gamma +- i*Omega) and
+k = 0 (the steady state). It solves two, k = +1 and k = 0, by shift-invert
+sparse eigensolves near the targets (spectral.eigs_near), 140-146 positions
+each at d = 6 and about 2 d^3 / 3 in general. A Lindblad generator preserves
+Hermiticity, so rho -> rho^dagger maps sector k onto sector -k and the
+k = -1 block is exactly the complex conjugate of the k = +1 block, its
+positions mirrored (sector_mirror): the k = -1 eigenpairs are the mirrored
+conjugates of the k = +1 ones. No dense eigensolve of a sector is left, and
+the cutoff is limited only by a memory estimate (witness_peak_bytes against
+WITNESS_MEMORY_BUDGET, d <= 27).
 
 The first-moment dynamical matrix M = [[-i*ga, g], [g, -i*gb]] generates
 d/dt [<a>, <b>] = -i M v - eps; its degeneracy at g = kappa defines
@@ -44,7 +49,7 @@ if TYPE_CHECKING:  # scipy.sparse is imported where it is used, not at import ti
 
 WITNESS_MEMORY_BUDGET = 2**30  # bytes a spectrum check may need (witness_peak_bytes)
 WITNESS_SHIFT = 0.1  # shift-invert offset right of -gamma and of 0, in units of gamma + g
-_GENERATOR_COPIES = 5  # generators a liouvillian-check run holds at once (witness_peak_bytes)
+_GENERATOR_COPIES = 4  # generator sizes a liouvillian-check run holds at once (witness_peak_bytes)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -76,11 +81,47 @@ class Superoperator:
         return unvec(self.csr @ vec(rho))
 
 
+def _packed(z: np.ndarray, index_dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of a dense square matrix packed left, row by row.
+
+    Returns the values, columns and occupied-slot mask on a (rows, largest
+    row count) grid, column order kept within each row, and the row counts.
+    """
+    rows, cols = np.nonzero(z)
+    count = np.bincount(rows, minlength=len(z))
+    slot = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
+    values = np.zeros((len(z), count.max(initial=0)), dtype=z.dtype)
+    columns = np.zeros(values.shape, dtype=index_dtype)
+    filled = np.zeros(values.shape, dtype=bool)
+    values[rows, slot] = z[rows, cols]
+    columns[rows, slot] = cols
+    filled[rows, slot] = True
+    return values, columns, filled, count
+
+
 def _kron(x: np.ndarray, y: np.ndarray) -> scipy.sparse.csr_array:
-    """x kron y in CSR form."""
+    """x kron y in CSR form, stored as scipy.sparse.kron(csr_array(x), csr_array(y)).
+
+    Row i * m + j (m = len(y)) holds x[i, k] * y[j, l] for the nonzero
+    x[i, k] and y[j, l], k then l ascending, products that underflow to 0
+    included: the broadcast product of the two packed grids, masked to the
+    occupied slots, is that row-major order. Index dtype int32 whenever it
+    holds every index, as scipy's.
+    """
     import scipy.sparse as sps
 
-    return sps.kron(sps.csr_array(x), sps.csr_array(y), format="csr")
+    m = len(y)
+    shape = (x.shape[0] * m, x.shape[1] * y.shape[1])
+    size = max(np.count_nonzero(x) * np.count_nonzero(y), *shape)
+    index_dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    x_values, x_cols, x_filled, x_count = _packed(x, index_dtype)
+    y_values, y_cols, y_filled, y_count = _packed(y, index_dtype)
+    filled = x_filled[:, None, :, None] & y_filled[None, :, None, :]
+    data = (x_values[:, None, :, None] * y_values[None, :, None, :])[filled]
+    indices = (x_cols[:, None, :, None] * m + y_cols[None, :, None, :])[filled]
+    indptr = np.zeros(shape[0] + 1, dtype=index_dtype)
+    np.cumsum(np.multiply.outer(x_count, y_count), out=indptr[1:])
+    return sps.csr_array((data, indices, indptr), shape=shape)
 
 
 def build_liouvillian(params: md.SystemParams, cutoff: FockCutoff | int) -> Superoperator:
@@ -241,6 +282,23 @@ def sector_labels(cutoff: FockCutoff | int) -> np.ndarray:
     return np.subtract.outer(n_total, n_total).ravel(order="F")
 
 
+def sector_mirror(cutoff: FockCutoff | int, k: int) -> np.ndarray:
+    """Where rho -> rho^dagger takes each vec(rho) position of sector k, within sector -k.
+
+    rho[i, j] (position i + dim * j, sector k) goes to rho[j, i] (position
+    j + dim * i, sector -k). Entry s is that position's index among the
+    positions of sector -k, both in ascending order. A generator that
+    preserves Hermiticity commutes with rho -> rho^dagger, so its block on
+    sector -k is the complex conjugate of its block on sector k with rows
+    and columns moved by this map: an eigenpair (lam, v) of the sector-k
+    block gives the pair (conj(lam), w) of sector -k with w[perm] = conj(v).
+    """
+    cut = FockCutoff.of(cutoff)
+    labels = sector_labels(cut)
+    transposed = np.arange(labels.size).reshape(cut.dim, cut.dim).ravel(order="F")
+    return np.searchsorted(np.flatnonzero(labels == -k), transposed[labels == k])
+
+
 def sector_block(gen: Superoperator, k: int) -> scipy.sparse.csc_array:
     """The block of a generator on the vec(rho) positions of sector k, in CSC form.
 
@@ -271,13 +329,15 @@ def witness_peak_bytes(cutoff: FockCutoff | int) -> float:
     It counts what grows with d, not the interpreter and its libraries. The
     driven generator with gain channels stores d^2 (17 d^2 - 24 d + 8)
     entries (exact for d >= 2; drive-free and n_th = 0 generators store
-    fewer), 20 bytes each in CSR. It counts _GENERATOR_COPIES of them (two
-    driven assemblies, the drive-free generator and its assembly temporaries),
-    an upper bound, as liouvillian-check releases the driven pair before the
-    witness. The largest solved block is k = 0, with n = d (2 d^2 + 1) / 3
-    positions; its sparse LU held at most n^1.75 entries, 20 bytes each, at
-    every d measured (4 to 24). Against the peak resident growth of runs that
-    held all three (n_th = 0.2; d = 16, 20, 24: 95, 219, 476 MB) it is 30-50 % high.
+    fewer), 20 bytes each in CSR. It counts _GENERATOR_COPIES of them: a
+    liouvillian-check run peaks while it assembles the second driven
+    generator, holding the first, the partial sum and the sum being formed.
+    The largest solved block is k = 0, with n = d (2 d^2 + 1) / 3 positions;
+    its sparse LU held at most n^1.75 entries, 20 bytes each, at every d
+    measured (4 to 24). The run releases the driven pair before the LU, so
+    adding both is an upper bound. Against the peak resident growth over a
+    d = 3 run (n_th = 0.2; d = 16, 20, 24: 85, 202, 398 MiB) it is 15, 27
+    and 44 % high.
     """
     d = FockCutoff.of(cutoff).d
     generator = d * d * (17 * d * d - 24 * d + 8)
@@ -306,9 +366,12 @@ def liouvillian_spectrum_check(
     test suite verifies this numerically at small drive). Without the drive
     the generator is block-diagonal in k = N_ket - N_bra. The targets
     -gamma +- i*Omega and the eigenvalue group nearest -gamma live in the
-    sectors k = +1 and k = -1, the zero mode in k = 0; only those three
-    blocks are solved (sector_block, sp.eigs_near), each settling the
-    eigenvalues nearest its targets. The shifts sit WITNESS_SHIFT *
+    sectors k = +1 and k = -1, the zero mode in k = 0. Two blocks are
+    solved (sector_block, sp.eigs_near), k = +1 and k = 0, each settling the
+    eigenvalues nearest its targets; the k = -1 eigenpairs are the exact
+    mirror of the k = +1 ones (sector_mirror): conjugate eigenvalues, with
+    residuals equal and settled alike, as the real shift and the target set
+    are their own conjugates. The shifts sit WITNESS_SHIFT *
     (gamma + g) to the right of -gamma and of 0, never on a target: at the
     n_th = 0 EP, -gamma is itself a defective eigenvalue, and 0 is always
     an eigenvalue. Eigenvectors of different sectors are orthogonal, so
@@ -335,14 +398,12 @@ def liouvillian_spectrum_check(
     targets = np.array([anchor + 1j * der.omega_p, anchor - 1j * der.omega_p])
     shift = WITNESS_SHIFT * (der.gamma_p + params.g)
     eps_cluster = sp.CLUSTER_EPS_SCALE * float(np.linalg.norm(gen.csr.data))
-    moments = [
-        sp.eigs_near(sector_block(gen, k), anchor + shift, [*targets, anchor], 4, eps_cluster)
-        for k in (1, -1)
-    ]
+    plus = sp.eigs_near(sector_block(gen, 1), anchor + shift, [*targets, anchor], 4, eps_cluster)
     steady = sp.eigs_near(sector_block(gen, 0), shift, [0.0], 2)
 
-    values = np.concatenate([spectrum.eigenvalues for spectrum in moments])
-    sectors = np.repeat([1, -1], [len(spectrum.eigenvalues) for spectrum in moments])
+    # k = -1 mirrors k = +1 exactly (sector_mirror): conjugate eigenvalues
+    values = np.concatenate([plus.eigenvalues, plus.eigenvalues.conj()])
+    sectors = np.repeat([1, -1], plus.eigenvalues.size)
     dists = np.abs(values[None, :] - targets[:, None])
     nearest_idx = np.argmin(dists, axis=1)
     nearest = values[nearest_idx]
@@ -353,7 +414,9 @@ def liouvillian_spectrum_check(
     near_gamma = min(clusters, key=lambda grp: min(abs(values[i] - anchor) for i in grp))
     min_angle = None
     if len(near_gamma) >= 2:
-        vectors = [v for spectrum in moments for v in spectrum.eigenvectors.T]
+        minus_vectors = np.empty_like(plus.eigenvectors)
+        minus_vectors[sector_mirror(cut, 1)] = plus.eigenvectors.conj()
+        vectors = [*plus.eigenvectors.T, *minus_vectors.T]
         min_angle = sp.cluster_min_angle(vectors, near_gamma, sectors)
     return SpectrumWitness(
         targets=targets,

@@ -115,6 +115,52 @@ class TestSparseAssembly:
             gen.apply(rho), lv.unvec(gen.matrix @ lv.vec(rho)), atol=1e-13
         )
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_kron_stores_what_scipy_kron_stores(self, d):
+        p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=1.0, n_th=0.2)
+        eye = FockCutoff(d).ops.eye
+        h = md.build_hamiltonian(p, d)
+        h_nh = md.build_h_nh(p, d)
+        pairs = [(eye, h), (h.T, eye), (eye, h_nh), (fs.dagger(h_nh).T, eye)]
+        for c in md.build_collapse_ops(p, d):
+            cdc = fs.dagger(c) @ c
+            pairs += [(c.conj(), c), (eye, cdc), (cdc.T, eye)]
+        for x, y in pairs:
+            assert_same_csr(lv._kron(x, y), scipy_kron(x, y))
+
+    def test_kron_keeps_products_that_underflow(self):
+        x = np.array([[1e-200, 0.0], [0.0, 2.0]])
+        y = np.array([[1e-200, 3.0], [0.0, 0.0]])
+        product = lv._kron(x, y)
+        assert_same_csr(product, scipy_kron(x, y))
+        assert product.nnz == 4 and product.data[0] == 0.0
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    @pytest.mark.parametrize("eps, n_th", [(1.0, 0.0), (1.0, 0.2), (0.0, 0.0), (0.0, 0.2)])
+    @pytest.mark.parametrize("from_hnh", [False, True])
+    def test_generators_equal_the_scipy_kron_assembly(self, monkeypatch, from_hnh, eps, n_th, d):
+        p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=eps, n_th=n_th)
+        build = lv.build_liouvillian_from_hnh if from_hnh else lv.build_liouvillian
+        gen = build(p, d).csr
+        monkeypatch.setattr(lv, "_kron", scipy_kron)
+        assert_same_csr(gen, build(p, d).csr)
+
+
+def scipy_kron(x, y):
+    import scipy.sparse as sps
+
+    return sps.kron(sps.csr_array(x), sps.csr_array(y), format="csr")
+
+
+def assert_same_csr(actual, desired):
+    """Same stored entries bit for bit, same structure, same dtypes."""
+    assert actual.shape == desired.shape
+    assert actual.data.dtype == desired.data.dtype
+    assert actual.data.tobytes() == desired.data.tobytes()
+    for field in ("indices", "indptr"):
+        assert getattr(actual, field).dtype == getattr(desired, field).dtype
+        np.testing.assert_array_equal(getattr(actual, field), getattr(desired, field))
+
 
 @dataclass
 class SectorSpectrum:
@@ -201,6 +247,57 @@ class TestSectors:
             v[idx] = spectrum.vector(i)
             residual = dense @ v - spectrum.eigenvalues[i] * v
             assert np.linalg.norm(residual) < 1e-9 * spectrum.norm
+
+
+def transpose_positions(d):
+    """vec(rho) position of rho[j, i] for each position of rho[i, j]."""
+    dim = d * d
+    positions = np.empty(dim * dim, dtype=int)
+    for i in range(dim):
+        for j in range(dim):
+            positions[i + dim * j] = j + dim * i
+    return positions
+
+
+def assert_exact_mirror(gen, d):
+    """rho -> rho^dagger commutes with the generator: L[J, J] == conj(L)."""
+    matrix = gen.matrix
+    transposed = transpose_positions(d)
+    np.testing.assert_array_equal(matrix[np.ix_(transposed, transposed)], matrix.conj())
+
+
+class TestMirror:
+    @given(params=valid_params())
+    def test_generators_are_exact_mirrors(self, params):
+        assert_exact_mirror(lv.build_liouvillian(params, 3), 3)
+        assert_exact_mirror(lv.build_liouvillian_from_hnh(params, 3), 3)
+
+    @pytest.mark.parametrize("d", [4, 6])
+    @pytest.mark.parametrize("eps, n_th", [(1.0, 0.0), (1.0, 0.2), (0.0, 0.0), (0.0, 0.2)])
+    @pytest.mark.parametrize("from_hnh", [False, True])
+    def test_generators_are_exact_mirrors_at_larger_cutoffs(self, from_hnh, eps, n_th, d):
+        p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=eps, n_th=n_th)
+        build = lv.build_liouvillian_from_hnh if from_hnh else lv.build_liouvillian
+        assert_exact_mirror(build(p, d), d)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_mirror_is_the_transpose_within_the_sectors(self, d):
+        labels = lv.sector_labels(d)
+        transposed = transpose_positions(d)
+        for k in (1, 2):
+            plus, minus = np.flatnonzero(labels == k), np.flatnonzero(labels == -k)
+            np.testing.assert_array_equal(minus[lv.sector_mirror(d, k)], transposed[plus])
+
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    @pytest.mark.parametrize("n_th", [0.0, 0.2])
+    @pytest.mark.parametrize("from_hnh", [False, True])
+    def test_minus_block_is_the_mirrored_plus_block(self, from_hnh, n_th, d):
+        p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=0.0, n_th=n_th)
+        build = lv.build_liouvillian_from_hnh if from_hnh else lv.build_liouvillian
+        gen = build(p, d)
+        perm = lv.sector_mirror(d, 1)
+        plus, minus = lv.sector_block(gen, 1).toarray(), lv.sector_block(gen, -1).toarray()
+        np.testing.assert_array_equal(minus[np.ix_(perm, perm)], plus.conj())
 
 
 class TestMomentCheck:
@@ -336,7 +433,7 @@ class TestSpectrumWitness:
     def test_cutoff_guard(self, std_params):
         # the first cutoff whose memory estimate exceeds the budget
         over = next(d for d in range(2, 100) if lv.witness_peak_bytes(d) > lv.WITNESS_MEMORY_BUDGET)
-        assert over > 16
+        assert over == 28  # the largest accepted cutoff is d = 27
         with pytest.raises(ValueError, match=f"cutoff d={over} .* MB"):
             lv.liouvillian_spectrum_check(std_params, over)
 
@@ -459,3 +556,76 @@ class TestSectorWitnessAgainstDense:
         for value, vector in zip(spectrum.eigenvalues, spectrum.eigenvectors.T):
             assert np.linalg.norm(dense @ vector - value * vector) <= bound
         np.testing.assert_allclose(spectrum.eigenvalues[:2], [-2.0, -2.0], atol=1e-7)
+
+
+def direct_witness(params, d):
+    """The witness's moment sectors with the k = -1 block solved on its own.
+
+    The reference for the mirrored k = -1 eigenpairs: both blocks go through
+    sp.eigs_near with the witness's shift, targets and cluster tolerance.
+    """
+    der = md.derive(params.with_(n_th=0.0))
+    gen = lv.build_liouvillian(params.with_(eps=0.0), d)
+    anchor = -der.gamma_p + 0j
+    targets = np.array([anchor + 1j * der.omega_p, anchor - 1j * der.omega_p])
+    sigma = anchor + lv.WITNESS_SHIFT * (der.gamma_p + params.g)
+    norm = float(np.linalg.norm(gen.csr.data))
+    eps = sp.CLUSTER_EPS_SCALE * norm
+    plus, minus = (
+        sp.eigs_near(lv.sector_block(gen, k), sigma, [*targets, anchor], 4, eps)
+        for k in (1, -1)
+    )
+    values = np.concatenate([plus.eigenvalues, minus.eigenvalues])
+    sectors = np.repeat([1, -1], [plus.eigenvalues.size, minus.eigenvalues.size])
+    dists = np.abs(values[None, :] - targets[:, None])
+    clusters = sp.cluster_eigenvalues(values, eps)
+    near_gamma = min(clusters, key=lambda grp: min(abs(values[i] - anchor) for i in grp))
+    min_angle = None
+    if len(near_gamma) >= 2:
+        vectors = [*plus.eigenvectors.T, *minus.eigenvectors.T]
+        min_angle = sp.cluster_min_angle(vectors, near_gamma, sectors)
+    return {
+        "plus": plus.eigenvalues,
+        "minus": minus.eigenvalues,
+        "sigma": sigma,
+        "norm": norm,
+        "nearest": values[np.argmin(dists, axis=1)],
+        "cluster_size": len(near_gamma),
+        "degenerate_pair_flagged": min_angle is not None and min_angle < sp.DEFAULT_ANGLE_EPS,
+    }
+
+
+class TestMirroredWitness:
+    DEFAULTS = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=1.0)
+    EP = md.SystemParams.from_mean_split(1.0, 2.0, 1.0, eps=0.0)
+    THERMAL_LEP = md.SystemParams.from_mean_split(1.0, 2.0, 1.0, eps=0.0, n_th=0.2)
+
+    @pytest.mark.parametrize(
+        "params, d, defective",
+        [
+            (DEFAULTS, 4, False),
+            (DEFAULTS, 6, False),
+            (EP, 4, True),
+            (THERMAL_LEP, 8, False),
+            (THERMAL_LEP, 12, False),
+        ],
+        ids=["defaults-d4", "defaults-d6", "ep-d4", "thermal-lep-d8", "thermal-lep-d12"],
+    )
+    def test_matches_a_direct_minus_solve(self, params, d, defective):
+        ref = direct_witness(params, d)
+        witness = lv.liouvillian_spectrum_check(params, d)
+        assert witness.cluster_size == ref["cluster_size"]
+        assert witness.degenerate_pair_flagged == ref["degenerate_pair_flagged"]
+        # the mirrored spectrum is conjugation-symmetric, as the targets are
+        assert witness.distances[1] == witness.distances[0]
+        if not defective:
+            # at a defective eigenvalue either solve is fixed only to ~sqrt(u)
+            atol = 1e-12 * ref["norm"]
+            # ARPACK may return either of two eigenvalues tied at the largest
+            # distance from the shift; every nearer one is fixed
+            dist_plus, dist_minus = (np.abs(ref[k] - ref["sigma"]) for k in ("plus", "minus"))
+            reach = min(dist_plus.max(), dist_minus.max()) - atol
+            assert_multiset_close(
+                ref["plus"][dist_plus < reach].conj(), ref["minus"][dist_minus < reach], atol
+            )
+            np.testing.assert_allclose(witness.nearest, ref["nearest"], rtol=0, atol=atol)
