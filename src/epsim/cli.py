@@ -4,7 +4,9 @@ Subcommands: spectrum, ep-scan, lep-scan, liouvillian-check, trajectories.
 Every command is deterministic given its config (including seeds). Output
 tables are CSV with '#'-prefixed header lines carrying the canonical config
 echo and the tool version; --json switches tables to JSON lines (one meta
-object followed by one object per row). Exit codes: 0 success, 1 config
+object followed by one object per row). A config may hold only the fields of
+its mode's defaults (DEFAULT_CONFIGS), inside each section too; any other
+field is a config error that names it. Exit codes: 0 success, 1 config
 error (including an --out that cannot be written, checked before the command
 runs), 2 numerical failure or a failed liouvillian-check row. A command
 computes its whole table before anything is written, so a numerical failure
@@ -37,7 +39,6 @@ from .errors import ConfigError, NumericalError
 from .fockspace import FockCutoff
 
 SWEEP_AXES = ("kappa", "g", "gamma_a", "gamma_b", "eps", "n_th")
-TOLERANCE_KEYS = ("cluster_eps", "angle_eps")
 MAX_SWEEP_POINTS = 10**6
 
 DEFAULT_CONFIGS: dict[str, dict] = {
@@ -136,21 +137,25 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
-    _require(data.get("mode") == mode, f"config field 'mode' must be {mode!r}")
+    _require(data["mode"] == mode, f"config field 'mode' must be {mode!r}")
+    # the mode's defaults are its schema: their keys and no others, and an
+    # object wherever the default is one, holding only the default's keys
+    schema = DEFAULT_CONFIGS[mode]
+    for key, value in data.items():
+        _require(key in schema, f"unknown config field {key!r}; expected one of {list(schema)}")
+        if isinstance(schema[key], dict):
+            _require(isinstance(value, dict), f"config field {key!r} must be an object")
+            for inner in value:
+                _require(
+                    inner in schema[key],
+                    f"unknown config field '{key}.{inner}'; expected one of {list(schema[key])}",
+                )
     try:
         params = md.SystemParams(**data["params"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"config field 'params': {exc}") from exc
     sweep = data.get("sweep")
-    # a mode sweeps when its defaults carry a sweep
-    _require(
-        sweep is not None or "sweep" not in DEFAULT_CONFIGS[mode],
-        f"{mode} mode requires a sweep",
-    )
     if sweep is not None:
-        _require(isinstance(sweep, dict), "config field 'sweep' must be an object")
-        for key in ("axis", "min", "max", "step"):
-            _require(key in sweep, f"config field 'sweep.{key}' is required")
         _require(sweep["axis"] in SWEEP_AXES, f"sweep.axis must be one of {SWEEP_AXES}")
         for key in ("min", "max", "step"):
             _require(
@@ -179,9 +184,6 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
         f"seed must be a nonnegative integer, got {seed!r}",
     )
     tolerances = data.get("tolerances", {})
-    _require(isinstance(tolerances, dict), "config field 'tolerances' must be an object")
-    unknown = sorted(set(tolerances) - set(TOLERANCE_KEYS))
-    _require(not unknown, f"unknown tolerances {unknown}; expected {TOLERANCE_KEYS}")
     cluster_eps = tolerances.get("cluster_eps")
     angle_eps = tolerances.get("angle_eps", sp.DEFAULT_ANGLE_EPS)
     _require(
@@ -194,11 +196,9 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
     )
     trajectories = None
     if mode == "trajectories":
-        settings = data["trajectories"]
-        _require(isinstance(settings, dict), "config field 'trajectories' must be an object")
         try:
-            trajectories = tj.TrajectoryConfig(seed=seed, cutoff=cutoff, **settings)
-        except (TypeError, ValueError) as exc:
+            trajectories = tj.TrajectoryConfig(seed=seed, cutoff=cutoff, **data["trajectories"])
+        except ValueError as exc:
             raise ConfigError(f"config field 'trajectories': {exc}") from exc
     return SweepConfig(
         mode=mode,

@@ -185,14 +185,11 @@ def _settled(
 def mat_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a Pade approximant.
 
-    Exact on (exactly) diagonal matrices. Raises with a norm report when the
-    result overflows.
+    Raises with a norm report when the result overflows.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if np.count_nonzero(a - np.diag(np.diag(a))) == 0:
-        return np.diag(np.exp(np.diag(a)))
     with np.errstate(over="ignore", invalid="ignore"):
         result = scipy.linalg.expm(a)
     if not np.all(np.isfinite(result)):
@@ -252,27 +249,18 @@ def cluster_eigenvalues(values: np.ndarray, eps: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    # Vectorized over offsets rather than a plain loop over sorted pairs: the
-    # n_th = 0 generator spectrum at d = 6 (1296 values, real parts exactly
-    # degenerate in large groups) clusters in 7.5 ms here against 95 ms for
-    # the pair loop (cluster_reference in the tests); 2-value scan spectra
-    # cost about 13 us either way (2-core x86 host, numpy 2.4).
-    order = np.argsort(values.real, kind="stable")
-    ordered = values[order]
-    re = ordered.real
-    # Compare sorted positions `offset` apart, for growing offsets. Once no
-    # such pair is within eps in real part, no farther pair is either, and a
-    # pair within eps in modulus is within eps in real part.
-    for offset in range(1, n):
-        if not (re[offset:] - re[:-offset] <= eps).any():
-            break
-        close = np.abs(ordered[offset:] - ordered[:-offset]) <= eps
-        for pos in np.flatnonzero(close).tolist():
-            parent[find(int(order[pos]))] = find(int(order[pos + offset]))
+    points = values.tolist()
+    order = np.argsort(values.real, kind="stable").tolist()
+    for pos, i in enumerate(order):
+        for j in order[pos + 1 :]:
+            if points[j].real - points[i].real > eps:
+                break  # sorted by real part: no later j is within eps either
+            if abs(points[i] - points[j]) <= eps:
+                parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda grp: (values[grp[0]].real, grp[0]))
+    return sorted(groups.values(), key=lambda grp: (points[grp[0]].real, grp[0]))
 
 
 @dataclass

@@ -137,6 +137,44 @@ class TestConfigHandling:
             assert all(f"{key} must" in captured.err for key in body)
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command, fields, field",
+        [
+            ("liouvillian-check", {"cutof": 2}, "cutof"),
+            ("liouvillian-check", {"parms": {"g": 5}}, "parms"),
+            ("ep-scan", {"sweep": {"stpe": 0.1}}, "sweep.stpe"),
+            (
+                "trajectories",
+                {"sweep": {"axis": "g", "min": 0.8, "max": 1.6, "step": 0.01}},
+                "sweep",
+            ),
+            ("liouvillian-check", {"tolerances": {"angle_eps": 1e-3}}, "tolerances"),
+            ("ep-scan", {"trajectories": {"dt": 0.01}}, "trajectories"),
+            ("spectrum", {"tolerances": {}}, "tolerances"),
+            ("trajectories", {"seeed": 9}, "seeed"),
+        ],
+        ids=[
+            "cutof", "parms", "sweep.stpe", "trajectories-sweep",
+            "check-tolerances", "ep-scan-trajectories", "spectrum-tolerances", "seeed",
+        ],
+    )
+    def test_unknown_field_exit_code(self, tmp_path, capsys, command, fields, field):
+        # a config holds only the fields of its mode's defaults
+        mode = cli.COMMANDS[command][0]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": mode, **fields}))
+        assert run([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert f"unknown config field {field!r}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_default_config_file_accepted(self, tmp_path, mode):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cli.DEFAULT_CONFIGS[mode]))
+        assert cli.load_config(mode, str(cfg), {}).raw == cli.DEFAULT_CONFIGS[mode]
+
     def test_unwritable_out_exit_code(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         assert run(["lep-scan", "--out", str(out)]) == 1

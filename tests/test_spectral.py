@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from conftest import assert_multiset_close, random_complex_matrix
 from epsim import liouvillian as lv
@@ -162,27 +163,14 @@ class TestMatExp:
 
 
 def cluster_reference(values, eps):
-    """Union-find over every sorted pair within eps, one pair at a time."""
-    n = len(values)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    order = np.argsort(values.real, kind="stable")
-    for pos, i in enumerate(order):
-        for j in order[pos + 1 :]:
-            if values[j].real - values[i].real > eps:
-                break
-            if abs(values[i] - values[j]) <= eps:
-                parent[find(int(i))] = find(int(j))
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda grp: (values[grp[0]].real, grp[0]))
+    """Connected components of the all-pairs graph |values[i] - values[j]| <= eps."""
+    diff = values[:, None] - values[None, :]
+    # np.hypot rounds like the scalar modulus abs(z); np.abs of a complex
+    # array may differ from it in the last bit, which matters for the
+    # lattice pairs exactly eps apart
+    count, labels = connected_components(np.hypot(diff.real, diff.imag) <= eps, directed=False)
+    groups = [np.flatnonzero(labels == label).tolist() for label in range(count)]
+    return sorted(groups, key=lambda grp: (values[grp[0]].real, grp[0]))
 
 
 class TestClustering:
@@ -211,6 +199,7 @@ class TestClustering:
     )
     @example(points=[(0, 0), (0, 0), (1, 0), (0, 0)], spacing=0.6, shift=0j)
     @example(points=[(0, 0), (2, 0), (1, 0), (5, 1), (5, 1)], spacing=0.6, shift=1.5j)
+    @example(points=[(2, 1), (0, 0), (1, 0), (2, 0)], spacing=1.0, shift=0j)
     def test_matches_pair_loop(self, points, spacing, shift):
         # lattice spectra: exact repeats, ties in real part, pairs exactly
         # eps apart and chains that link only through a middle value
