@@ -21,11 +21,12 @@ CONFIG = tj.TrajectoryConfig(
 
 def run() -> None:
     report = tj.ensemble_vs_master(PARAMS, CONFIG)
+    ensemble = report.ensemble
     print(f"{'t':>6} {'trace dist':>12} {'mean jumps':>11} {'survival':>10}")
-    for i, t in enumerate(report.times):
+    for i, t in enumerate(ensemble.sample_times):
         print(
             f"{t:6.2f} {report.trace_distances[i]:12.3e} "
-            f"{report.mean_jumps[i]:11.3f} {report.mean_survival[i]:10.4f}"
+            f"{ensemble.mean_jumps[i]:11.3f} {ensemble.mean_survival[i]:10.4f}"
         )
 
     post = tj.postselect_no_jump(PARAMS, CONFIG)

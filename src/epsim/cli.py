@@ -353,15 +353,11 @@ def cmd_ep_scan(config: SweepConfig) -> Table:
 def cmd_trajectories(config: SweepConfig) -> Table:
     """Ensemble unraveling vs exact master-equation evolution, as a time series."""
     report = tj.ensemble_vs_master(config.params, config.trajectories)
-    rows = [
-        [
-            float(t),
-            float(report.trace_distances[i]),
-            float(report.mean_jumps[i]),
-            float(report.mean_survival[i]),
-        ]
-        for i, t in enumerate(report.times)
-    ]
+    ensemble = report.ensemble
+    columns = (
+        ensemble.sample_times, report.trace_distances, ensemble.mean_jumps, ensemble.mean_survival
+    )
+    rows = [[float(value) for value in row] for row in zip(*columns)]
     return Table(["time", "trace_distance", "mean_jumps", "mean_survival"], rows)
 
 

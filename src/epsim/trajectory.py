@@ -38,12 +38,14 @@ Randomness comes from one counter-based Philox stream per trajectory, keyed
 by (seed, trajectory index), so results are reproducible and independent of
 batching. Each stream is read in blocks of uniforms: consecutive draws
 continue the same stream, so the numbers do not depend on the block length.
-Trajectories are independent; partial sums are merged in chunk order.
+Trajectories are independent. Each caller reduces the samples; `run_ensemble`
+adds them in chunk order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -222,9 +224,9 @@ class _Engine:
         self,
         initial: np.ndarray,
         indices: range,
-        record: bool = False,
+        on_sample: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None],
         allow_jumps: bool = True,
-    ) -> dict:
+    ) -> tuple[list[list[tuple[float, int]]], np.ndarray]:
         """Carry the trajectories `indices` from `initial` over the whole grid.
 
         The batch goes from one sample time to the next in rounds (see
@@ -232,12 +234,16 @@ class _Engine:
         and their collapses applied in batches. Thresholds and channel
         uniforms come from each trajectory's own Philox stream (_Draws).
 
-        Returns the chunk's sums at the sample times and each trajectory's
-        jump record and survival (product of the norm^2 decays of its no-jump
-        stretches). With record, the normalized states at the sample times
-        ("states", (n_samples, dim, batch)) are returned too. Without
-        allow_jumps every threshold is 0 and no random numbers are drawn: the
-        postselected no-jump record.
+        At the i-th sample time it calls on_sample(i, states, survival,
+        jump_counts): the normalized states (dim, batch), each trajectory's
+        survival so far and its jump count so far. These are the engine's
+        working arrays, changed in place once the call returns, so a caller
+        that keeps them copies them.
+
+        Returns each trajectory's jump record and survival (product of the
+        norm^2 decays of its no-jump stretches). Without allow_jumps every
+        threshold is 0 and no random numbers are drawn: the postselected
+        no-jump record.
         """
         cfg = self.config
         batch = len(indices)
@@ -253,40 +259,19 @@ class _Engine:
         events: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
         sample_steps = cfg.sample_steps
-        n_samples = len(sample_steps)
-        dim = self.cut.dim
-        rho_sum = np.zeros((n_samples, dim, dim), dtype=complex)
-        survival_sum = np.zeros(n_samples)
-        jumps_sum = np.zeros(n_samples)
-        if record:
-            state_log = np.zeros((n_samples, dim, batch), dtype=complex)
-
         for i, stop in enumerate(sample_steps):
             if i:
                 self._advance(
                     states, threshold, survival, jump_counts,
                     sample_steps[i - 1], stop, draws, events,
                 )
-            rho_sum[i] = states @ states.conj().T
-            survival_sum[i] = survival.sum()
-            jumps_sum[i] = jump_counts.sum()
-            if record:
-                state_log[i] = states
+            on_sample(i, states, survival, jump_counts)
 
         jumps: list[list[tuple[float, int]]] = [[] for _ in range(batch)]
         for cols, steps, channels in events:
             for col, step, channel in zip(cols.tolist(), steps.tolist(), channels.tolist()):
                 jumps[col].append((step * cfg.dt, channel))
-        out = {
-            "rho_sum": rho_sum,
-            "survival_sum": survival_sum,
-            "jumps_sum": jumps_sum,
-            "jumps": jumps,
-            "survival": survival,
-        }
-        if record:
-            out["states"] = state_log
-        return out
+        return jumps, survival
 
     def _advance(
         self,
@@ -433,17 +418,23 @@ def _single(
     traj_index: int,
     allow_jumps: bool,
 ) -> TrajectoryResult:
+    """Trajectory traj_index alone, keeping its normalized state at each sample."""
     engine = _Engine(params, config)
     psi0 = _check_initial(initial, engine.cut)
-    out = engine.run_chunk(
-        psi0, range(traj_index, traj_index + 1), record=True, allow_jumps=allow_jumps
+    sampled = np.empty((len(config.sample_steps), engine.cut.dim), dtype=complex)
+
+    def store(i, states, survival, jump_counts):
+        sampled[i] = states[:, 0]
+
+    jumps, survival = engine.run_chunk(
+        psi0, range(traj_index, traj_index + 1), store, allow_jumps
     )
     return TrajectoryResult(
-        jumps=out["jumps"][0],
-        survival=float(out["survival"][0]),
-        final_state=out["states"][-1][:, 0],
+        jumps=jumps[0],
+        survival=float(survival[0]),
+        final_state=sampled[-1],
         sample_times=config.sample_times,
-        sampled_states=out["states"][:, :, 0],
+        sampled_states=sampled,
     )
 
 
@@ -454,6 +445,8 @@ def run_trajectory(
     traj_index: int = 0,
 ) -> TrajectoryResult:
     """Single stochastic trajectory, identical to ensemble member traj_index."""
+    if not 0 <= traj_index < config.n_traj:
+        raise ValueError(f"traj_index must be in [0, {config.n_traj}), got {traj_index}")
     return _single(params, config, initial, traj_index, allow_jumps=True)
 
 
@@ -464,8 +457,8 @@ def run_ensemble(
 ) -> TrajectoryEnsemble:
     """Average n_traj independent trajectories.
 
-    Chunks of fixed size are simulated one after another and their partial
-    sums added in chunk order.
+    Chunks of fixed size are simulated one after another; each sample is
+    added into the ensemble's sums in chunk order.
     """
     engine = _Engine(params, config)
     psi0 = _check_initial(initial, engine.cut)
@@ -474,16 +467,19 @@ def run_ensemble(
     rho_sum = np.zeros((n_samples, dim, dim), dtype=complex)
     survival_sum = np.zeros(n_samples)
     jumps_sum = np.zeros(n_samples)
+
+    def add_sample(i, states, survival, jump_counts):
+        rho_sum[i] += states @ states.conj().T
+        survival_sum[i] += survival.sum()
+        jumps_sum[i] += jump_counts.sum()
+
     jump_records: list[list[tuple[float, int]]] = []
     survivals: list[np.ndarray] = []
     for start in range(0, config.n_traj, CHUNK_SIZE):
         chunk = range(start, min(start + CHUNK_SIZE, config.n_traj))
-        out = engine.run_chunk(psi0, chunk)
-        rho_sum += out["rho_sum"]
-        survival_sum += out["survival_sum"]
-        jumps_sum += out["jumps_sum"]
-        jump_records.extend(out["jumps"])
-        survivals.append(out["survival"])
+        jumps, survival = engine.run_chunk(psi0, chunk, add_sample)
+        jump_records.extend(jumps)
+        survivals.append(survival)
 
     n = float(config.n_traj)
     return TrajectoryEnsemble(
@@ -561,15 +557,16 @@ def master_propagate(
 
 @dataclass
 class UnravelingReport:
-    """Trajectory-average vs exact master-equation evolution."""
+    """Trajectory-average vs exact master-equation evolution.
 
-    times: np.ndarray
-    trace_distances: np.ndarray
-    mean_jumps: np.ndarray
-    mean_survival: np.ndarray
-    rho_trajectories: np.ndarray
+    The ensemble carries the sample times, averages and seed (its config);
+    rho_master is the exact evolution at those times and trace_distances
+    the distance of rho_avg from it at each.
+    """
+
+    ensemble: TrajectoryEnsemble
     rho_master: np.ndarray
-    seed: int
+    trace_distances: np.ndarray
 
 
 def ensemble_vs_master(
@@ -583,18 +580,5 @@ def ensemble_vs_master(
     ensemble = run_ensemble(params, config, psi0)
     rho_0 = np.outer(psi0, psi0.conj())
     rho_exact = master_propagate(params, cut, rho_0, ensemble.sample_times)
-    distances = np.array(
-        [
-            trace_distance(ensemble.rho_avg[i], rho_exact[i])
-            for i in range(len(ensemble.sample_times))
-        ]
-    )
-    return UnravelingReport(
-        times=ensemble.sample_times,
-        trace_distances=distances,
-        mean_jumps=ensemble.mean_jumps,
-        mean_survival=ensemble.mean_survival,
-        rho_trajectories=ensemble.rho_avg,
-        rho_master=rho_exact,
-        seed=config.seed,
-    )
+    distances = np.array([trace_distance(a, b) for a, b in zip(ensemble.rho_avg, rho_exact)])
+    return UnravelingReport(ensemble=ensemble, rho_master=rho_exact, trace_distances=distances)

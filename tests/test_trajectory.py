@@ -113,15 +113,45 @@ class TestDeterminism:
     def test_chunk_partition_invariance(self, std_params, fast_config):
         engine = tj._Engine(std_params, fast_config)
         psi0 = fs.basis_state(6, 0, 0)
-        whole = engine.run_chunk(psi0, range(0, 64))
-        left = engine.run_chunk(psi0, range(0, 29))
-        right = engine.run_chunk(psi0, range(29, 64))
+        whole = run_logged(engine, psi0, range(0, 64))
+        left = run_logged(engine, psi0, range(0, 29))
+        right = run_logged(engine, psi0, range(29, 64))
         assert whole["jumps"] == left["jumps"] + right["jumps"]
         np.testing.assert_allclose(
             whole["survival"],
             np.concatenate([left["survival"], right["survival"]]),
             rtol=1e-12,
         )
+
+    def test_ensemble_independent_of_chunk_size(self, monkeypatch):
+        # chunks of 7 (not a divisor of 64) against one default-size chunk
+        p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=1.0, n_th=0.2)
+        cfg = tj.TrajectoryConfig(
+            dt=1e-3, t_final=0.5, n_traj=64, seed=11, cutoff=4, guard_threshold=1.0
+        )
+        default = tj.run_ensemble(p, cfg)
+        monkeypatch.setattr(tj, "CHUNK_SIZE", 7)
+        chunked = tj.run_ensemble(p, cfg)
+        assert sum(map(len, default.jump_records)) > 0
+        assert chunked.jump_records == default.jump_records
+        assert np.array_equal(chunked.mean_jumps, default.mean_jumps)
+        np.testing.assert_allclose(chunked.rho_avg, default.rho_avg, rtol=1e-12)
+        np.testing.assert_allclose(chunked.mean_survival, default.mean_survival, rtol=1e-12)
+        np.testing.assert_allclose(chunked.survivals, default.survivals, rtol=1e-12)
+
+    @pytest.mark.parametrize("index", [-1, 64])
+    def test_trajectory_index_must_be_in_ensemble(self, std_params, fast_config, index):
+        with pytest.raises(ValueError, match=r"traj_index .* \[0, 64\)"):
+            tj.run_trajectory(std_params, fast_config, traj_index=index)
+
+
+def run_logged(engine, psi0, indices):
+    """run_chunk with a reducer that logs the states (n_samples, dim, batch)."""
+    states = []
+    jumps, survival = engine.run_chunk(
+        psi0, indices, lambda i, batch, *_: states.append(batch.copy())
+    )
+    return {"jumps": jumps, "survival": survival, "states": np.stack(states)}
 
 
 def reference_chunk(params, config, psi0, indices):
@@ -169,7 +199,7 @@ class TestEngineAlgorithm:
             sample_every=50, guard_threshold=1.0,
         )
         psi0 = fs.basis_state(3, 1, 0)
-        out = tj._Engine(p, cfg).run_chunk(psi0, range(8), record=True)
+        out = run_logged(tj._Engine(p, cfg), psi0, range(8))
         records, survivals, states = reference_chunk(p, cfg, psi0, range(8))
         assert out["jumps"] == records
         assert {c for record in records for _, c in record} == {0, 1, 2, 3}
@@ -186,13 +216,13 @@ class TestEngineAlgorithm:
             sample_every=50, guard_threshold=1.0,
         )
         psi0 = fs.basis_state(4, 0, 0)
-        default = tj._Engine(p, cfg).run_chunk(psi0, range(16))
+        default = run_logged(tj._Engine(p, cfg), psi0, range(16))
         monkeypatch.setattr(tj, "_DRAW_BLOCK", block)
-        blocked = tj._Engine(p, cfg).run_chunk(psi0, range(16))
+        blocked = run_logged(tj._Engine(p, cfg), psi0, range(16))
         assert sum(map(len, default["jumps"])) > 0
         assert blocked["jumps"] == default["jumps"]
         assert np.array_equal(blocked["survival"], default["survival"])
-        assert np.array_equal(blocked["rho_sum"], default["rho_sum"])
+        assert np.array_equal(blocked["states"], default["states"])
 
     def test_random_number_memory_independent_of_steps(self):
         # 256 trajectories x 20000 steps x 2 draws would be 82 MB up front
@@ -205,7 +235,7 @@ class TestEngineAlgorithm:
         engine = tj._Engine(p, cfg)
         tracemalloc.start()
         try:
-            engine.run_chunk(fs.basis_state(2, 0, 0), range(256))
+            engine.run_chunk(fs.basis_state(2, 0, 0), range(256), lambda *sample: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -411,8 +441,8 @@ class TestEnsembleVsMaster:
         report = tj.ensemble_vs_master(std_params, cfg)
         assert report.trace_distances[0] < 1e-12
         assert report.trace_distances.max() < 0.1
-        assert report.seed == 2024
-        for rho in report.rho_trajectories:  # averaged states keep unit trace
+        assert report.ensemble.config.seed == 2024
+        for rho in report.ensemble.rho_avg:  # averaged states keep unit trace
             assert abs(np.trace(rho) - 1.0) < 1e-8
 
     def test_convergence_with_ensemble_size(self, std_params):
