@@ -19,13 +19,8 @@ OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
 def run() -> None:
     OUT.mkdir(exist_ok=True)
     for n_th in (0.0, 0.1, 0.2):
-        config = {
-            "mode": "hamiltonian-spectrum",
-            "params": {"g": 1.0, "gamma_a": 2.0, "gamma_b": 2.0, "eps": 1.0, "n_th": n_th},
-            "sweep": {"axis": "kappa", "min": 0.0, "max": 2.0, "step": 0.02},
-            "cutoff": 8,
-            "seed": 1,
-        }
+        # the default spectrum config (cli.DEFAULT_CONFIGS) fills the rest
+        config = {"mode": "hamiltonian-spectrum", "params": {"n_th": n_th}}
         config_path = OUT / f"spectrum_n{n_th:g}.json"
         config_path.write_text(json.dumps(config, indent=2))
         out_path = OUT / f"spectrum_n{n_th:g}.csv"

@@ -38,7 +38,6 @@ from . import trajectory as tj
 from .errors import ConfigError, NumericalError
 from .fockspace import FockCutoff
 
-SWEEP_AXES = ("kappa", "g", "gamma_a", "gamma_b", "eps", "n_th")
 MAX_SWEEP_POINTS = 10**6
 
 DEFAULT_CONFIGS: dict[str, dict] = {
@@ -116,8 +115,8 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
     """Merge defaults, the optional config file, and CLI flag overrides.
 
     Every check of the config happens here, except that each sweep point's
-    parameters are built and checked by the sweep commands (apply_axis),
-    before any numerics.
+    parameters are built and checked by the sweep commands (sweep_points,
+    through SystemParams.along), before any numerics.
     """
     data = copy.deepcopy(DEFAULT_CONFIGS[mode])
     if path is not None:
@@ -156,7 +155,9 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
         raise ConfigError(f"config field 'params': {exc}") from exc
     sweep = data.get("sweep")
     if sweep is not None:
-        _require(sweep["axis"] in SWEEP_AXES, f"sweep.axis must be one of {SWEEP_AXES}")
+        _require(
+            sweep["axis"] in md.SWEEP_AXES, f"sweep.axis must be one of {md.SWEEP_AXES}"
+        )
         for key in ("min", "max", "step"):
             _require(
                 md.is_finite_number(sweep[key]),
@@ -221,17 +222,17 @@ def sweep_values(sweep: dict) -> np.ndarray:
     return sweep["min"] + sweep["step"] * np.arange(int(sweep_count(sweep)))
 
 
-def apply_axis(params: md.SystemParams, axis: str, value: float) -> md.SystemParams:
-    """One sweep point; kappa is applied at fixed mean damping."""
-    try:
-        if axis == "kappa":
-            gamma = 0.5 * (params.gamma_a + params.gamma_b)
-            return md.SystemParams.from_mean_split(
-                params.g, gamma, value, eps=params.eps, n_th=params.n_th
-            )
-        return params.with_(**{axis: value})
-    except ValueError as exc:
-        raise ConfigError(f"sweep point {axis}={value} invalid: {exc}") from exc
+def sweep_points(config: SweepConfig) -> tuple[np.ndarray, list[md.SystemParams]]:
+    """The sweep grid and the parameters of each point, all checked up front."""
+    axis = config.sweep["axis"]
+    grid = sweep_values(config.sweep)
+    points = []
+    for value in grid:
+        try:
+            points.append(config.params.along(axis, value))
+        except ValueError as exc:
+            raise ConfigError(f"sweep point {axis}={value} invalid: {exc}") from exc
+    return grid, points
 
 
 def _meta(config: SweepConfig, schema: str) -> dict:
@@ -274,9 +275,7 @@ def cmd_spectrum(config: SweepConfig) -> Table:
         "re_nh_analytic", "im_nh_analytic", "re_nh_numeric", "im_nh_numeric", "err_nh",
     ]
 
-    grid = sweep_values(config.sweep)
-    # every grid point is validated before any numerics
-    points = [apply_axis(config.params, config.sweep["axis"], v) for v in grid]
+    grid, points = sweep_points(config)
     rows = []
     for value, point in zip(grid, points):
         der = md.derive(point)
@@ -307,19 +306,13 @@ def cmd_ep_scan(config: SweepConfig) -> Table:
     not move the coalescence); lep-scan diagonalizes the 2x2 first-moment
     dynamical matrix.
     """
-    axis = config.sweep["axis"]
-    grid = sweep_values(config.sweep)
-    # every grid point is validated before any numerics
-    points = {value: apply_axis(config.params, axis, value) for value in grid}
+    grid, points = sweep_points(config)
     if config.mode == "ep-scan":
-        def builder(value: float) -> np.ndarray:
-            return md.h_nh_block(points[value], config.cutoff, 1)
+        matrices = [md.h_nh_block(point, config.cutoff, 1) for point in points]
     else:
-        def builder(value: float) -> np.ndarray:
-            return lv.dynamical_matrix(points[value])
-
-    reports = sp.coalescence_scan(builder, list(grid), **config.tolerances)
-    estimate = sp.estimate_ep(reports, config.sweep["step"])
+        matrices = [lv.dynamical_matrix(point) for point in points]
+    reports = sp.coalescence_scan(matrices, list(grid), **config.tolerances)
+    estimate = sp.estimate_ep(reports)
 
     columns = [
         "sweep_value", "n_clusters", "min_angle", "coalescing",
@@ -337,13 +330,13 @@ def cmd_ep_scan(config: SweepConfig) -> Table:
             len(report.clusters),
             best.min_angle if best else None,
             report.coalescing,
-            centroid.real if centroid else None,
-            centroid.imag if centroid else None,
+            centroid.real if best else None,
+            centroid.imag if best else None,
             None,
         ])
     summary = {
-        "located": None if estimate is None else estimate.value,
-        "uncertainty": None if estimate is None else estimate.uncertainty,
+        "located": None if estimate is None else estimate.param,
+        "uncertainty": None if estimate is None else config.sweep["step"],
         "min_angle": None if estimate is None else estimate.min_angle,
         "excluded_points": sum(report.error is not None for report in reports),
     }

@@ -37,6 +37,9 @@ from .fockspace import FockCutoff
 # Supermode excitation labels (N_e, N_f) of the four tracked eigenstates.
 TRACKED_STATES: tuple[tuple[int, int], ...] = ((1, 0), (0, 1), (2, 0), (0, 2))
 
+# Parameters a sweep can move (SystemParams.along).
+SWEEP_AXES = ("kappa", "g", "gamma_a", "gamma_b", "eps", "n_th")
+
 
 def is_finite_number(value) -> bool:
     """A finite real number: int or float, numpy scalars included, bool not."""
@@ -87,6 +90,20 @@ class SystemParams:
 
     def with_(self, **kwargs) -> "SystemParams":
         return replace(self, **kwargs)
+
+    def along(self, axis: str, value: float) -> "SystemParams":
+        """This parameter set moved to value on one of SWEEP_AXES.
+
+        kappa moves at fixed mean damping (gamma_a + gamma_b) / 2; every
+        other axis replaces its own field. Raises ValueError for an unknown
+        axis or a point that breaks an invariant.
+        """
+        if axis == "kappa":
+            gamma = 0.5 * (self.gamma_a + self.gamma_b)
+            return self.from_mean_split(self.g, gamma, value, eps=self.eps, n_th=self.n_th)
+        if axis not in SWEEP_AXES:
+            raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+        return self.with_(**{axis: value})
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ Norms are Frobenius throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -322,27 +322,30 @@ def coalescence_report(
 
 
 def coalescence_scan(
-    builder: Callable[[float], np.ndarray],
+    matrices: Sequence[np.ndarray],
     grid: Sequence[float],
     cluster_eps: float | None = None,
     angle_eps: float = DEFAULT_ANGLE_EPS,
 ) -> list[CoalescenceReport]:
     """One CoalescenceReport per grid point, in grid order.
 
-    The builder's matrices must be square and of one shape. They are held
-    together (len(grid) * n**2 complex numbers) and diagonalized in one
-    batched solve, normalized and residual-checked as eig does, so each
-    report equals coalescence_report of its matrix. If the batched solve
-    fails, every point is redone on its own with coalescence_report, and so
-    is each point that fails its residual check. Eigensolver failures at
-    individual points are recorded on the report and do not abort the scan.
+    matrices[i] is the matrix at grid[i]; they must be square and of one
+    shape. They are held together (len(grid) * n**2 complex numbers) and
+    diagonalized in one batched solve, normalized and residual-checked as
+    eig does, so each report equals coalescence_report of its matrix. If the
+    batched solve fails, every point is redone on its own with
+    coalescence_report, and so is each point that fails its residual check.
+    Eigensolver failures at individual points are recorded on the report and
+    do not abort the scan.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be sorted ascending")
-    matrices = [np.asarray(builder(x), dtype=complex) for x in grid]
+    matrices = [np.asarray(m, dtype=complex) for m in matrices]
+    if len(matrices) != len(grid):
+        raise ValueError(f"got {len(matrices)} matrices for {len(grid)} grid points")
     shapes = sorted({m.shape for m in matrices})
     if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
         raise ValueError(f"expected square matrices of one shape, got shapes {shapes}")
@@ -367,25 +370,11 @@ def coalescence_scan(
     return reports
 
 
-@dataclass
-class EPEstimate:
-    value: float
-    uncertainty: float
-    min_angle: float
+def estimate_ep(reports: Sequence[CoalescenceReport]) -> CoalescenceReport | None:
+    """The report with the smallest clustered eigenvector angle, the first on ties.
 
-
-def estimate_ep(
-    reports: Sequence[CoalescenceReport], grid_step: float
-) -> EPEstimate | None:
-    """Grid point minimizing the clustered eigenvector angle, +- one grid step."""
-    best = None
-    for report in reports:
-        if report.best is None:  # failed point, or no cluster of size >= 2
-            continue
-        if best is None or report.min_angle < best.min_angle:
-            best = EPEstimate(
-                value=report.param,
-                uncertainty=grid_step,
-                min_angle=report.min_angle,
-            )
-    return best
+    A report without a cluster of size >= 2 (a failed point included) never
+    wins; None when no report has one.
+    """
+    candidates = [report for report in reports if report.best is not None]
+    return min(candidates, key=lambda report: report.min_angle, default=None)

@@ -29,11 +29,11 @@ def criterion(number: int, label: str):
     print(f"[criterion {number:02d}] PASS  {label}", flush=True)
 
 
-def scan_transition(base: md.SystemParams, matrix_of_g, grid) -> float:
-    reports = sp.coalescence_scan(matrix_of_g, list(grid))
-    estimate = sp.estimate_ep(reports, 0.01)
+def scan_transition(matrix_of_g, grid) -> float:
+    grid = list(grid)
+    estimate = sp.estimate_ep(sp.coalescence_scan([matrix_of_g(g) for g in grid], grid))
     assert estimate is not None, "no coalescing cluster found on the grid"
-    return estimate.value
+    return estimate.param
 
 
 G_GRID = 0.8 + 0.01 * np.arange(81)
@@ -98,9 +98,7 @@ def test_criterion_02_analytic_vs_numeric_spectra():
 def test_criterion_03_thermal_hep_shift(n_th, target):
     with criterion(3, f"no-jump coalescence at g=(2n+1)*kappa, n={n_th}"):
         base = md.SystemParams.from_mean_split(1.0, 2.0, 1.0, eps=1.0, n_th=n_th)
-        located = scan_transition(
-            base, lambda g: md.h_nh_block(base.with_(g=g), 6, 1), G_GRID
-        )
+        located = scan_transition(lambda g: md.h_nh_block(base.with_(g=g), 6, 1), G_GRID)
         assert located == pytest.approx(md.hep_coupling(1.0, n_th), abs=0.0101)
         assert located == pytest.approx(target, abs=0.0101)
 
@@ -109,12 +107,8 @@ def test_criterion_03_thermal_hep_shift(n_th, target):
 def test_criterion_04_lep_invariance(n_th):
     with criterion(4, f"first-moment coalescence fixed at g=kappa, n={n_th}"):
         base = md.SystemParams.from_mean_split(1.0, 2.0, 1.0, eps=1.0, n_th=n_th)
-        lep = scan_transition(
-            base, lambda g: lv.dynamical_matrix(base.with_(g=g)), G_GRID
-        )
-        hep = scan_transition(
-            base, lambda g: md.h_nh_block(base.with_(g=g), 6, 1), G_GRID
-        )
+        lep = scan_transition(lambda g: lv.dynamical_matrix(base.with_(g=g)), G_GRID)
+        hep = scan_transition(lambda g: md.h_nh_block(base.with_(g=g), 6, 1), G_GRID)
         assert lep == pytest.approx(md.lep_coupling(1.0), abs=0.0101)
         assert (hep - lep) == pytest.approx(2 * n_th * 1.0, abs=0.0201)
 
@@ -255,7 +249,7 @@ def test_criterion_09_drift_hamiltonian(n_th):
         def drift_block(g: float) -> np.ndarray:
             return md.excitation_block(md.build_drift_h(base.with_(g=g), 6), 1, 6)
 
-        located = scan_transition(base, drift_block, G_GRID)
+        located = scan_transition(drift_block, G_GRID)
         assert located == pytest.approx(md.lep_coupling(1.0), abs=0.0101)
 
 

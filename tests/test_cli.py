@@ -381,6 +381,28 @@ class TestScanCommands:
         assert summary["excluded_points"] == 0
         assert abs(summary["located"] - md.hep_coupling(1.0, 0.2)) <= 0.01 * (1 + 1e-9)
 
+    def test_centroid_at_zero_is_printed(self, tmp_path):
+        # undamped modes: the eigenvalues +-i g form one cluster centred at 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "lep-scan",
+            "params": {"g": 1, "gamma_a": 0, "gamma_b": 0, "eps": 0},
+            "sweep": {"axis": "g", "min": 0.5, "max": 0.52, "step": 0.01},
+            "tolerances": {"cluster_eps": 10},
+        }))
+        out = tmp_path / "scan.csv"
+        assert run(["lep-scan", "--config", str(cfg), "--out", str(out)]) == 0
+        _, _, rows = read_rows(out)
+        assert [row["n_clusters"] for row in rows] == ["1", "1", "1"]
+        for row in (rows[0], rows[2]):
+            assert (row["cluster_re"], row["cluster_im"]) == ("0", "0")
+        jsonl = tmp_path / "scan.jsonl"
+        assert run(["lep-scan", "--config", str(cfg), "--out", str(jsonl), "--json"]) == 0
+        lines = [json.loads(line) for line in jsonl.read_text().splitlines()]
+        body = [line for line in lines if "sweep_value" in line]
+        assert all(line["cluster_re"] is not None for line in body)
+        assert all(line["cluster_im"] is not None for line in body)
+
     def test_json_lines_mode(self, tmp_path):
         out = tmp_path / "scan.jsonl"
         assert run(["lep-scan", "--out", str(out), "--json"]) == 0

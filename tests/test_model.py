@@ -1,4 +1,7 @@
 import cmath
+import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +30,40 @@ class TestParams:
     def test_from_mean_split(self):
         p = md.SystemParams.from_mean_split(1.0, 2.0, 0.5)
         assert (p.gamma_a, p.gamma_b) == (2.5, 1.5)
+
+
+def bits(params: md.SystemParams) -> list[str]:
+    """Every field as a hex string, so == compares bit for bit."""
+    return [float(value).hex() for value in dataclasses.astuple(params)]
+
+
+class TestAlong:
+    BASE = md.SystemParams(g=1.3, gamma_a=2.9, gamma_b=0.7, eps=0.6, n_th=0.15)
+
+    @pytest.mark.parametrize("axis", md.SWEEP_AXES)
+    @pytest.mark.parametrize("value", [0.1, 0.37, 1.1])
+    def test_moves_one_axis(self, axis, value):
+        p = self.BASE
+        if axis == "kappa":  # at fixed mean damping
+            expected = md.SystemParams.from_mean_split(
+                p.g, 0.5 * (p.gamma_a + p.gamma_b), value, eps=p.eps, n_th=p.n_th
+            )
+        else:
+            expected = p.with_(**{axis: value})
+        assert bits(p.along(axis, value)) == bits(expected)
+
+    @pytest.mark.parametrize(
+        "axis, value, field",
+        [("kappa", 1.9, "gamma_b"), ("kappa", -1.9, "gamma_a"), ("g", 0.0, "g"),
+         ("n_th", -0.1, "n_th"), ("eps", math.inf, "eps")],
+    )
+    def test_broken_invariant_names_the_field(self, axis, value, field):
+        with pytest.raises(ValueError, match=field):
+            self.BASE.along(axis, value)
+
+    def test_unknown_axis(self):
+        with pytest.raises(ValueError, match=re.escape(str(md.SWEEP_AXES))):
+            self.BASE.along("gamma", 1.0)
 
 
 class TestDerive:

@@ -243,15 +243,13 @@ class TestClustering:
 class TestScan:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            sp.coalescence_scan(lambda x: np.eye(2), [])
+            sp.coalescence_scan([], [])
         with pytest.raises(ValueError):
-            sp.coalescence_scan(lambda x: np.eye(2), [1.0, 0.5])
+            sp.coalescence_scan([np.eye(2)] * 2, [1.0, 0.5])
 
     def test_scan_reports_in_grid_order(self):
         grid = [0.5, 1.0, 1.5]
-        reports = sp.coalescence_scan(
-            lambda x: np.diag([x, -x]).astype(complex), grid
-        )
+        reports = sp.coalescence_scan([np.diag([x, -x]).astype(complex) for x in grid], grid)
         assert [r.param for r in reports] == grid
 
     def test_failures_recorded_not_raised(self):
@@ -260,7 +258,8 @@ class TestScan:
                 return np.full((2, 2), np.nan)
             return np.eye(2, dtype=complex)
 
-        reports = sp.coalescence_scan(builder, [0.0, 1.0, 2.0])
+        grid = [0.0, 1.0, 2.0]
+        reports = sp.coalescence_scan([builder(x) for x in grid], grid)
         assert reports[1].error is not None
         assert reports[0].error is None and reports[2].error is None
 
@@ -271,10 +270,10 @@ class TestScan:
             p = md.SystemParams.from_mean_split(g, 2.0, 1.0)
             return lv.dynamical_matrix(p)
 
-        reports = sp.coalescence_scan(builder, grid)
-        estimate = sp.estimate_ep(reports, 0.01)
+        reports = sp.coalescence_scan([builder(x) for x in grid], grid)
+        estimate = sp.estimate_ep(reports)
         assert estimate is not None
-        assert abs(estimate.value - 1.0) <= 0.01
+        assert abs(estimate.param - 1.0) <= 0.01
 
     def test_loss_asymmetry_scan_locates_ep(self):
         # sweeping the asymmetry at gamma/g = 2 finds the transition at
@@ -285,10 +284,10 @@ class TestScan:
             p = md.SystemParams.from_mean_split(1.0, 2.0, kappa, eps=0.0)
             return md.h_nh_block(p, 6, 1)
 
-        reports = sp.coalescence_scan(builder, grid)
-        estimate = sp.estimate_ep(reports, 0.01)
+        reports = sp.coalescence_scan([builder(x) for x in grid], grid)
+        estimate = sp.estimate_ep(reports)
         assert estimate is not None
-        assert abs(estimate.value - 1.0) <= 0.01
+        assert abs(estimate.param - 1.0) <= 0.01
 
 
 def report_key(report):
@@ -329,7 +328,7 @@ class TestBatchedScan:
         ids=["lep-1001", "ep-201"],
     )
     def test_equals_per_point_reports(self, builder, grid):
-        batched = sp.coalescence_scan(builder, list(grid))
+        batched = sp.coalescence_scan([builder(x) for x in grid], list(grid))
         single = [sp.coalescence_report(builder(x), x) for x in grid]
         assert any(r.coalescing for r in single)
         assert [report_key(r) for r in batched] == [report_key(r) for r in single]
@@ -369,10 +368,10 @@ class TestBatchedScan:
             redone.append(a[0, 0])
             return real_sp_eig(a, want_vectors)
 
-        good = sp.coalescence_scan(lep_builder, grid)
+        good = sp.coalescence_scan([lep_builder(g) for g in grid], grid)
         monkeypatch.setattr(np.linalg, "eig", corrupting_eig)
         monkeypatch.setattr(sp, "eig", counting_eig)
-        reports = sp.coalescence_scan(mixed, grid)
+        reports = sp.coalescence_scan([mixed(g) for g in grid], grid)
 
         errors = {r.param: r.error for r in reports if r.error is not None}
         assert set(errors) == ({nan_at, bad_at} if with_nan else {bad_at})
@@ -385,8 +384,12 @@ class TestBatchedScan:
 
     def test_unequal_shapes_raise(self):
         with pytest.raises(ValueError, match="one shape"):
-            sp.coalescence_scan(lambda x: np.eye(2 if x < 1.0 else 3), [0.5, 1.5])
+            sp.coalescence_scan([np.eye(2), np.eye(3)], [0.5, 1.5])
 
     def test_nonsquare_matrices_raise(self):
         with pytest.raises(ValueError, match="square"):
-            sp.coalescence_scan(lambda x: np.zeros((2, 3)), [0.5, 1.5])
+            sp.coalescence_scan([np.zeros((2, 3))] * 2, [0.5, 1.5])
+
+    def test_matrix_count_must_match_the_grid(self):
+        with pytest.raises(ValueError, match="2 matrices for 3 grid points"):
+            sp.coalescence_scan([np.eye(2)] * 2, [0.5, 1.0, 1.5])
