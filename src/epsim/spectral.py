@@ -371,10 +371,10 @@ def coalescence_scan(
 
 
 def estimate_ep(reports: Sequence[CoalescenceReport]) -> CoalescenceReport | None:
-    """The report with the smallest clustered eigenvector angle, the first on ties.
+    """The coalescing report with the smallest eigenvector angle, the first on ties.
 
-    A report without a cluster of size >= 2 (a failed point included) never
-    wins; None when no report has one.
+    A report that does not coalesce (a failed point included) never wins, so
+    a scan in which no point coalesces gives None.
     """
-    candidates = [report for report in reports if report.best is not None]
+    candidates = [report for report in reports if report.coalescing]
     return min(candidates, key=lambda report: report.min_angle, default=None)

@@ -36,10 +36,14 @@ threshold and survival.
 
 Randomness comes from one counter-based Philox stream per trajectory, keyed
 by (seed, trajectory index), so results are reproducible and independent of
-batching. Each stream is read in blocks of uniforms: consecutive draws
-continue the same stream, so the numbers do not depend on the block length.
-Trajectories are independent. Each caller reduces the samples; `run_ensemble`
-adds them in chunk order.
+batching; `philox_stream` defines it. Philox4x64-10 (Salmon et al., SC'11)
+makes uniform j of a stream a pure function of (seed, index, j), so the
+engine evaluates its streams itself, on arrays: every trajectory of a batch
+that needs more uniforms gets its next block of them in one vectorized pass,
+bit-identical to what the stream's `Generator.random()` gives. Consecutive
+blocks continue the same stream, so the numbers do not depend on the block
+length. Trajectories are independent. Each caller reduces the samples;
+`run_ensemble` adds them in chunk order.
 """
 
 from __future__ import annotations
@@ -58,7 +62,9 @@ from .fockspace import FockCutoff
 
 TOP_LEVEL_GUARD = 1e-6
 CHUNK_SIZE = 1024
-_DRAW_BLOCK = 16  # uniforms read from one trajectory's stream at a time
+# Uniforms evaluated per trajectory at a time. A trajectory reads 1 + 2 per
+# jump; a longer block means fewer calls that refill but more unread words.
+_DRAW_BLOCK = 32
 _NORM2_FLOOR = np.finfo(float).tiny  # smallest norm^2 a skip may renormalize by
 
 
@@ -152,9 +158,65 @@ class TrajectoryEnsemble:
 
 
 def philox_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream for trajectory `index`."""
+    """Independent counter-based stream for trajectory `index`.
+
+    The definition of a trajectory's uniforms: the engine evaluates the
+    same numbers with _philox_uniforms and does not build this generator.
+    """
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+# Philox4x64-10 constants: round multipliers and key bumps (Random123).
+_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
+_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, from 32-bit limbs.
+
+    Every product of two limbs fits in 64 bits; the low word is the
+    wrapped product. Array arithmetic wraps silently.
+    """
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    lo_lo, lo_hi = x_lo * m_lo, x_hi * m_lo
+    hi_lo, hi_hi = x_lo * m_hi, x_hi * m_hi
+    carry = ((lo_lo >> _SHIFT32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)) >> _SHIFT32
+    return hi_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + carry, x * m
+
+
+def _philox_uniforms(seed: int, index: np.ndarray, first: np.ndarray, count: int) -> np.ndarray:
+    """Uniforms first[r] .. first[r] + count - 1 of stream philox_stream(seed, index[r]).
+
+    Row r equals philox_stream(seed, index[r]).random(first[r] + count)[first[r]:],
+    bit for bit. numpy increments the 256-bit counter before it generates a
+    block, so word w of a stream is lane w % 4 of the block at counter
+    w // 4 + 1 (its upper three words stay 0), and a word's double is
+    (word >> 11) * 2**-53.
+    """
+    index = np.asarray(index, dtype=np.uint64)
+    first = np.asarray(first, dtype=np.int64)
+    lane = first % 4
+    n_blocks = (int(lane.max()) + count + 3) // 4
+    c0 = (first // 4 + 1).astype(np.uint64)[:, None] + np.arange(n_blocks, dtype=np.uint64)
+    zero = np.zeros_like(c0)
+    ctr = (c0, zero, zero, zero)
+    bumps = np.arange(_PHILOX_ROUNDS, dtype=np.uint64)
+    key0 = np.full(1, seed, dtype=np.uint64) + bumps * _PHILOX_W0
+    key1 = index[:, None] + bumps * _PHILOX_W1
+    for r in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_M0, ctr[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M1, ctr[2])
+        ctr = (hi1 ^ ctr[1] ^ key0[r : r + 1], lo1, hi0 ^ ctr[3] ^ key1[:, r : r + 1], lo0)
+    words = np.stack(ctr, axis=-1).reshape(len(index), 4 * n_blocks)
+    words = np.take_along_axis(words, lane[:, None] + np.arange(count), axis=1)
+    return (words >> np.uint64(11)).astype(float) * 2.0**-53
 
 
 def no_jump_propagator(
@@ -184,19 +246,25 @@ def _populations(states: np.ndarray) -> np.ndarray:
 
 
 class _Draws:
-    """Each trajectory's uniforms, read from its Philox stream _DRAW_BLOCK at a time."""
+    """Each trajectory's uniforms, evaluated from its Philox stream _DRAW_BLOCK at a time."""
 
     def __init__(self, seed: int, indices: range):
-        self.streams = [philox_stream(seed, traj) for traj in indices]
+        self.seed = seed
+        self.index = np.asarray(indices, dtype=np.uint64)
         self.block = _DRAW_BLOCK
         self.buffer = np.empty((len(indices), self.block))
         self.used = np.full(len(indices), self.block)
+        self.read = np.zeros(len(indices), dtype=np.int64)  # words taken from each stream
 
     def next(self, cols: np.ndarray) -> np.ndarray:
-        """The next uniform of each trajectory at chunk positions cols."""
-        for col in cols[self.used[cols] == self.block]:
-            self.buffer[col] = self.streams[col].random(self.block)
-            self.used[col] = 0
+        """The next uniform of each trajectory at chunk positions cols (distinct)."""
+        empty = cols[self.used[cols] == self.block]
+        if empty.size:
+            self.buffer[empty] = _philox_uniforms(
+                self.seed, self.index[empty], self.read[empty], self.block
+            )
+            self.read[empty] += self.block
+            self.used[empty] = 0
         values = self.buffer[cols, self.used[cols]]
         self.used[cols] += 1
         return values

@@ -403,6 +403,23 @@ class TestScanCommands:
         assert all(line["cluster_re"] is not None for line in body)
         assert all(line["cluster_im"] is not None for line in body)
 
+    def test_no_coalescing_point_locates_nothing(self, tmp_path, capsys):
+        # every point clusters (cluster_eps=10) but none coalesces
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "lep-scan",
+            "params": {"g": 1, "gamma_a": 0, "gamma_b": 0, "eps": 0},
+            "sweep": {"axis": "g", "min": 0.5, "max": 0.52, "step": 0.01},
+            "tolerances": {"cluster_eps": 10},
+        }))
+        out = tmp_path / "scan.csv"
+        assert run(["lep-scan", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["located"] is None
+        assert summary["uncertainty"] is None and summary["min_angle"] is None
+        _, _, rows = read_rows(out)
+        assert [row["coalescing"] for row in rows] == ["False"] * 3
+
     def test_json_lines_mode(self, tmp_path):
         out = tmp_path / "scan.jsonl"
         assert run(["lep-scan", "--out", str(out), "--json"]) == 0

@@ -275,6 +275,14 @@ class TestScan:
         assert estimate is not None
         assert abs(estimate.param - 1.0) <= 0.01
 
+    def test_estimate_ignores_clusters_that_do_not_coalesce(self):
+        # +-i g cluster under a wide cluster_eps but have orthogonal eigenvectors
+        grid = [0.5, 0.51, 0.52]
+        matrices = [np.array([[0.0, g], [-g, 0.0]], dtype=complex) for g in grid]
+        reports = sp.coalescence_scan(matrices, grid, cluster_eps=10.0)
+        assert all(r.best is not None and not r.coalescing for r in reports)
+        assert sp.estimate_ep(reports) is None
+
     def test_loss_asymmetry_scan_locates_ep(self):
         # sweeping the asymmetry at gamma/g = 2 finds the transition at
         # kappa = g for the undriven single-excitation block

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -206,9 +207,26 @@ class TestEngineAlgorithm:
         np.testing.assert_allclose(out["survival"], survivals, rtol=1e-12)
         np.testing.assert_allclose(out["states"], states, rtol=1e-12, atol=1e-15)
 
+    def test_matches_reference_stepper_across_refills(self):
+        # d=3 thermal over 2000 steps: every trajectory reads more than two
+        # _DRAW_BLOCKs of uniforms (1 + 2 per jump), so the engine refills
+        # each stream at least twice after its first block
+        p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=1.0, n_th=0.2)
+        cfg = tj.TrajectoryConfig(
+            dt=0.005, t_final=10.0, n_traj=4, seed=5, cutoff=3,
+            sample_every=500, guard_threshold=1.0,
+        )
+        psi0 = fs.basis_state(3, 0, 0)
+        out = run_logged(tj._Engine(p, cfg), psi0, range(4))
+        records, survivals, states = reference_chunk(p, cfg, psi0, range(4))
+        assert min(1 + 2 * len(record) for record in records) > 2 * tj._DRAW_BLOCK
+        assert out["jumps"] == records
+        np.testing.assert_allclose(out["survival"], survivals, rtol=1e-12)
+        np.testing.assert_allclose(out["states"], states, rtol=1e-12, atol=1e-15)
+
     @pytest.mark.parametrize("block", [7, 1000])
     def test_draw_block_does_not_change_results(self, monkeypatch, block):
-        # blocks of 16 (the default), of 7 (not a divisor of it) and one
+        # blocks of 32 (the default), of 7 (not a divisor of it) and one
         # block longer than any stream is read here read the same streams
         p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=1.0, n_th=0.2)
         cfg = tj.TrajectoryConfig(
@@ -240,6 +258,39 @@ class TestEngineAlgorithm:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+class TestPhiloxUniforms:
+    SEEDS = (0, 2**64 - 1)
+    INDICES = (0, 2**63, 2**64 - 1)
+    FIRST = (0, 1, 2, 3, 5, 17, 1000)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("count", [1, 7, 32])
+    def test_equals_generator_random(self, seed, count):
+        # one vectorized call over every (index, first word) row, against each
+        # stream read by numpy's own generator
+        rows = [(index, first) for index in self.INDICES for first in self.FIRST]
+        index = np.array([r[0] for r in rows], dtype=np.uint64)
+        first = np.array([r[1] for r in rows])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tj._philox_uniforms(seed, index, first, count)
+        assert got.shape == (len(rows), count)
+        for row, (i, w) in zip(got, rows):
+            expected = tj.philox_stream(seed, i).random(w + count)[w:]
+            assert np.array_equal(row, expected), (seed, i, w)
+
+    def test_draws_continue_each_stream(self):
+        # streams 3 and 5 read past their first block while stream 4 waits
+        draws = tj._Draws(9, range(3, 6))
+        n = tj._DRAW_BLOCK + 3
+        taken = np.array([draws.next(np.array([0, 2])) for _ in range(n)])
+        late = draws.next(np.array([1, 2]))
+        assert np.array_equal(taken[:, 0], tj.philox_stream(9, 3).random(n))
+        assert np.array_equal(taken[:, 1], tj.philox_stream(9, 5).random(n))
+        assert late[0] == tj.philox_stream(9, 4).random()
+        assert late[1] == tj.philox_stream(9, 5).random(n + 1)[n]
 
 
 class TestNormBookkeeping:
