@@ -87,6 +87,11 @@ DEFAULT_CONFIGS: dict[str, dict] = {
     },
 }
 MODES = tuple(DEFAULT_CONFIGS)
+# modes whose memory grows with the cutoff: a check that raises ValueError over budget
+CUTOFF_CHECKS: dict[str, Callable[[int], None]] = {
+    "hamiltonian-spectrum": md.check_spectrum_cutoff,
+    "liouvillian-check": lv.check_witness_cutoff,
+}
 
 
 @dataclass
@@ -174,9 +179,9 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
         cutoff = FockCutoff(data["cutoff"]).d
     except ValueError as exc:
         raise ConfigError(f"config field 'cutoff': {exc}") from exc
-    if mode == "liouvillian-check":
+    if mode in CUTOFF_CHECKS:
         try:
-            lv.check_witness_cutoff(cutoff)
+            CUTOFF_CHECKS[mode](cutoff)
         except ValueError as exc:
             raise ConfigError(f"config field 'cutoff': {exc}") from exc
     seed = data["seed"]

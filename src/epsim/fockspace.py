@@ -68,9 +68,14 @@ class TwoModeOps(NamedTuple):
     b: np.ndarray
     a_dag: np.ndarray
     b_dag: np.ndarray
-    num_a: np.ndarray
-    num_b: np.ndarray
+    num_a: np.ndarray  # a_dag a
+    num_b: np.ndarray  # b_dag b
+    aa_dag: np.ndarray  # a a_dag: num_a + 1 below the top level, 0 on it
+    bb_dag: np.ndarray  # b b_dag
     hop: np.ndarray  # a_dag b + b_dag a
+    drive_a: np.ndarray  # a_dag - a
+    drive_b: np.ndarray  # b_dag - b
+    imbalance: np.ndarray  # num_a - num_b
     eye: np.ndarray
     occ_a: np.ndarray
     occ_b: np.ndarray
@@ -81,18 +86,25 @@ def _two_mode_ops(d: int) -> TwoModeOps:
     eye_d = np.eye(d, dtype=complex)
     single = annihilation(d)
     number = np.diag(np.arange(d, dtype=float)).astype(complex)
+    raised = np.diag(np.append(np.arange(1.0, d), 0.0)).astype(complex)  # a a_dag, exact
     a = np.kron(single, eye_d)
     b = np.kron(eye_d, single)
     a_dag, b_dag = dagger(a), dagger(b)
+    num_a, num_b = np.kron(number, eye_d), np.kron(eye_d, number)
     occ_a, occ_b = np.divmod(np.arange(d * d), d)
     ops = TwoModeOps(
         a=a,
         b=b,
         a_dag=a_dag,
         b_dag=b_dag,
-        num_a=np.kron(number, eye_d),
-        num_b=np.kron(eye_d, number),
+        num_a=num_a,
+        num_b=num_b,
+        aa_dag=np.kron(raised, eye_d),
+        bb_dag=np.kron(eye_d, raised),
         hop=a_dag @ b + b_dag @ a,
+        drive_a=a_dag - a,
+        drive_b=b_dag - b,
+        imbalance=num_a - num_b,
         eye=np.eye(d * d, dtype=complex),
         occ_a=occ_a,
         occ_b=occ_b,

@@ -22,7 +22,7 @@ k = -1 block is exactly the complex conjugate of the k = +1 block, its
 positions mirrored (sector_mirror): the k = -1 eigenpairs are the mirrored
 conjugates of the k = +1 ones. No dense eigensolve of a sector is left, and
 the cutoff is limited only by a memory estimate (witness_peak_bytes against
-WITNESS_MEMORY_BUDGET, d <= 27).
+model.MEMORY_BUDGET, d <= 27).
 
 The first-moment dynamical matrix M = [[-i*ga, g], [g, -i*gb]] generates
 d/dt [<a>, <b>] = -i M v - eps; its degeneracy at g = kappa defines
@@ -47,7 +47,6 @@ from .fockspace import FockCutoff
 if TYPE_CHECKING:  # scipy.sparse is imported where it is used, not at import time
     import scipy.sparse
 
-WITNESS_MEMORY_BUDGET = 2**30  # bytes a spectrum check may need (witness_peak_bytes)
 WITNESS_SHIFT = 0.1  # shift-invert offset right of -gamma and of 0, in units of gamma + g
 _GENERATOR_COPIES = 4  # generator sizes a liouvillian-check run holds at once (witness_peak_bytes)
 
@@ -124,6 +123,17 @@ def _kron(x: np.ndarray, y: np.ndarray) -> scipy.sparse.csr_array:
     return sps.csr_array((data, indices, indptr), shape=shape)
 
 
+def _trimmed(gen: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
+    """gen with its data and indices in buffers of exactly nnz entries.
+
+    scipy's csr + csr allocates nnz(a) + nnz(b) entries and keeps views into
+    them unless more than half go unused; a copy frees the slack.
+    """
+    gen.data = gen.data.copy()
+    gen.indices = gen.indices.copy()
+    return gen
+
+
 def build_liouvillian(params: md.SystemParams, cutoff: FockCutoff | int) -> Superoperator:
     """Lindblad generator: -i[H, .] plus the dissipators of the collapse set.
 
@@ -136,7 +146,7 @@ def build_liouvillian(params: md.SystemParams, cutoff: FockCutoff | int) -> Supe
     for c in md.build_collapse_ops(params, cut):
         cdc = fs.dagger(c) @ c
         gen += _kron(c.conj(), c) - 0.5 * (_kron(eye, cdc) + _kron(cdc.T, eye))
-    return Superoperator(gen, cut.dim)
+    return Superoperator(_trimmed(gen), cut.dim)
 
 
 def build_liouvillian_from_hnh(
@@ -153,7 +163,7 @@ def build_liouvillian_from_hnh(
     gen = -1j * (_kron(eye, h_nh) - _kron(fs.dagger(h_nh).T, eye))
     for c in md.build_collapse_ops(params, cut):
         gen += _kron(c.conj(), c)
-    return Superoperator(gen, cut.dim)
+    return Superoperator(_trimmed(gen), cut.dim)
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -346,14 +356,9 @@ def witness_peak_bytes(cutoff: FockCutoff | int) -> float:
 
 
 def check_witness_cutoff(cutoff: FockCutoff | int) -> None:
-    """Raise ValueError when witness_peak_bytes exceeds WITNESS_MEMORY_BUDGET."""
+    """Raise ValueError when witness_peak_bytes exceeds md.MEMORY_BUDGET."""
     d = FockCutoff.of(cutoff).d
-    need = witness_peak_bytes(d)
-    if need > WITNESS_MEMORY_BUDGET:
-        raise ValueError(
-            f"spectrum check at cutoff d={d} needs an estimated {need / 1e6:.0f} MB, "
-            f"over the {WITNESS_MEMORY_BUDGET / 1e6:.0f} MB budget"
-        )
+    md.check_memory(witness_peak_bytes(d), f"spectrum check at cutoff d={d}")
 
 
 def liouvillian_spectrum_check(

@@ -13,6 +13,15 @@ by completing the square is 2*eps^2*(g + i*gamma)/xi; its imaginary part is
 the physically relevant uniform decay shift, while the real part is an
 overall phase that must be kept for exact matrix reconstruction.
 
+Every dense Hamiltonian builder is a short coefficient list over the
+cutoff's cached operators (FockCutoff.of(d).ops: hop, the drive terms
+a_dag - a and b_dag - b, num_a, num_b, a a_dag, b b_dag, num_a - num_b and
+the identity), summed term by term with no matrix product. The
+displaced-operator products of build_h_pt_split are expanded into the same
+terms; displaced_ops and pt_coefficient_tableau keep the products as the
+definitions. Every operator is a dense d^2 x d^2 array, so the memory of a
+spectrum sweep grows as d^4 (spectrum_peak_bytes, check_spectrum_cutoff).
+
 derive is the one place that decides the frame: every rate of DerivedParams
 is scaled by 2 n_th + 1 (exactly 1 at n_th = 0), and the full-dynamics frame
 is params.with_(n_th=0.0). The builders of the displaced operators
@@ -39,6 +48,11 @@ TRACKED_STATES: tuple[tuple[int, int], ...] = ((1, 0), (0, 1), (2, 0), (0, 2))
 
 # Parameters a sweep can move (SystemParams.along).
 SWEEP_AXES = ("kappa", "g", "gamma_a", "gamma_b", "eps", "n_th")
+
+MEMORY_BUDGET = 2**30  # bytes a command's cutoff-dependent arrays may need (check_memory)
+# dense d^2 x d^2 arrays a spectrum point holds besides the cached terms: h_pt and
+# h_decay of this point and the last, one term of a coefficient sum, zgeev's copy
+_SPECTRUM_POINT_ARRAYS = 5
 
 
 def is_finite_number(value) -> bool:
@@ -267,14 +281,27 @@ def supermode_state(
     return psi / norm
 
 
+def _combine(cutoff: FockCutoff | int, **coeffs: complex) -> np.ndarray:
+    """Sum of coefficient * FockCutoff.of(cutoff).ops.<name> over the keyword terms.
+
+    Terms are added in keyword order; a zero coefficient adds nothing.
+    """
+    ops = FockCutoff.of(cutoff).ops
+    total = None
+    for name, coeff in coeffs.items():
+        if coeff:
+            term = coeff * getattr(ops, name)
+            if total is None:
+                total = term
+            else:
+                total += term
+    return np.zeros_like(ops.eye) if total is None else total
+
+
 def build_hamiltonian(params: SystemParams, cutoff: FockCutoff | int) -> np.ndarray:
     """Hermitian part: g(a_dag b + b_dag a) + i*eps*(a - a_dag) + i*eps*(b - b_dag)."""
-    fock = FockCutoff.of(cutoff).ops
-    return (
-        params.g * fock.hop
-        + 1j * params.eps * (fock.a - fock.a_dag)
-        + 1j * params.eps * (fock.b - fock.b_dag)
-    )
+    drive = -1j * params.eps
+    return _combine(cutoff, hop=params.g, drive_a=drive, drive_b=drive)
 
 
 def build_collapse_ops(
@@ -294,11 +321,25 @@ def build_collapse_ops(
 
 
 def build_h_nh(params: SystemParams, cutoff: FockCutoff | int) -> np.ndarray:
-    """Non-Hermitian Hamiltonian H - (i/2) sum C_dag C from the collapse set."""
-    h = build_hamiltonian(params, cutoff)
-    for c in build_collapse_ops(params, cutoff):
-        h = h - 0.5j * (fs.dagger(c) @ c)
-    return h
+    """Non-Hermitian Hamiltonian H - (i/2) sum C_dag C over build_collapse_ops.
+
+    A loss channel C = s a gives C_dag C = |s|^2 a_dag a and a gain channel
+    C = s a_dag gives |s|^2 a a_dag (0 on the top level), so the sum is a
+    coefficient list over num_a, aa_dag, num_b and bb_dag with |s|^2 / 2 =
+    gamma (n_th + 1) and gamma n_th.
+    """
+    ga, gb, n = params.gamma_a, params.gamma_b, params.n_th
+    drive = -1j * params.eps
+    return _combine(
+        cutoff,
+        hop=params.g,
+        drive_a=drive,
+        drive_b=drive,
+        num_a=-1j * ga * (n + 1.0),
+        aa_dag=-1j * ga * n,
+        num_b=-1j * gb * (n + 1.0),
+        bb_dag=-1j * gb * n,
+    )
 
 
 def build_h_nh_direct(params: SystemParams, cutoff: FockCutoff | int) -> np.ndarray:
@@ -308,13 +349,16 @@ def build_h_nh_direct(params: SystemParams, cutoff: FockCutoff | int) -> np.ndar
     for n_th > 0 (truncation leaves an a a_dag ordering defect at the top
     level only).
     """
-    fock = FockCutoff.of(cutoff).ops
     der = derive(params)
-    return (
-        build_hamiltonian(params, cutoff)
-        - 1j * der.gamma_a_p * fock.num_a
-        - 1j * der.gamma_b_p * fock.num_b
-        - der.chi_t * fock.eye
+    drive = -1j * params.eps
+    return _combine(
+        cutoff,
+        hop=params.g,
+        drive_a=drive,
+        drive_b=drive,
+        num_a=-1j * der.gamma_a_p,
+        num_b=-1j * der.gamma_b_p,
+        eye=-der.chi_t,
     )
 
 
@@ -338,19 +382,61 @@ def build_h_pt_split(
     in the rates of the params' frame (scaled by 2 n + 1). The sum
     reconstructs the normal-ordered non-Hermitian Hamiltonian exactly (full
     complex chi), and the two parts commute on the interior projector.
+
+    The displaced products (displaced_ops) are expanded into coefficient
+    lists over the cutoff's fixed operators, with u = eps*alpha, v = eps*delta:
+      c+ d + d+ c = hop + v (a_dag - a) + u (b_dag - b) - 2 u v I
+      c+ c        = num_a + u (a_dag - a) - u^2 I
+      d+ d        = num_b + v (b_dag - b) - v^2 I
     """
     der = derive(params)
-    ops = displaced_ops(params, cutoff)
-    cpc = ops.c_plus @ ops.c
-    dpd = ops.d_plus @ ops.d_op
-    h_pt = (
-        params.g * (ops.c_plus @ ops.d_op + ops.d_plus @ ops.c)
-        - 1j * der.kappa_p * cpc
-        + 1j * der.kappa_p * dpd
+    alpha, delta = displacement_constants(params)
+    u, v = params.eps * alpha, params.eps * delta
+    g, kappa, gamma = params.g, der.kappa_p, der.gamma_p
+    h_pt = _combine(
+        cutoff,
+        hop=g,
+        drive_a=g * v - 1j * kappa * u,
+        drive_b=g * u + 1j * kappa * v,
+        imbalance=-1j * kappa,
+        eye=-2.0 * g * u * v + 1j * kappa * (u * u - v * v),
     )
-    eye = FockCutoff.of(cutoff).ops.eye
-    h_decay = -1j * der.gamma_p * (cpc + dpd) - der.chi_p_full * eye
+    h_decay = _combine(
+        cutoff,
+        num_a=-1j * gamma,
+        num_b=-1j * gamma,
+        drive_a=-1j * gamma * u,
+        drive_b=-1j * gamma * v,
+        eye=1j * gamma * (u * u + v * v) - der.chi_p_full,
+    )
     return h_pt, h_decay
+
+
+def check_memory(need: float, what: str) -> None:
+    """Raise ValueError when need bytes exceed MEMORY_BUDGET; what names the job."""
+    if need > MEMORY_BUDGET:
+        raise ValueError(
+            f"{what} needs an estimated {need / 1e6:.0f} MB, "
+            f"over the {MEMORY_BUDGET / 1e6:.0f} MB budget"
+        )
+
+
+def spectrum_peak_bytes(cutoff: FockCutoff | int) -> float:
+    """Estimate of the dense memory (bytes) a spectrum sweep needs at this cutoff.
+
+    Every operator is a dense d^2 x d^2 complex array, 16 d^4 bytes: the
+    cutoff's cached terms (FockCutoff.ops, the occupation vectors aside) and
+    _SPECTRUM_POINT_ARRAYS more while a point is built and diagonalized.
+    """
+    d = FockCutoff.of(cutoff).d
+    cached = len(fs.TwoModeOps._fields) - 2  # occ_a and occ_b are vectors
+    return 16.0 * d**4 * (cached + _SPECTRUM_POINT_ARRAYS)
+
+
+def check_spectrum_cutoff(cutoff: FockCutoff | int) -> None:
+    """Raise ValueError when spectrum_peak_bytes exceeds MEMORY_BUDGET."""
+    d = FockCutoff.of(cutoff).d
+    check_memory(spectrum_peak_bytes(d), f"spectrum sweep at cutoff d={d}")
 
 
 def analytic_lambda_pt(n_e: int, n_f: int, derived: DerivedParams) -> complex:

@@ -11,6 +11,14 @@ For sparse matrices too large to diagonalize densely, eigs_near finds the
 eigenpairs nearest a few targets by shift-invert ARPACK, under the same
 residual bound, and proves that it has not missed a nearer eigenvalue.
 
+Coalescence reports are built on stacks: coalescence_scan diagonalizes its
+whole grid in one batched solve, then finds the clusters of every point
+(chain-linked eigenvalues) and the eigenvector angles of every pair within
+a cluster in batched array operations; coalescence_report is the one-point
+stack of the same code. Every point is computed on its own, so a report
+does not depend on the stack it was built in. cluster_eigenvalues and
+principal_angle are the one-row cases of the same clustering and angles.
+
 Norms are Frobenius throughout.
 """
 
@@ -200,21 +208,27 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def principal_angle(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle in [0, pi/2] between the one-dimensional spans of u and v.
+def _pair_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Angles in [0, pi/2] between the spans of the rows u[k] and v[k], shape (K,).
 
     Near-parallel spans are resolved through the projection residual
     (sin of the angle), which stays accurate where arccos of the overlap
-    saturates at sqrt(machine eps).
+    saturates at sqrt(machine eps). Each row is computed on its own, so a
+    pair's angle does not depend on the other rows.
     """
-    u = np.asarray(u) / np.linalg.norm(u)
-    v = np.asarray(v) / np.linalg.norm(v)
-    inner = np.vdot(u, v)
-    cos_angle = min(1.0, abs(inner))
-    if cos_angle < 0.7:
-        return float(np.arccos(cos_angle))
-    residual = v - u * inner
-    return float(np.arcsin(min(1.0, np.linalg.norm(residual))))
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    inner = (u.conj()[:, None, :] @ v[:, :, None])[:, 0, 0]
+    cos_angle = np.minimum(1.0, np.abs(inner))
+    residual = np.linalg.norm(v - u * inner[:, None], axis=-1)
+    return np.where(
+        cos_angle < 0.7, np.arccos(cos_angle), np.arcsin(np.minimum(1.0, residual))
+    )
+
+
+def principal_angle(u: np.ndarray, v: np.ndarray) -> float:
+    """Angle in [0, pi/2] between the one-dimensional spans of u and v."""
+    return float(_pair_angles(np.atleast_2d(u), np.atleast_2d(v))[0])
 
 
 def cluster_min_angle(vectors, group: Sequence[int], sectors=None) -> float:
@@ -223,15 +237,45 @@ def cluster_min_angle(vectors, group: Sequence[int], sectors=None) -> float:
     vectors[i] is the eigenvector of eigenvalue i (the transpose of an
     eigenvector matrix qualifies); group holds at least two indices. With
     sectors, eigenvectors of different sectors have disjoint support, so
-    their angle is exactly pi/2 and is not computed.
+    their angle is exactly pi/2.
     """
-    return min(
-        principal_angle(vectors[i], vectors[j])
-        if sectors is None or sectors[i] == sectors[j]
-        else np.pi / 2
-        for pos, i in enumerate(group)
-        for j in group[pos + 1 :]
-    )
+    first, second = np.array(
+        [(i, j) for pos, i in enumerate(group) for j in group[pos + 1 :]]
+    ).T
+    vectors = np.asarray(vectors)
+    angles = _pair_angles(vectors[first], vectors[second])
+    if sectors is not None:
+        sectors = np.asarray(sectors)
+        angles = np.where(sectors[first] == sectors[second], angles, np.pi / 2)
+    return float(angles.min())
+
+
+def _clusters(values: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The clusters of every row of a stack of eigenvalues, shape (m, n).
+
+    In row p, i and j share a cluster when a chain i = k0, k1, ..., j has
+    every step |lambda_k - lambda_k'| <= eps[p]. A cluster's label is its
+    smallest index. Returns the indices of each row in report order, the
+    clusters one after another by (Re of the label's eigenvalue, label) with
+    members ascending, and the label of each of them.
+    """
+    m, n = values.shape
+    close = np.abs(values[:, :, None] - values[:, None, :]) <= eps[:, None, None]
+    index = np.broadcast_to(np.arange(n), (m, n))
+    labels = index
+    while True:  # each pass lets a label travel one link further
+        linked = np.where(close, labels[:, None, :], n).min(axis=-1, initial=n)
+        if np.array_equal(linked, labels):
+            break
+        labels = linked
+    order = np.lexsort((index, labels, np.take_along_axis(values.real, labels, -1)))
+    return order, np.take_along_axis(labels, order, -1)
+
+
+def _runs(labels: list[int]) -> list[tuple[int, int]]:
+    """(start, stop) of every run of equal labels."""
+    starts = [k for k in range(len(labels)) if k == 0 or labels[k] != labels[k - 1]]
+    return list(zip(starts, starts[1:] + [len(labels)]))
 
 
 def cluster_eigenvalues(values: np.ndarray, eps: float) -> list[list[int]]:
@@ -240,27 +284,10 @@ def cluster_eigenvalues(values: np.ndarray, eps: float) -> list[list[int]]:
     Each group lists its indices in ascending order; groups are ordered by
     the real part of their first index, then by that index.
     """
-    n = len(values)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    points = values.tolist()
-    order = np.argsort(values.real, kind="stable").tolist()
-    for pos, i in enumerate(order):
-        for j in order[pos + 1 :]:
-            if points[j].real - points[i].real > eps:
-                break  # sorted by real part: no later j is within eps either
-            if abs(points[i] - points[j]) <= eps:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda grp: (points[grp[0]].real, grp[0]))
+    values = np.asarray(values, dtype=complex)
+    order, labels = _clusters(values[None], np.array([eps], dtype=float))
+    members = order[0].tolist()
+    return [members[start:stop] for start, stop in _runs(labels[0].tolist())]
 
 
 @dataclass
@@ -290,26 +317,63 @@ class CoalescenceReport:
         return np.inf if self.best is None else self.best.min_angle
 
 
-def _report(
-    spectrum: Spectrum, param: float, cluster_eps: float | None, angle_eps: float
-) -> CoalescenceReport:
-    eps = CLUSTER_EPS_SCALE * spectrum.norm if cluster_eps is None else cluster_eps
-    clusters = []
-    best = None
-    for group in cluster_eigenvalues(spectrum.eigenvalues, eps):
-        angle = None
-        if len(group) >= 2:
-            angle = cluster_min_angle(spectrum.eigenvectors.T, group)
-        cluster = EigenvalueCluster(tuple(group), spectrum.eigenvalues[group], angle)
-        clusters.append(cluster)
-        if angle is not None and (best is None or angle < best.min_angle):
-            best = cluster
-    return CoalescenceReport(
-        param=param,
-        clusters=clusters,
-        best=best,
-        coalescing=bool(best is not None and best.min_angle < angle_eps),
+def _reports(
+    params: Sequence[float],
+    values: np.ndarray,
+    vectors: np.ndarray,
+    norms: np.ndarray,
+    cluster_eps: float | None,
+    angle_eps: float,
+) -> list[CoalescenceReport]:
+    """The CoalescenceReport of every point of an eigen-solved stack.
+
+    values (m, n) and vectors (m, n, n, unit-norm columns) are the eigenpairs
+    of the m matrices at params, norms (m,) their Frobenius norms. The
+    clusters of every point and the eigenvector angles of every pair within
+    one are computed in batched array operations, each point on its own, so
+    a point's report does not depend on the rest of the stack.
+    """
+    m, n = values.shape
+    eps = CLUSTER_EPS_SCALE * norms if cluster_eps is None else np.full(m, float(cluster_eps))
+    order, labels = _clusters(values, eps)
+    # every pair of one cluster, as (point, first, second) in report order
+    point, first, second = np.nonzero(
+        (labels[:, :, None] == labels[:, None, :]) & np.triu(np.ones((n, n), dtype=bool), 1)
     )
+    angles = np.full((m, n), np.inf)  # [point, label]: the cluster's smallest angle
+    np.minimum.at(
+        angles,
+        (point, labels[point, first]),
+        _pair_angles(
+            vectors[point, :, order[point, first]], vectors[point, :, order[point, second]]
+        ),
+    )
+    grouped = np.take_along_axis(values, order, -1)
+    reports = []
+    for param, row, row_order, row_labels, row_angles in zip(
+        params, grouped, order, labels, angles
+    ):
+        # lists row by row: lists of the whole stack would outweigh its arrays
+        members = row_order.tolist()
+        row_labels = row_labels.tolist()
+        row_angles = row_angles.tolist()
+        clusters = []
+        best = None
+        for start, stop in _runs(row_labels):
+            angle = row_angles[row_labels[start]] if stop - start >= 2 else None
+            cluster = EigenvalueCluster(tuple(members[start:stop]), row[start:stop], angle)
+            clusters.append(cluster)
+            if angle is not None and (best is None or angle < best.min_angle):
+                best = cluster
+        reports.append(
+            CoalescenceReport(
+                param=param,
+                clusters=clusters,
+                best=best,
+                coalescing=bool(best is not None and best.min_angle < angle_eps),
+            )
+        )
+    return reports
 
 
 def coalescence_report(
@@ -318,7 +382,19 @@ def coalescence_report(
     cluster_eps: float | None = None,
     angle_eps: float = DEFAULT_ANGLE_EPS,
 ) -> CoalescenceReport:
-    return _report(eig(a, want_vectors=True), param, cluster_eps, angle_eps)
+    """The CoalescenceReport of one matrix, the one-point stack of coalescence_scan.
+
+    Raises EigenConvergenceError when eig fails or misses its residual bound.
+    """
+    spectrum = eig(a, want_vectors=True)
+    return _reports(
+        [param],
+        spectrum.eigenvalues[None],
+        spectrum.eigenvectors[None],
+        np.array([spectrum.norm]),
+        cluster_eps,
+        angle_eps,
+    )[0]
 
 
 def coalescence_scan(
@@ -332,11 +408,12 @@ def coalescence_scan(
     matrices[i] is the matrix at grid[i]; they must be square and of one
     shape. They are held together (len(grid) * n**2 complex numbers) and
     diagonalized in one batched solve, normalized and residual-checked as
-    eig does, so each report equals coalescence_report of its matrix. If the
-    batched solve fails, every point is redone on its own with
-    coalescence_report, and so is each point that fails its residual check.
-    Eigensolver failures at individual points are recorded on the report and
-    do not abort the scan.
+    eig does, and the reports of the solved points are built as one stack,
+    so each report equals coalescence_report of its matrix. If the batched
+    solve fails, every point is redone on its own with coalescence_report,
+    and so is each point that fails its residual check. Eigensolver failures
+    at individual points are recorded on the report and do not abort the
+    scan.
     """
     grid = list(grid)
     if not grid:
@@ -351,22 +428,29 @@ def coalescence_scan(
         raise ValueError(f"expected square matrices of one shape, got shapes {shapes}")
     stack = np.stack(matrices)
     norms = np.linalg.norm(stack, axis=(-2, -1))
+    reports: list[CoalescenceReport | None] = [None] * len(grid)
     try:
         values, vectors, residuals = _eigenpairs(stack)
     except np.linalg.LinAlgError:
         solved = np.zeros(len(grid), dtype=bool)
     else:
         solved = np.all(residuals <= _residual_bound(norms)[:, None], axis=1)
-    reports = []
-    for i, x in enumerate(grid):
-        if solved[i]:
-            spectrum = Spectrum(values[i], vectors[i], residuals[i], float(norms[i]))
-            reports.append(_report(spectrum, x, cluster_eps, angle_eps))
-            continue
+        kept = np.flatnonzero(solved)
+        batch = _reports(
+            [grid[i] for i in kept],
+            values[kept],
+            vectors[kept],
+            norms[kept],
+            cluster_eps,
+            angle_eps,
+        )
+        for i, report in zip(kept, batch):
+            reports[i] = report
+    for i in np.flatnonzero(~solved):
         try:
-            reports.append(coalescence_report(matrices[i], x, cluster_eps, angle_eps))
+            reports[i] = coalescence_report(matrices[i], grid[i], cluster_eps, angle_eps)
         except EigenConvergenceError as exc:
-            reports.append(CoalescenceReport(param=x, error=str(exc)))
+            reports[i] = CoalescenceReport(param=grid[i], error=str(exc))
     return reports
 
 

@@ -325,6 +325,19 @@ class TestSpectrumCommand:
         assert len(rows) == 4 * 4
         assert max(float(r["err_nh"]) for r in rows) < 1e-3
 
+    def test_cutoff_guard(self, capsys, monkeypatch):
+        # refused in load_config, before any operator is built
+        def unreachable(*args):
+            raise AssertionError("a point was built")
+
+        monkeypatch.setattr(md, "build_h_pt_split", unreachable)
+        assert md.spectrum_peak_bytes(8) <= md.MEMORY_BUDGET < md.spectrum_peak_bytes(60)
+        assert cli.load_config("hamiltonian-spectrum", None, {"cutoff": 8}).cutoff == 8
+        assert run(["spectrum", "--cutoff", "60"]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'cutoff'" in err
+        assert f"{md.spectrum_peak_bytes(60) / 1e6:.0f} MB" in err
+
     def test_huge_integer_g_matches_float(self, tmp_path):
         # an integer parameter is made a float once, so 10**300 runs as 1e300
         # instead of overflowing in integer arithmetic (g * g)
@@ -520,7 +533,7 @@ class TestLiouvillianCheckCommand:
 
     def test_cutoff_guard(self, capsys):
         # the first cutoff whose memory estimate exceeds the budget
-        over = next(d for d in range(2, 100) if lv.witness_peak_bytes(d) > lv.WITNESS_MEMORY_BUDGET)
+        over = next(d for d in range(2, 100) if lv.witness_peak_bytes(d) > md.MEMORY_BUDGET)
         assert over > 16
         assert run(["liouvillian-check", "--cutoff", str(over)]) == 1
         err = capsys.readouterr().err

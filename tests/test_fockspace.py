@@ -82,6 +82,20 @@ class TestTwoModeOps:
         assert all(x is y for x, y in zip(first, second))
         assert FockCutoff(4).ops.a.shape == (16, 16)
 
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_combined_terms_match_their_definitions(self, d):
+        ops = FockCutoff(d).ops
+        np.testing.assert_array_equal(ops.drive_a, ops.a_dag - ops.a)
+        np.testing.assert_array_equal(ops.drive_b, ops.b_dag - ops.b)
+        np.testing.assert_array_equal(ops.imbalance, ops.num_a - ops.num_b)
+        for lower, upper, product, occ in (
+            (ops.a, ops.a_dag, ops.aa_dag, ops.occ_a),
+            (ops.b, ops.b_dag, ops.bb_dag, ops.occ_b),
+        ):
+            # exact integers n + 1, and 0 on the top level
+            np.testing.assert_array_equal(product, np.diag(np.where(occ < d - 1, occ + 1, 0)))
+            np.testing.assert_allclose(product, lower @ upper, rtol=0, atol=4 * d * 2.0**-52)
+
     @pytest.mark.parametrize("eps, n_th", [(0.0, 0.2), (1.0, 0.0)])
     def test_builders_return_fresh_writeable_arrays(self, eps, n_th):
         p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=eps, n_th=n_th)

@@ -145,6 +145,19 @@ class TestSparseAssembly:
         monkeypatch.setattr(lv, "_kron", scipy_kron)
         assert_same_csr(gen, build(p, d).csr)
 
+    @pytest.mark.parametrize("from_hnh", [False, True])
+    def test_generator_buffers_hold_exactly_nnz(self, from_hnh):
+        # scipy's csr + csr allocates nnz(a) + nnz(b) entries and may keep views into them
+        p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=1.0, n_th=0.2)
+        build = lv.build_liouvillian_from_hnh if from_hnh else lv.build_liouvillian
+        gen = build(p, 6).csr
+        for array in (gen.data, gen.indices):
+            owner = array
+            while getattr(owner, "base", None) is not None:
+                owner = owner.base
+            assert array.size == gen.nnz
+            assert np.asarray(owner).nbytes == gen.nnz * array.itemsize
+
 
 def scipy_kron(x, y):
     import scipy.sparse as sps
@@ -432,7 +445,7 @@ class TestSpectrumWitness:
 
     def test_cutoff_guard(self, std_params):
         # the first cutoff whose memory estimate exceeds the budget
-        over = next(d for d in range(2, 100) if lv.witness_peak_bytes(d) > lv.WITNESS_MEMORY_BUDGET)
+        over = next(d for d in range(2, 100) if lv.witness_peak_bytes(d) > md.MEMORY_BUDGET)
         assert over == 28  # the largest accepted cutoff is d = 27
         with pytest.raises(ValueError, match=f"cutoff d={over} .* MB"):
             lv.liouvillian_spectrum_check(std_params, over)

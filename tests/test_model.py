@@ -189,6 +189,77 @@ class TestHnh:
         assert len(md.build_collapse_ops(p0, 3)) == 2
 
 
+def reference_h_nh(params, d):
+    """H - (i/2) sum C_dag C by matrix products over build_collapse_ops."""
+    h = md.build_hamiltonian(params, d)
+    for c in md.build_collapse_ops(params, d):
+        h = h - 0.5j * (fs.dagger(c) @ c)
+    return h
+
+
+def reference_h_pt_split(params, d):
+    """h_pt and h_decay by matrix products of the displaced operators."""
+    der = md.derive(params)
+    ops = md.displaced_ops(params, d)
+    cpc = ops.c_plus @ ops.c
+    dpd = ops.d_plus @ ops.d_op
+    h_pt = (
+        params.g * (ops.c_plus @ ops.d_op + ops.d_plus @ ops.c)
+        - 1j * der.kappa_p * cpc
+        + 1j * der.kappa_p * dpd
+    )
+    h_decay = -1j * der.gamma_p * (cpc + dpd) - der.chi_p_full * FockCutoff(d).ops.eye
+    return h_pt, h_decay
+
+
+def reference_hamiltonian(params, d):
+    ops = FockCutoff(d).ops
+    return (
+        params.g * (ops.a_dag @ ops.b + ops.b_dag @ ops.a)
+        + 1j * params.eps * (ops.a - ops.a_dag)
+        + 1j * params.eps * (ops.b - ops.b_dag)
+    )
+
+
+def reference_h_nh_direct(params, d):
+    ops = FockCutoff(d).ops
+    der = md.derive(params)
+    return (
+        reference_hamiltonian(params, d)
+        - 1j * der.gamma_a_p * ops.a_dag @ ops.a
+        - 1j * der.gamma_b_p * ops.b_dag @ ops.b
+        - der.chi_t * ops.eye
+    )
+
+
+class TestCoefficientBuilders:
+    """Each coefficient-list builder against its definition by matrix products."""
+
+    @given(
+        params=valid_params(),
+        n_th=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+        d=st.integers(2, 8),
+    )
+    def test_builders_match_their_matmul_definitions(self, params, n_th, d):
+        p = params.with_(n_th=n_th)
+        pairs = [
+            (md.build_hamiltonian(p, d), reference_hamiltonian(p, d)),
+            (md.build_h_nh(p, d), reference_h_nh(p, d)),
+            (md.build_h_nh_direct(p, d), reference_h_nh_direct(p, d)),
+            (md.build_drift_h(p, d), reference_h_nh(p.with_(n_th=0.0), d)),
+            *zip(md.build_h_pt_split(p, d), reference_h_pt_split(p, d)),
+        ]
+        for built, reference in pairs:
+            # the full matrices, top Fock level included
+            scale = np.linalg.norm(reference)
+            assert np.linalg.norm(built - reference) <= 1e-13 * scale
+
+    def test_zero_coefficients_build_zeros(self):
+        h = md.build_h_pt_split(md.SystemParams(g=1.0, gamma_a=0.0, gamma_b=0.0), 3)[1]
+        np.testing.assert_array_equal(h, np.zeros((9, 9)))
+        assert h.flags.writeable
+
+
 class TestSplit:
     def test_undriven_balanced_forms(self):
         p = md.SystemParams(g=1.3, gamma_a=2.0, gamma_b=2.0, eps=0.0)

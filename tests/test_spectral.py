@@ -341,6 +341,49 @@ class TestBatchedScan:
         assert any(r.coalescing for r in single)
         assert [report_key(r) for r in batched] == [report_key(r) for r in single]
 
+    @pytest.mark.parametrize("cluster_eps", [None, 0.05])
+    @pytest.mark.parametrize("n_th", [0.0, 0.2])
+    @pytest.mark.parametrize("n_total", [1, 2, 3, 4])
+    def test_excitation_blocks_equal_per_point_reports(self, n_total, n_th, cluster_eps):
+        # the grid passes the block's EP at g = (2 n_th + 1) kappa, kappa = 1
+        grid = list(0.8 + 0.002 * np.arange(401))
+        base = md.SystemParams(g=1.0, gamma_a=3.0, gamma_b=1.0, n_th=n_th)
+        matrices = [md.h_nh_block(base.along("g", g), 6, n_total) for g in grid]
+        batched = sp.coalescence_scan(matrices, grid, cluster_eps=cluster_eps)
+        single = [
+            sp.coalescence_report(m, g, cluster_eps=cluster_eps) for m, g in zip(matrices, grid)
+        ]
+        assert [report_key(r) for r in batched] == [report_key(r) for r in single]
+        if cluster_eps is not None:
+            assert any(len(c.indices) >= 2 for r in single for c in r.clusters)
+
+    def test_chained_cluster_of_three_equals_per_point_reports(self):
+        # 0 - t - 2t link only through the middle eigenvalue for 0.5 < t <= 1
+        grid = list(np.linspace(0.1, 1.5, 15))
+        matrices = [np.array([[0.0, 1.0, 0.0], [0.0, t, 1.0], [0.0, 0.0, 2 * t]]) for t in grid]
+        batched = sp.coalescence_scan(matrices, grid, cluster_eps=1.0)
+        single = [sp.coalescence_report(m, t, cluster_eps=1.0) for m, t in zip(matrices, grid)]
+        assert [report_key(r) for r in batched] == [report_key(r) for r in single]
+        chained = [r for r in single if 0.5 < r.param <= 1.0]
+        assert chained and all([c.indices for c in r.clusters] == [(0, 1, 2)] for r in chained)
+        assert all(len(r.clusters) == 3 for r in single if r.param > 1.0)
+
+    def test_tied_angles_first_cluster_wins(self):
+        # two copies of one 2x2 block, 5 apart: both clusters have one angle
+        delta = 2.0**-20  # (5 + delta) - 5 == delta exactly
+        block = np.array([[0.0, 1.0], [0.0, delta]])
+        a = np.zeros((4, 4))
+        a[:2, :2] = block
+        a[2:, 2:] = block + 5.0 * np.eye(2)
+        grid = [0.0, 1.0, 2.0]
+        batched = sp.coalescence_scan([a] * 3, grid, cluster_eps=1e-3)
+        single = [sp.coalescence_report(a, x, cluster_eps=1e-3) for x in grid]
+        assert [report_key(r) for r in batched] == [report_key(r) for r in single]
+        for report in batched:
+            first, second = report.clusters
+            assert first.min_angle == second.min_angle
+            assert report.best is first
+
     def test_cluster_tolerance_uses_the_batched_norm(self):
         # eps = CLUSTER_EPS_SCALE * norm sets cluster membership, so eig's norm
         # must equal the norm the scan takes of its stack, bit for bit
@@ -389,6 +432,14 @@ class TestBatchedScan:
         for report, reference in zip(reports, good):
             if report.param not in errors:
                 assert report_key(report) == report_key(reference)
+        # point by point, the scan is coalescence_report or its error
+        for report, g in zip(reports, grid):
+            if report.param in errors:
+                with pytest.raises(EigenConvergenceError) as failure:
+                    sp.coalescence_report(mixed(g), g)
+                assert str(failure.value) == report.error
+            else:
+                assert report_key(report) == report_key(sp.coalescence_report(mixed(g), g))
 
     def test_unequal_shapes_raise(self):
         with pytest.raises(ValueError, match="one shape"):
