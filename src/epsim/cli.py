@@ -206,6 +206,10 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
             trajectories = tj.TrajectoryConfig(seed=seed, cutoff=cutoff, **data["trajectories"])
         except ValueError as exc:
             raise ConfigError(f"config field 'trajectories': {exc}") from exc
+        try:
+            tj.check_unraveling_memory(trajectories)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return SweepConfig(
         mode=mode,
         params=params,
@@ -284,7 +288,7 @@ def cmd_spectrum(config: SweepConfig) -> Table:
     rows = []
     for value, point in zip(grid, points):
         der = md.derive(point)
-        h_pt, _ = md.build_h_pt_split(point, config.cutoff)
+        h_pt = md.build_h_pt(point, config.cutoff)
         pt_vals = sp.eig(h_pt, want_vectors=False).eigenvalues
         nh_vals = sp.eig(
             md.build_h_nh(point, config.cutoff), want_vectors=False

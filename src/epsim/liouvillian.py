@@ -333,15 +333,24 @@ def sector_block(gen: Superoperator, k: int) -> scipy.sparse.csc_array:
     return rows[:, idx].tocsc()
 
 
+def generator_entries(cutoff: FockCutoff | int) -> int:
+    """Entries the driven generator with gain channels stores: d^2 (17 d^2 - 24 d + 8).
+
+    Exact for d >= 2; drive-free and n_th = 0 generators store fewer. Each
+    takes 20 bytes in CSR (a complex value and an int32 column index).
+    """
+    d = FockCutoff.of(cutoff).d
+    return d * d * (17 * d * d - 24 * d + 8)
+
+
 def witness_peak_bytes(cutoff: FockCutoff | int) -> float:
     """Closed-form estimate of the peak memory (bytes) a spectrum check needs.
 
-    It counts what grows with d, not the interpreter and its libraries. The
-    driven generator with gain channels stores d^2 (17 d^2 - 24 d + 8)
-    entries (exact for d >= 2; drive-free and n_th = 0 generators store
-    fewer), 20 bytes each in CSR. It counts _GENERATOR_COPIES of them: a
-    liouvillian-check run peaks while it assembles the second driven
-    generator, holding the first, the partial sum and the sum being formed.
+    It counts what grows with d, not the interpreter and its libraries. It
+    counts _GENERATOR_COPIES of the driven generator (generator_entries, 20
+    bytes each): a liouvillian-check run peaks while it assembles the second
+    driven generator, holding the first, the partial sum and the sum being
+    formed.
     The largest solved block is k = 0, with n = d (2 d^2 + 1) / 3 positions;
     its sparse LU held at most n^1.75 entries, 20 bytes each, at every d
     measured (4 to 24). The run releases the driven pair before the LU, so
@@ -350,7 +359,7 @@ def witness_peak_bytes(cutoff: FockCutoff | int) -> float:
     and 44 % high.
     """
     d = FockCutoff.of(cutoff).d
-    generator = d * d * (17 * d * d - 24 * d + 8)
+    generator = generator_entries(d)
     block = d * (2 * d * d + 1) / 3
     return 20.0 * (_GENERATOR_COPIES * generator + block**1.75)
 

@@ -22,6 +22,13 @@ terms; displaced_ops and pt_coefficient_tableau keep the products as the
 definitions. Every operator is a dense d^2 x d^2 array, so the memory of a
 spectrum sweep grows as d^4 (spectrum_peak_bytes, check_spectrum_cutoff).
 
+collapse_channels states the collapse set once, as (rate, jump, product)
+rows over the same cached operators: loss a, gain a, loss b, gain b, the
+gain rows only for n_th > 0. build_collapse_ops, the damping of build_h_nh
+and the trajectory engine's jump weights and truncation guards read it.
+liouvillian.build_liouvillian multiplies out its own C_dag C, so that its
+agreement with build_liouvillian_from_hnh compares two independent sums.
+
 derive is the one place that decides the frame: every rate of DerivedParams
 is scaled by 2 n_th + 1 (exactly 1 at n_th = 0), and the full-dynamics frame
 is params.with_(n_th=0.0). The builders of the displaced operators
@@ -51,7 +58,8 @@ SWEEP_AXES = ("kappa", "g", "gamma_a", "gamma_b", "eps", "n_th")
 
 MEMORY_BUDGET = 2**30  # bytes a command's cutoff-dependent arrays may need (check_memory)
 # dense d^2 x d^2 arrays a spectrum point holds besides the cached terms: h_pt and
-# h_decay of this point and the last, one term of a coefficient sum, zgeev's copy
+# h_nh, the two temporaries of eig's Frobenius norm, then zgeev's copy and work
+# (peak resident growth 4.1-4.2 arrays at d = 28 and 32)
 _SPECTRUM_POINT_ARRAYS = 5
 
 
@@ -298,48 +306,43 @@ def _combine(cutoff: FockCutoff | int, **coeffs: complex) -> np.ndarray:
     return np.zeros_like(ops.eye) if total is None else total
 
 
+def _h_terms(params: SystemParams) -> dict[str, complex]:
+    """The coefficient list of H (build_hamiltonian), shared by every builder."""
+    drive = -1j * params.eps
+    return {"hop": params.g, "drive_a": drive, "drive_b": drive}
+
+
 def build_hamiltonian(params: SystemParams, cutoff: FockCutoff | int) -> np.ndarray:
     """Hermitian part: g(a_dag b + b_dag a) + i*eps*(a - a_dag) + i*eps*(b - b_dag)."""
-    drive = -1j * params.eps
-    return _combine(cutoff, hop=params.g, drive_a=drive, drive_b=drive)
+    return _combine(cutoff, **_h_terms(params))
 
 
-def build_collapse_ops(
-    params: SystemParams, cutoff: FockCutoff | int
-) -> list[np.ndarray]:
-    """Collapse operators: two loss channels, plus two gain channels if n_th > 0."""
-    fock = FockCutoff.of(cutoff).ops
+def collapse_channels(params: SystemParams) -> list[tuple[float, str, str]]:
+    """The collapse set: one (rate, jump, product) row per channel, in jump-record order.
+
+    Channel C = sqrt(rate) * jump has C_dag C = rate * product; jump and
+    product name operators of FockCutoff.of(d).ops. The loss channels
+    sqrt(2 gamma (n + 1)) a and b are joined, for n_th > 0, by the gain
+    channels sqrt(2 gamma n) a_dag and b_dag: loss a, gain a, loss b, gain b.
+    """
     ga, gb, n = params.gamma_a, params.gamma_b, params.n_th
+    loss_a = (2.0 * ga * (n + 1.0), "a", "num_a")
+    loss_b = (2.0 * gb * (n + 1.0), "b", "num_b")
     if n == 0.0:
-        return [math.sqrt(2.0 * ga) * fock.a, math.sqrt(2.0 * gb) * fock.b]
-    return [
-        math.sqrt(2.0 * ga * (n + 1.0)) * fock.a,
-        math.sqrt(2.0 * ga * n) * fock.a_dag,
-        math.sqrt(2.0 * gb * (n + 1.0)) * fock.b,
-        math.sqrt(2.0 * gb * n) * fock.b_dag,
-    ]
+        return [loss_a, loss_b]
+    return [loss_a, (2.0 * ga * n, "a_dag", "aa_dag"), loss_b, (2.0 * gb * n, "b_dag", "bb_dag")]
+
+
+def build_collapse_ops(params: SystemParams, cutoff: FockCutoff | int) -> list[np.ndarray]:
+    """Collapse operators sqrt(rate) * jump over collapse_channels."""
+    ops = FockCutoff.of(cutoff).ops
+    return [math.sqrt(rate) * getattr(ops, jump) for rate, jump, _ in collapse_channels(params)]
 
 
 def build_h_nh(params: SystemParams, cutoff: FockCutoff | int) -> np.ndarray:
-    """Non-Hermitian Hamiltonian H - (i/2) sum C_dag C over build_collapse_ops.
-
-    A loss channel C = s a gives C_dag C = |s|^2 a_dag a and a gain channel
-    C = s a_dag gives |s|^2 a a_dag (0 on the top level), so the sum is a
-    coefficient list over num_a, aa_dag, num_b and bb_dag with |s|^2 / 2 =
-    gamma (n_th + 1) and gamma n_th.
-    """
-    ga, gb, n = params.gamma_a, params.gamma_b, params.n_th
-    drive = -1j * params.eps
-    return _combine(
-        cutoff,
-        hop=params.g,
-        drive_a=drive,
-        drive_b=drive,
-        num_a=-1j * ga * (n + 1.0),
-        aa_dag=-1j * ga * n,
-        num_b=-1j * gb * (n + 1.0),
-        bb_dag=-1j * gb * n,
-    )
+    """Non-Hermitian Hamiltonian H - (i/2) sum C_dag C over collapse_channels."""
+    damping = {product: -0.5j * rate for rate, _, product in collapse_channels(params)}
+    return _combine(cutoff, **_h_terms(params), **damping)
 
 
 def build_h_nh_direct(params: SystemParams, cutoff: FockCutoff | int) -> np.ndarray:
@@ -350,12 +353,9 @@ def build_h_nh_direct(params: SystemParams, cutoff: FockCutoff | int) -> np.ndar
     level only).
     """
     der = derive(params)
-    drive = -1j * params.eps
     return _combine(
         cutoff,
-        hop=params.g,
-        drive_a=drive,
-        drive_b=drive,
+        **_h_terms(params),
         num_a=-1j * der.gamma_a_p,
         num_b=-1j * der.gamma_b_p,
         eye=-der.chi_t,
@@ -371,13 +371,33 @@ def build_drift_h(params: SystemParams, cutoff: FockCutoff | int) -> np.ndarray:
     return build_h_nh_direct(params.with_(n_th=0.0), cutoff)
 
 
+def _drive_shifts(params: SystemParams) -> tuple[DerivedParams, complex, complex]:
+    """derive(params) and the shifts u = eps*alpha, v = eps*delta of c and d."""
+    alpha, delta = displacement_constants(params)
+    return derive(params), params.eps * alpha, params.eps * delta
+
+
+def build_h_pt(params: SystemParams, cutoff: FockCutoff | int) -> np.ndarray:
+    """The PT-symmetric part g (c+ d + d+ c) - i*kappa' (c+ c - d+ d) of build_h_pt_split."""
+    der, u, v = _drive_shifts(params)
+    g, kappa = params.g, der.kappa_p
+    return _combine(
+        cutoff,
+        hop=g,
+        drive_a=g * v - 1j * kappa * u,
+        drive_b=g * u + 1j * kappa * v,
+        imbalance=-1j * kappa,
+        eye=-2.0 * g * u * v + 1j * kappa * (u * u - v * v),
+    )
+
+
 def build_h_pt_split(
     params: SystemParams, cutoff: FockCutoff | int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split into a PT-symmetric part and a commuting uniform-decay part.
 
     Returns (h_pt, h_decay) with
-      h_pt    = g (c+ d + d+ c) - i*kappa' (c+ c - d+ d)
+      h_pt    = g (c+ d + d+ c) - i*kappa' (c+ c - d+ d)    (build_h_pt)
       h_decay = -i*gamma' (c+ c + d+ d) - chi'_full * I
     in the rates of the params' frame (scaled by 2 n + 1). The sum
     reconstructs the normal-ordered non-Hermitian Hamiltonian exactly (full
@@ -389,18 +409,8 @@ def build_h_pt_split(
       c+ c        = num_a + u (a_dag - a) - u^2 I
       d+ d        = num_b + v (b_dag - b) - v^2 I
     """
-    der = derive(params)
-    alpha, delta = displacement_constants(params)
-    u, v = params.eps * alpha, params.eps * delta
-    g, kappa, gamma = params.g, der.kappa_p, der.gamma_p
-    h_pt = _combine(
-        cutoff,
-        hop=g,
-        drive_a=g * v - 1j * kappa * u,
-        drive_b=g * u + 1j * kappa * v,
-        imbalance=-1j * kappa,
-        eye=-2.0 * g * u * v + 1j * kappa * (u * u - v * v),
-    )
+    der, u, v = _drive_shifts(params)
+    gamma = der.gamma_p
     h_decay = _combine(
         cutoff,
         num_a=-1j * gamma,
@@ -409,7 +419,7 @@ def build_h_pt_split(
         drive_b=-1j * gamma * v,
         eye=1j * gamma * (u * u + v * v) - der.chi_p_full,
     )
-    return h_pt, h_decay
+    return build_h_pt(params, cutoff), h_decay
 
 
 def check_memory(need: float, what: str) -> None:
@@ -549,7 +559,7 @@ def pt_coefficient_tableau(
         "d+c": ops.d_plus @ ops.c,
         "I": cut.ops.eye,
     }
-    h_pt, _ = build_h_pt_split(params, cut)
+    h_pt = build_h_pt(params, cut)
     names = list(basis)
     mat = np.stack([basis[name].ravel() for name in names], axis=1)
     coeffs, *_ = np.linalg.lstsq(mat, h_pt.ravel(), rcond=None)

@@ -17,6 +17,12 @@ Waiting-time (integrated) unraveling on the time grid t_k = k * dt
   for the current one. Postselection (no jumps, r = 0) gives
   ||exp(-i H_nh t) psi_0||^2, with no error from the step dt.
 
+The channels are the rows of model.collapse_channels. Every C_i^dag C_i is
+rate_i times a diagonal cached operator, so a channel's weight is a dot
+product with the populations, and a creation channel (a_dag, b_dag) guards
+the top level of its own mode: a jump there with more top-level population
+than guard_threshold raises TruncationGuardError.
+
 dt is the grid of jump times and samples, not an accuracy parameter: the
 no-jump propagator is exact at any dt, and a smaller dt only places jump
 times more finely. Each trajectory reads its uniforms in the order r, then
@@ -44,6 +50,10 @@ bit-identical to what the stream's `Generator.random()` gives. Consecutive
 blocks continue the same stream, so the numbers do not depend on the block
 length. Trajectories are independent. Each caller reduces the samples;
 `run_ensemble` adds them in chunk order.
+
+The memory a run needs grows as d^4 and with the sample count;
+unraveling_peak_bytes estimates it and the CLI holds it to
+model.MEMORY_BUDGET (check_unraveling_memory).
 """
 
 from __future__ import annotations
@@ -62,6 +72,14 @@ from .fockspace import FockCutoff
 
 TOP_LEVEL_GUARD = 1e-6
 CHUNK_SIZE = 1024
+# Memory held at once by ensemble_vs_master (unraveling_peak_bytes), measured
+# by peak resident growth: dense d^2 x d^2 arrays of the no-jump propagator's
+# build (H_nh, -i H_nh dt, scipy's expm work and its result), (d^2, batch)
+# arrays of a chunk's stepping, and generator sizes of master_propagate
+# (assembly, |L| for its 1-norm, the scaled step, expm_multiply's shifted copy).
+_PROPAGATOR_ARRAYS = 9
+_BATCH_ARRAYS = 6
+_MASTER_GENERATOR_COPIES = 5
 # Uniforms evaluated per trajectory at a time. A trajectory reads 1 + 2 per
 # jump; a longer block means fewer calls that refill but more unread words.
 _DRAW_BLOCK = 32
@@ -122,6 +140,11 @@ class TrajectoryConfig:
         return int(round(self.t_final / self.dt))
 
     @property
+    def n_samples(self) -> int:
+        """len(sample_steps), from the step counts without building the list."""
+        return (self.n_steps - 1) // self.sample_every + 2
+
+    @property
     def sample_steps(self) -> list[int]:
         steps = list(range(0, self.n_steps, self.sample_every))
         if steps[-1] != self.n_steps:
@@ -131,6 +154,38 @@ class TrajectoryConfig:
     @property
     def sample_times(self) -> np.ndarray:
         return np.array([s * self.dt for s in self.sample_steps])
+
+
+def unraveling_peak_bytes(config: TrajectoryConfig) -> float:
+    """Estimate of the memory (bytes) ensemble_vs_master needs for this config.
+
+    It counts what grows with the cutoff, the batch and the samples, as if
+    held at once. Dense d^2 x d^2 complex arrays, 16 d^4 bytes each: the
+    cutoff's cached terms (FockCutoff.ops), _PROPAGATOR_ARRAYS while
+    exp(-i H_nh dt) is formed, the further propagator powers, four collapse
+    operators, and two (n_samples, d^2, d^2) stacks (the ensemble's sums and
+    average, then the average and the master reference). The chunk's
+    _BATCH_ARRAYS (d^2, batch) complex arrays. _MASTER_GENERATOR_COPIES of the
+    CSR generator master_propagate assembles (lv.generator_entries, 20 bytes
+    an entry). The sample count is n_samples, so a long t_final is caught
+    before its sample list is built.
+    """
+    cut = FockCutoff.of(config.cutoff)
+    powers = min(config.sample_every, config.n_steps).bit_length()  # len(_Engine.powers)
+    cached = len(fs.TwoModeOps._fields) - 2  # occ_a and occ_b are vectors
+    dense = cached + _PROPAGATOR_ARRAYS + powers - 1 + 4 + 2 * config.n_samples
+    batch = _BATCH_ARRAYS * cut.dim * min(config.n_traj, CHUNK_SIZE)
+    generator = _MASTER_GENERATOR_COPIES * 20.0 * lv.generator_entries(cut)
+    return 16.0 * cut.dim**2 * dense + 16.0 * batch + generator
+
+
+def check_unraveling_memory(config: TrajectoryConfig) -> None:
+    """Raise ValueError when unraveling_peak_bytes exceeds model.MEMORY_BUDGET."""
+    d = FockCutoff.of(config.cutoff).d
+    md.check_memory(
+        unraveling_peak_bytes(config),
+        f"trajectories at cutoff d={d} with {config.n_samples} samples",
+    )
 
 
 @dataclass
@@ -228,19 +283,6 @@ def no_jump_propagator(
     return sp.mat_exp(-1j * dt * md.build_h_nh(params, cutoff))
 
 
-def _top_level_masks(params: md.SystemParams, cut: FockCutoff) -> np.ndarray:
-    """(channel, basis state): 1.0 on the top-level states a creation channel guards.
-
-    Channel order matches build_collapse_ops: thermal gain channels (the
-    creation-type jumps) sit at indices 1 and 3; loss channels guard nothing.
-    """
-    top = cut.d - 1
-    none = np.zeros(cut.dim, dtype=bool)
-    if params.n_th == 0.0:
-        return np.array([none, none], dtype=float)
-    return np.array([none, cut.ops.occ_a == top, none, cut.ops.occ_b == top], dtype=float)
-
-
 def _populations(states: np.ndarray) -> np.ndarray:
     return np.square(states.real) + np.square(states.imag)
 
@@ -282,11 +324,16 @@ class _Engine:
         while 2 ** len(self.powers) <= longest:
             self.powers.append(self.powers[-1] @ self.powers[-1])
         self.collapse = md.build_collapse_ops(params, self.cut)
-        # C^dag C is diagonal in the Fock basis for every channel here.
-        self.ctc_diag = np.stack(
-            [np.real(np.diag(fs.dagger(c) @ c)) for c in self.collapse]
-        )
-        self.top_levels = _top_level_masks(params, self.cut)
+        # (channel, basis state): the jump weight rate * <i|product|i>, and the
+        # guard of a creation jump (a_dag, b_dag), 1.0 on its mode's top level
+        ops, top = self.cut.ops, self.cut.d - 1
+        weights, guards = [], []
+        for rate, jump, product in md.collapse_channels(params):
+            mode = jump.removesuffix("_dag")
+            weights.append(rate * getattr(ops, product).diagonal().real)
+            guards.append((mode != jump) & (getattr(ops, "occ_" + mode) == top))
+        self.weights = np.array(weights)
+        self.guards = np.array(guards, dtype=float)
 
     def run_chunk(
         self,
@@ -444,11 +491,11 @@ class _Engine:
         on a state with top-level population above guard_threshold, or for a
         jump that annihilates the state.
         """
-        weights = self.ctc_diag @ populations  # (n_ch, n)
+        weights = self.weights @ populations  # (n_ch, n)
         cum = np.cumsum(weights, axis=0)
         channels = (cum < uniforms * cum[-1]).sum(axis=0)
         channels = np.minimum(channels, len(self.collapse) - 1)
-        top = (self.top_levels @ populations)[channels, np.arange(channels.size)] / norm2
+        top = (self.guards @ populations)[channels, np.arange(channels.size)] / norm2
         worst = int(np.argmax(top))
         if top[worst] > self.config.guard_threshold:
             raise TruncationGuardError(
@@ -489,7 +536,7 @@ def _single(
     """Trajectory traj_index alone, keeping its normalized state at each sample."""
     engine = _Engine(params, config)
     psi0 = _check_initial(initial, engine.cut)
-    sampled = np.empty((len(config.sample_steps), engine.cut.dim), dtype=complex)
+    sampled = np.empty((config.n_samples, engine.cut.dim), dtype=complex)
 
     def store(i, states, survival, jump_counts):
         sampled[i] = states[:, 0]
@@ -530,7 +577,7 @@ def run_ensemble(
     """
     engine = _Engine(params, config)
     psi0 = _check_initial(initial, engine.cut)
-    n_samples = len(config.sample_steps)
+    n_samples = config.n_samples
     dim = engine.cut.dim
     rho_sum = np.zeros((n_samples, dim, dim), dtype=complex)
     survival_sum = np.zeros(n_samples)

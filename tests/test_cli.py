@@ -12,6 +12,7 @@ import pytest
 from epsim import cli
 from epsim import liouvillian as lv
 from epsim import model as md
+from epsim import trajectory as tj
 
 
 def run(args):
@@ -330,7 +331,7 @@ class TestSpectrumCommand:
         def unreachable(*args):
             raise AssertionError("a point was built")
 
-        monkeypatch.setattr(md, "build_h_pt_split", unreachable)
+        monkeypatch.setattr(md, "build_h_pt", unreachable)
         assert md.spectrum_peak_bytes(8) <= md.MEMORY_BUDGET < md.spectrum_peak_bytes(60)
         assert cli.load_config("hamiltonian-spectrum", None, {"cutoff": 8}).cutoff == 8
         assert run(["spectrum", "--cutoff", "60"]) == 1
@@ -455,6 +456,36 @@ class TestTrajectoriesCommand:
         assert run(["trajectories", "--config", str(cfg), "--out", str(out_a), "--seed", "5"]) == 0
         assert run(["trajectories", "--config", str(cfg), "--out", str(out_b), "--seed", "5"]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_memory_guard(self, tmp_path, capsys, monkeypatch):
+        # refused in load_config, before any operator is built: a cutoff, or
+        # a sample count, whose arrays exceed the budget
+        def unreachable(*args):
+            raise AssertionError("an ensemble was run")
+
+        monkeypatch.setattr(tj, "ensemble_vs_master", unreachable)
+        default = cli.load_config("trajectories", None, {}).trajectories
+        big = tj.TrajectoryConfig(**{**vars(default), "cutoff": 40})
+        assert run(["trajectories", "--cutoff", "40"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: trajectories at cutoff d=40 with 6 samples")
+        assert f"{tj.unraveling_peak_bytes(big) / 1e6:.0f} MB" in err
+
+        cfg = tmp_path / "cfg.json"  # 10^6 steps, each one sampled
+        cfg.write_text(json.dumps({
+            "mode": "trajectories", "trajectories": {"t_final": 1e4, "sample_every": 1},
+        }))
+        assert run(["trajectories", "--config", str(cfg)]) == 1
+        assert "with 1000001 samples" in capsys.readouterr().err
+
+        # the thermal benchmark config passes, as the default does
+        cfg.write_text(json.dumps({
+            "mode": "trajectories",
+            "params": {"n_th": 0.2},
+            "trajectories": {"dt": 1e-3, "t_final": 1.0, "n_traj": 4096,
+                             "sample_every": 200, "guard_threshold": 1.0},
+        }))
+        assert cli.load_config("trajectories", str(cfg), {}).trajectories.n_traj == 4096
 
     def test_row_count_matches_sample_times(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -135,6 +135,28 @@ class TestHamiltonian:
         assert h[i00, i10] == pytest.approx(1j)
 
 
+def channel_params():
+    """valid_params with n_th, gamma_a or gamma_b set to 0 in some of the draws."""
+    zeroed = st.sampled_from([(), ("n_th",), ("gamma_a",), ("gamma_b",), ("gamma_a", "n_th")])
+    return st.tuples(valid_params(), zeroed).map(
+        lambda drawn: drawn[0].with_(**dict.fromkeys(drawn[1], 0.0))
+    )
+
+
+def reference_collapse_ops(params, d):
+    """The collapse operators written out channel by channel, the form collapse_channels replaced."""
+    fock = FockCutoff.of(d).ops
+    ga, gb, n = params.gamma_a, params.gamma_b, params.n_th
+    if n == 0.0:
+        return [math.sqrt(2.0 * ga) * fock.a, math.sqrt(2.0 * gb) * fock.b]
+    return [
+        math.sqrt(2.0 * ga * (n + 1.0)) * fock.a,
+        math.sqrt(2.0 * ga * n) * fock.a_dag,
+        math.sqrt(2.0 * gb * (n + 1.0)) * fock.b,
+        math.sqrt(2.0 * gb * n) * fock.b_dag,
+    ]
+
+
 class TestCollapseOps:
     def test_optical_prefactor(self):
         p = md.SystemParams(g=1.0, gamma_a=2.0, gamma_b=0.5)
@@ -151,6 +173,23 @@ class TestCollapseOps:
     def test_channel_counts(self, params):
         assert len(md.build_collapse_ops(params.with_(n_th=0.0), 3)) == 2
         assert len(md.build_collapse_ops(params.with_(n_th=0.2), 3)) == 4
+
+    @given(params=channel_params(), d=st.integers(2, 8))
+    def test_rows_state_each_channel(self, params, d):
+        # rate * product is C_dag C of the built operator; the operator is the
+        # channel-by-channel form the rows replaced, bit for bit
+        ops = FockCutoff.of(d).ops
+        rows = md.collapse_channels(params)
+        built = md.build_collapse_ops(params, d)
+        reference = reference_collapse_ops(params, d)
+        assert len(rows) == len(built) == len(reference)
+        for (rate, _, product), c, ref in zip(rows, built, reference):
+            np.testing.assert_array_equal(c, ref)
+            # per entry within 1e-15 * rate * |product entry|: the product's
+            # entries reach (d - 1) rate, and sqrt(rate) sqrt(n) squared rounds
+            np.testing.assert_allclose(
+                fs.dagger(c) @ c, rate * getattr(ops, product), rtol=1e-15, atol=0.0
+            )
 
 
 class TestHnh:
@@ -253,6 +292,11 @@ class TestCoefficientBuilders:
             # the full matrices, top Fock level included
             scale = np.linalg.norm(reference)
             assert np.linalg.norm(built - reference) <= 1e-13 * scale
+
+    @given(params=valid_params(), d=st.integers(2, 8))
+    def test_h_pt_is_the_split_pt_part(self, params, d):
+        h_pt, _ = md.build_h_pt_split(params, d)
+        assert md.build_h_pt(params, d).tobytes() == h_pt.tobytes()
 
     def test_zero_coefficients_build_zeros(self):
         h = md.build_h_pt_split(md.SystemParams(g=1.0, gamma_a=0.0, gamma_b=0.0), 3)[1]

@@ -4,7 +4,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import valid_params
 from epsim import fockspace as fs
 from epsim import liouvillian as lv
 from epsim import model as md
@@ -64,6 +67,30 @@ class TestConfig:
         cfg = tj.TrajectoryConfig(dt=0.01, t_final=1.0, n_traj=1, seed=0, sample_every=30)
         assert cfg.sample_steps[0] == 0
         assert cfg.sample_steps[-1] == cfg.n_steps
+
+
+class TestMemoryEstimate:
+    @pytest.mark.parametrize(
+        "t_final, sample_every", [(0.01, 1), (1.0, 1), (0.05, 20), (1.0, 7), (0.2, 20)]
+    )
+    def test_counts_the_samples(self, monkeypatch, t_final, sample_every):
+        cfg = tj.TrajectoryConfig(
+            dt=0.01, t_final=t_final, n_traj=1, seed=0, cutoff=3, sample_every=sample_every
+        )
+        assert cfg.n_samples == len(cfg.sample_steps)
+        monkeypatch.setattr(md, "MEMORY_BUDGET", 0)
+        with pytest.raises(ValueError, match=f"with {cfg.n_samples} samples needs"):
+            tj.check_unraveling_memory(cfg)
+
+    def test_grows_with_cutoff_batch_and_samples(self):
+        base = dict(dt=0.01, t_final=1.0, n_traj=100, seed=0, cutoff=6, sample_every=20)
+        peak = tj.unraveling_peak_bytes(tj.TrajectoryConfig(**base))
+        for change in ({"cutoff": 7}, {"n_traj": 200}, {"sample_every": 10}):
+            assert tj.unraveling_peak_bytes(tj.TrajectoryConfig(**{**base, **change})) > peak
+        # a batch holds at most CHUNK_SIZE trajectories
+        chunk = tj.unraveling_peak_bytes(tj.TrajectoryConfig(**{**base, "n_traj": tj.CHUNK_SIZE}))
+        more = tj.TrajectoryConfig(**{**base, "n_traj": 4 * tj.CHUNK_SIZE})
+        assert tj.unraveling_peak_bytes(more) == chunk
 
 
 class TestNoJumpPropagator:
@@ -431,8 +458,33 @@ class TestGuards:
         p = md.SystemParams(g=1e-300, gamma_a=1.0, gamma_b=0.0, eps=0.0, n_th=5.0)
         cfg = tj.TrajectoryConfig(dt=0.001, t_final=1.0, n_traj=64, seed=3, cutoff=3)
         psi0 = (fs.basis_state(3, 1, 0) + fs.basis_state(3, 2, 0)) / np.sqrt(2)
-        with pytest.raises(TruncationGuardError):
+        with pytest.raises(TruncationGuardError, match="creation jump on channel 1 "):
             tj.run_ensemble(p, cfg, psi0)
+
+    def test_truncation_guard_on_mode_b_creation_jump(self):
+        # the same on mode b: its gain channel is channel 3
+        p = md.SystemParams(g=1e-300, gamma_a=0.0, gamma_b=1.0, eps=0.0, n_th=5.0)
+        cfg = tj.TrajectoryConfig(dt=0.001, t_final=1.0, n_traj=64, seed=3, cutoff=3)
+        psi0 = (fs.basis_state(3, 0, 1) + fs.basis_state(3, 0, 2)) / np.sqrt(2)
+        with pytest.raises(TruncationGuardError, match="creation jump on channel 3 "):
+            tj.run_ensemble(p, cfg, psi0)
+
+    @given(
+        params=valid_params(),
+        n_th=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+        d=st.integers(2, 8),
+    )
+    def test_engine_channels_match_their_references(self, params, n_th, d):
+        # operators, jump weights and guards against their channel-by-channel forms
+        p = params.with_(n_th=n_th)
+        cfg = tj.TrajectoryConfig(dt=0.1, t_final=0.1, n_traj=1, seed=0, cutoff=d)
+        engine = tj._Engine(p, cfg)
+        collapse = md.build_collapse_ops(p, d)
+        assert len(engine.collapse) == len(collapse)
+        for built, c, weight in zip(engine.collapse, collapse, engine.weights):
+            np.testing.assert_array_equal(built, c)
+            np.testing.assert_allclose(weight, np.diag(fs.dagger(c) @ c).real, rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(engine.guards, reference_top_level_masks(p, d))
 
     def test_guard_threshold_override(self):
         p = md.SystemParams(g=1e-300, gamma_a=1.0, gamma_b=0.0, eps=0.0, n_th=5.0)
@@ -446,6 +498,15 @@ class TestGuards:
     def test_initial_state_must_be_normalized(self, std_params, fast_config):
         with pytest.raises(ValueError):
             tj.run_trajectory(std_params, fast_config, 2.0 * fs.basis_state(6, 0, 0))
+
+
+def reference_top_level_masks(params, d):
+    """(channel, basis state): 1.0 on the top level each gain channel (1 and 3) guards."""
+    ops = fs.FockCutoff(d).ops
+    none = np.zeros(d * d, dtype=bool)
+    if params.n_th == 0.0:
+        return np.array([none, none], dtype=float)
+    return np.array([none, ops.occ_a == d - 1, none, ops.occ_b == d - 1], dtype=float)
 
 
 class TestEnsembleVsMaster:
