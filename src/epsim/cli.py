@@ -87,10 +87,12 @@ DEFAULT_CONFIGS: dict[str, dict] = {
     },
 }
 MODES = tuple(DEFAULT_CONFIGS)
-# modes whose memory grows with the cutoff: a check that raises ValueError over budget
-CUTOFF_CHECKS: dict[str, Callable[[int], None]] = {
-    "hamiltonian-spectrum": md.check_spectrum_cutoff,
-    "liouvillian-check": lv.check_witness_cutoff,
+# modes whose memory grows with the cutoff: the peak estimate (bytes) of a
+# validated config, held to md.MEMORY_BUDGET in load_config
+MEMORY_ESTIMATES: dict[str, Callable[[SweepConfig], float]] = {
+    "hamiltonian-spectrum": lambda config: md.spectrum_peak_bytes(config.cutoff),
+    "liouvillian-check": lambda config: lv.witness_peak_bytes(config.cutoff),
+    "trajectories": lambda config: tj.unraveling_peak_bytes(config.trajectories),
 }
 
 
@@ -121,7 +123,8 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
 
     Every check of the config happens here, except that each sweep point's
     parameters are built and checked by the sweep commands (sweep_points,
-    through SystemParams.along), before any numerics.
+    through SystemParams.along), before any numerics. The last check holds
+    a mode of MEMORY_ESTIMATES to md.MEMORY_BUDGET.
     """
     data = copy.deepcopy(DEFAULT_CONFIGS[mode])
     if path is not None:
@@ -179,11 +182,6 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
         cutoff = FockCutoff(data["cutoff"]).d
     except ValueError as exc:
         raise ConfigError(f"config field 'cutoff': {exc}") from exc
-    if mode in CUTOFF_CHECKS:
-        try:
-            CUTOFF_CHECKS[mode](cutoff)
-        except ValueError as exc:
-            raise ConfigError(f"config field 'cutoff': {exc}") from exc
     seed = data["seed"]
     _require(
         isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
@@ -206,11 +204,7 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
             trajectories = tj.TrajectoryConfig(seed=seed, cutoff=cutoff, **data["trajectories"])
         except ValueError as exc:
             raise ConfigError(f"config field 'trajectories': {exc}") from exc
-        try:
-            tj.check_unraveling_memory(trajectories)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return SweepConfig(
+    config = SweepConfig(
         mode=mode,
         params=params,
         sweep=sweep,
@@ -220,6 +214,15 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
         tolerances={"cluster_eps": cluster_eps, "angle_eps": angle_eps},
         raw=data,
     )
+    if mode in MEMORY_ESTIMATES:
+        what = f"{mode} at cutoff d={cutoff}"
+        if trajectories is not None:
+            what += f" with {trajectories.n_samples} samples"
+        try:
+            md.check_memory(MEMORY_ESTIMATES[mode](config), what)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return config
 
 
 def sweep_count(sweep: dict) -> float:

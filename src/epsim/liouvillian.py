@@ -12,7 +12,7 @@ With the drive removed, every term of the generator conserves
 k = N_ket - N_bra, the total photon number on the ket side of rho minus that
 on the bra side, for every thermal occupation (a U(1) symmetry of the
 superoperator). The drive-free generator is therefore block-diagonal in k.
-The spectrum check needs three sectors: k = +1 and k = -1 (the first
+The spectrum witness needs three sectors: k = +1 and k = -1 (the first
 moments <a>, <b> and their conjugates, with the pair -gamma +- i*Omega) and
 k = 0 (the steady state). It solves two, k = +1 and k = 0, by shift-invert
 sparse eigensolves near the targets (spectral.eigs_near), 140-146 positions
@@ -344,7 +344,7 @@ def generator_entries(cutoff: FockCutoff | int) -> int:
 
 
 def witness_peak_bytes(cutoff: FockCutoff | int) -> float:
-    """Closed-form estimate of the peak memory (bytes) a spectrum check needs.
+    """Closed-form estimate of the peak memory (bytes) a liouvillian-check run needs.
 
     It counts what grows with d, not the interpreter and its libraries. It
     counts _GENERATOR_COPIES of the driven generator (generator_entries, 20
@@ -362,12 +362,6 @@ def witness_peak_bytes(cutoff: FockCutoff | int) -> float:
     generator = generator_entries(d)
     block = d * (2 * d * d + 1) / 3
     return 20.0 * (_GENERATOR_COPIES * generator + block**1.75)
-
-
-def check_witness_cutoff(cutoff: FockCutoff | int) -> None:
-    """Raise ValueError when witness_peak_bytes exceeds md.MEMORY_BUDGET."""
-    d = FockCutoff.of(cutoff).d
-    md.check_memory(witness_peak_bytes(d), f"spectrum check at cutoff d={d}")
 
 
 def liouvillian_spectrum_check(
@@ -401,11 +395,11 @@ def liouvillian_spectrum_check(
 
     The witness measures and does not judge: callers compare distances with
     their own bound. A coalescing pair is flagged below sp.DEFAULT_ANGLE_EPS.
-    Raises ValueError for a cutoff over the memory budget
-    (check_witness_cutoff).
+    Raises ValueError for a cutoff whose witness_peak_bytes exceeds
+    md.MEMORY_BUDGET.
     """
     cut = FockCutoff.of(cutoff)
-    check_witness_cutoff(cut)
+    md.check_memory(witness_peak_bytes(cut), f"Liouvillian witness at cutoff d={cut.d}")
     der = _full_dynamics(params)
     gen = build_liouvillian(params.with_(eps=0.0), cut)
     anchor = -der.gamma_p + 0j

@@ -20,7 +20,8 @@ the identity), summed term by term with no matrix product. The
 displaced-operator products of build_h_pt_split are expanded into the same
 terms; displaced_ops and pt_coefficient_tableau keep the products as the
 definitions. Every operator is a dense d^2 x d^2 array, so the memory of a
-spectrum sweep grows as d^4 (spectrum_peak_bytes, check_spectrum_cutoff).
+spectrum sweep grows as d^4 (spectrum_peak_bytes, which the CLI holds to
+MEMORY_BUDGET with check_memory).
 
 collapse_channels states the collapse set once, as (rate, jump, product)
 rows over the same cached operators: loss a, gain a, loss b, gain b, the
@@ -441,12 +442,6 @@ def spectrum_peak_bytes(cutoff: FockCutoff | int) -> float:
     d = FockCutoff.of(cutoff).d
     cached = len(fs.TwoModeOps._fields) - 2  # occ_a and occ_b are vectors
     return 16.0 * d**4 * (cached + _SPECTRUM_POINT_ARRAYS)
-
-
-def check_spectrum_cutoff(cutoff: FockCutoff | int) -> None:
-    """Raise ValueError when spectrum_peak_bytes exceeds MEMORY_BUDGET."""
-    d = FockCutoff.of(cutoff).d
-    check_memory(spectrum_peak_bytes(d), f"spectrum sweep at cutoff d={d}")
 
 
 def analytic_lambda_pt(n_e: int, n_f: int, derived: DerivedParams) -> complex:

@@ -53,7 +53,7 @@ length. Trajectories are independent. Each caller reduces the samples;
 
 The memory a run needs grows as d^4 and with the sample count;
 unraveling_peak_bytes estimates it and the CLI holds it to
-model.MEMORY_BUDGET (check_unraveling_memory).
+model.MEMORY_BUDGET (model.check_memory).
 """
 
 from __future__ import annotations
@@ -128,6 +128,10 @@ class TrajectoryConfig:
         if self.sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
         steps = self.t_final / self.dt
+        if not np.isfinite(steps):
+            raise ValueError(
+                f"t_final / dt must be finite, got t_final = {self.t_final}, dt = {self.dt}"
+            )
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(
                 f"t_final = {self.t_final} is not an integer number of steps dt = {self.dt}"
@@ -143,6 +147,12 @@ class TrajectoryConfig:
     def n_samples(self) -> int:
         """len(sample_steps), from the step counts without building the list."""
         return (self.n_steps - 1) // self.sample_every + 2
+
+    @property
+    def n_powers(self) -> int:
+        """Propagator powers exp(-i H_nh dt 2^k) the engine keeps: 2^k up to the
+        longest sample interval, min(sample_every, n_steps) steps."""
+        return min(self.sample_every, self.n_steps).bit_length()
 
     @property
     def sample_steps(self) -> list[int]:
@@ -171,21 +181,11 @@ def unraveling_peak_bytes(config: TrajectoryConfig) -> float:
     before its sample list is built.
     """
     cut = FockCutoff.of(config.cutoff)
-    powers = min(config.sample_every, config.n_steps).bit_length()  # len(_Engine.powers)
     cached = len(fs.TwoModeOps._fields) - 2  # occ_a and occ_b are vectors
-    dense = cached + _PROPAGATOR_ARRAYS + powers - 1 + 4 + 2 * config.n_samples
+    dense = cached + _PROPAGATOR_ARRAYS + config.n_powers - 1 + 4 + 2 * config.n_samples
     batch = _BATCH_ARRAYS * cut.dim * min(config.n_traj, CHUNK_SIZE)
     generator = _MASTER_GENERATOR_COPIES * 20.0 * lv.generator_entries(cut)
     return 16.0 * cut.dim**2 * dense + 16.0 * batch + generator
-
-
-def check_unraveling_memory(config: TrajectoryConfig) -> None:
-    """Raise ValueError when unraveling_peak_bytes exceeds model.MEMORY_BUDGET."""
-    d = FockCutoff.of(config.cutoff).d
-    md.check_memory(
-        unraveling_peak_bytes(config),
-        f"trajectories at cutoff d={d} with {config.n_samples} samples",
-    )
 
 
 @dataclass
@@ -318,10 +318,9 @@ class _Engine:
     def __init__(self, params: md.SystemParams, config: TrajectoryConfig):
         self.config = config
         self.cut = FockCutoff.of(config.cutoff)
-        # powers[k] = exp(-i H_nh dt 2^k) for 2^k up to the longest sample interval
-        longest = max(np.diff(config.sample_steps))
+        # powers[k] = exp(-i H_nh dt 2^k), config.n_powers of them
         self.powers = [no_jump_propagator(params, self.cut, config.dt)]
-        while 2 ** len(self.powers) <= longest:
+        for _ in range(config.n_powers - 1):
             self.powers.append(self.powers[-1] @ self.powers[-1])
         self.collapse = md.build_collapse_ops(params, self.cut)
         # (channel, basis state): the jump weight rate * <i|product|i>, and the

@@ -336,8 +336,14 @@ class TestSpectrumCommand:
         assert cli.load_config("hamiltonian-spectrum", None, {"cutoff": 8}).cutoff == 8
         assert run(["spectrum", "--cutoff", "60"]) == 1
         err = capsys.readouterr().err
-        assert "config field 'cutoff'" in err
+        assert err.startswith("config error: hamiltonian-spectrum at cutoff d=60 needs an")
         assert f"{md.spectrum_peak_bytes(60) / 1e6:.0f} MB" in err
+
+    @pytest.mark.parametrize("mode", ["ep-scan", "lep-scan"])
+    def test_scans_have_no_memory_estimate(self, mode):
+        # a scan solves closed-form excitation blocks, not d^2 x d^2 operators
+        assert mode not in cli.MEMORY_ESTIMATES
+        assert cli.load_config(mode, None, {"cutoff": 60}).cutoff == 60
 
     def test_huge_integer_g_matches_float(self, tmp_path):
         # an integer parameter is made a float once, so 10**300 runs as 1e300
@@ -487,6 +493,16 @@ class TestTrajectoriesCommand:
         }))
         assert cli.load_config("trajectories", str(cfg), {}).trajectories.n_traj == 4096
 
+    def test_step_count_overflow_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "trajectories", "trajectories": {"t_final": 1e300, "dt": 1e-300},
+        }))
+        assert run(["trajectories", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config field 'trajectories': t_final / dt")
+        assert "Traceback" not in err
+
     def test_row_count_matches_sample_times(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -562,13 +578,18 @@ class TestLiouvillianCheckCommand:
         assert len(body) == 6
         assert all(row["passed"] is True for row in body)
 
-    def test_cutoff_guard(self, capsys):
-        # the first cutoff whose memory estimate exceeds the budget
+    def test_cutoff_guard(self, capsys, monkeypatch):
+        # the first cutoff whose memory estimate exceeds the budget, refused
+        # in load_config before any generator is built
+        def unreachable(*args):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(lv, "build_liouvillian", unreachable)
         over = next(d for d in range(2, 100) if lv.witness_peak_bytes(d) > md.MEMORY_BUDGET)
         assert over > 16
         assert run(["liouvillian-check", "--cutoff", str(over)]) == 1
         err = capsys.readouterr().err
-        assert "cutoff" in err
+        assert err.startswith(f"config error: liouvillian-check at cutoff d={over} needs an")
         assert f"{lv.witness_peak_bytes(over) / 1e6:.0f} MB" in err
 
     def test_cutoff_16_passes(self, tmp_path):

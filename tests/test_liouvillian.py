@@ -443,11 +443,16 @@ class TestSpectrumWitness:
         for target in (-der.gamma_p + 1j * der.omega_p, -der.gamma_p - 1j * der.omega_p):
             assert np.min(np.abs(vals - target)) < 1e-10
 
-    def test_cutoff_guard(self, std_params):
-        # the first cutoff whose memory estimate exceeds the budget
+    def test_cutoff_guard(self, std_params, monkeypatch):
+        # the first cutoff whose memory estimate exceeds the budget, refused
+        # before any generator is built
+        def unreachable(*args):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(lv, "build_liouvillian", unreachable)
         over = next(d for d in range(2, 100) if lv.witness_peak_bytes(d) > md.MEMORY_BUDGET)
         assert over == 28  # the largest accepted cutoff is d = 27
-        with pytest.raises(ValueError, match=f"cutoff d={over} .* MB"):
+        with pytest.raises(ValueError, match=f"Liouvillian witness at cutoff d={over} needs .* MB"):
             lv.liouvillian_spectrum_check(std_params, over)
 
     @pytest.mark.parametrize("d", [2, 3, 5])

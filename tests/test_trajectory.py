@@ -8,12 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import valid_params
+from epsim import cli
 from epsim import fockspace as fs
 from epsim import liouvillian as lv
 from epsim import model as md
 from epsim import spectral as sp
 from epsim import trajectory as tj
-from epsim.errors import NumericalError, TruncationGuardError
+from epsim.errors import ConfigError, NumericalError, TruncationGuardError
 
 
 @pytest.fixture
@@ -31,6 +32,9 @@ class TestConfig:
             tj.TrajectoryConfig(dt=0.03, t_final=1.0, n_traj=1, seed=0)
         with pytest.raises(ValueError, match="shorter than one step"):
             tj.TrajectoryConfig(dt=0.01, t_final=1e-12, n_traj=1, seed=0)
+        # t_final / dt overflows to inf, which no step count can round to
+        with pytest.raises(ValueError, match=r"t_final / dt must be finite.*1e\+300, dt = 1e-300"):
+            tj.TrajectoryConfig(dt=1e-300, t_final=1e300, n_traj=1, seed=0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -68,19 +72,28 @@ class TestConfig:
         assert cfg.sample_steps[0] == 0
         assert cfg.sample_steps[-1] == cfg.n_steps
 
+    def test_power_count_covers_the_longest_sample_interval(self):
+        # the smallest count with 2^n_powers above the longest sample interval
+        for n_steps in range(1, 300, 7):
+            for sample_every in range(1, 70):
+                cfg = tj.TrajectoryConfig(
+                    dt=1.0, t_final=float(n_steps), n_traj=1, seed=0, sample_every=sample_every
+                )
+                longest = max(np.diff(cfg.sample_steps))
+                assert 2 ** (cfg.n_powers - 1) <= longest < 2**cfg.n_powers
+
 
 class TestMemoryEstimate:
     @pytest.mark.parametrize(
         "t_final, sample_every", [(0.01, 1), (1.0, 1), (0.05, 20), (1.0, 7), (0.2, 20)]
     )
     def test_counts_the_samples(self, monkeypatch, t_final, sample_every):
-        cfg = tj.TrajectoryConfig(
-            dt=0.01, t_final=t_final, n_traj=1, seed=0, cutoff=3, sample_every=sample_every
-        )
+        settings = dict(dt=0.01, t_final=t_final, n_traj=1, sample_every=sample_every)
+        cfg = tj.TrajectoryConfig(seed=0, cutoff=3, **settings)
         assert cfg.n_samples == len(cfg.sample_steps)
         monkeypatch.setattr(md, "MEMORY_BUDGET", 0)
-        with pytest.raises(ValueError, match=f"with {cfg.n_samples} samples needs"):
-            tj.check_unraveling_memory(cfg)
+        with pytest.raises(ConfigError, match=f"with {cfg.n_samples} samples needs"):
+            cli.load_config("trajectories", None, {"cutoff": 3, "trajectories": settings})
 
     def test_grows_with_cutoff_batch_and_samples(self):
         base = dict(dt=0.01, t_final=1.0, n_traj=100, seed=0, cutoff=6, sample_every=20)
