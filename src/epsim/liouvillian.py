@@ -28,6 +28,10 @@ The first-moment dynamical matrix M = [[-i*ga, g], [g, -i*gb]] generates
 d/dt [<a>, <b>] = -i M v - eps; its degeneracy at g = kappa defines
 the coalescence of the full dissipative dynamics, independently of the
 thermal photon number (the n-dependent terms cancel in the first moments).
+
+Trace preservation and this closure are linear in rho: adjoint_defects
+checks both on the adjoint generator, for every state at once, and
+moment_rhs_check is the closure's per-state form.
 """
 
 from __future__ import annotations
@@ -234,6 +238,38 @@ def moment_rhs_check(
     mean_b = np.trace(b @ rho)
     rhs = -1j * dynamical_matrix(params) @ np.array([mean_a, mean_b]) - params.eps
     return MomentCheck(lhs=lhs, rhs=rhs, diff=lhs - rhs)
+
+
+def adjoint_defects(params: md.SystemParams, gen: Superoperator) -> tuple[float, float]:
+    """How far the adjoint generator is from trace preservation and the moment closure.
+
+    The adjoint L^dagger(x) = unvec(L^T vec(x^T))^T has tr(x L[rho]) =
+    tr(L^dagger(x) rho) for every rho. Returns two spectral norms, each
+    bounding its per-state reading for every density matrix on its support
+    (|tr(F rho)| <= ||F||_2 ||rho||_1 = ||F||_2):
+    - trace: ||L^dagger(I)||_2 over the whole space, bounding |tr(L[rho])|;
+      zero for any truncated H and collapse set;
+    - moment: the larger of ||L^dagger(a) + i (M_00 a + M_01 b) + eps I||_2
+      and its b analog on the interior levels (fs.interior_indices, margin
+      1), bounding moment_rhs_check's max_abs_diff there. The truncation
+      boundary breaks the closure by O(1) outside them.
+    The cutoff d is read from the generator (hilbert_dim = d^2).
+    """
+    cut = FockCutoff.of(math.isqrt(gen.hilbert_dim))
+    ops = cut.ops
+
+    def heisenberg(x: np.ndarray) -> np.ndarray:
+        return unvec(gen.csr.T @ vec(x.T)).T
+
+    trace = float(np.linalg.norm(heisenberg(ops.eye), 2))
+    interior = np.ix_(*2 * (fs.interior_indices(cut),))
+    rates = -1j * dynamical_matrix(params)
+    defects = [
+        heisenberg(x) - rate[0] * ops.a - rate[1] * ops.b + params.eps * ops.eye
+        for x, rate in zip((ops.a, ops.b), rates)
+    ]
+    moment = max(float(np.linalg.norm(defect[interior], 2)) for defect in defects)
+    return trace, moment
 
 
 def dynamical_matrix(params: md.SystemParams) -> np.ndarray:

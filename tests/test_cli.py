@@ -199,6 +199,33 @@ class TestConfigHandling:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("args", [["spectrum", "--cutoff", "abc"], ["spectrum", "--bogus"]])
+    def test_usage_error_is_config_error(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: epsim")
+        assert err.splitlines()[-1].startswith("config error: ")
+
+    @pytest.mark.parametrize("args", [["--version"], ["--help"], ["spectrum", "--help"]])
+    def test_version_and_help_exit_zero(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 0
+        assert capsys.readouterr().err == ""
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        def crash(config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli.COMMANDS, "spectrum", ("hamiltonian-spectrum", crash))
+        assert run(["spectrum"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback")
+        assert captured.err.splitlines()[-1] == "internal error: RuntimeError: boom"
+
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "o.csv"
         assert run(["ep-scan", "--out", str(out), "--cutoff", "4", "--seed", "9"]) == 0
@@ -611,6 +638,47 @@ class TestLiouvillianCheckCommand:
         by_name = {r["check"]: r for r in rows}
         assert by_name["spectrum_moment_pair"]["passed"] == "False"
         assert by_name["moment_closure"]["passed"] == "True"
+
+    @pytest.mark.parametrize(
+        "row, position, size, other",
+        # rho[1, 2] (position 1 + 36 * 2 at d = 6) fed into the trace, at
+        # rho[0, 0], and into the <a> functional, at rho[6, 0] (a[0, 6] = 1).
+        # 20 interior states of seed 1 read 1.7e-11 and 1.7e-9 of them, under
+        # both tolerances; a 1e-9 entry cannot fail the 1e-8 moment row.
+        [
+            ("trace_annihilation", 0, 1e-9, "moment_closure"),
+            ("moment_closure", 6, 1e-7, "trace_annihilation"),
+        ],
+    )
+    def test_planted_entry_fails_its_row(self, tmp_path, monkeypatch, row, position, size, other):
+        import scipy.sparse as sps
+
+        d = 6
+        build = lv.build_liouvillian
+
+        def planted(params, cutoff):
+            gen = build(params, cutoff)
+            if params.eps:  # the witness's drive-free generator stays exact
+                entry = ([size], ([position], [1 + d * d * 2]))
+                gen.csr = gen.csr + sps.csr_array(entry, shape=gen.csr.shape)
+            return gen
+
+        monkeypatch.setattr(lv, "build_liouvillian", planted)
+        out = tmp_path / "check.csv"
+        assert run(["liouvillian-check", "--cutoff", str(d), "--out", str(out)]) == 2
+        _, _, rows = read_rows(out)
+        by_name = {r["check"]: r for r in rows}
+        assert by_name[row]["passed"] == "False"
+        assert float(by_name[row]["value"]) == pytest.approx(size, rel=1e-6)
+        assert by_name[other]["passed"] == "True"
+
+    def test_rows_do_not_read_the_seed(self, tmp_path):
+        bodies = []
+        for seed in ("1", "7"):
+            out = tmp_path / f"seed-{seed}.csv"
+            assert run(["liouvillian-check", "--seed", seed, "--out", str(out)]) == 0
+            bodies.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
+        assert bodies[0] == bodies[1]
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():

@@ -349,6 +349,40 @@ class TestMomentCheck:
             lv.moment_rhs_check(std_params, 3, np.eye(9, dtype=complex))
 
 
+class TestAdjointDefects:
+    @given(
+        params=valid_params(),
+        d=st.integers(3, 6),
+        from_hnh=st.booleans(),
+        noise=st.sampled_from([0.0, 1e-6]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_bounds_every_per_state_reading(self, params, d, from_hnh, noise, seed):
+        import scipy.sparse as sps
+
+        # with noise, 40 random entries of that size make every reading nonzero
+        build = lv.build_liouvillian_from_hnh if from_hnh else lv.build_liouvillian
+        gen = build(params, d)
+        rng = np.random.default_rng(seed)
+        positions = rng.integers(0, d**4, (2, 40))
+        values = noise * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        gen.csr = gen.csr + sps.csr_array((values, tuple(positions)), shape=gen.csr.shape)
+        trace, moment = lv.adjoint_defects(params, gen)
+        for _ in range(5):
+            rho = lv.interior_density_matrix(d, rng)
+            assert abs(np.trace(gen.apply(rho))) <= trace + 1e-13
+            check = lv.moment_rhs_check(params, d, rho, liouvillian=gen)
+            assert check.max_abs_diff <= moment + 1e-13
+
+    def test_exact_generators_read_rounding(self, std_params):
+        for n_th in (0.0, 0.2):
+            for build in (lv.build_liouvillian, lv.build_liouvillian_from_hnh):
+                p = std_params.with_(n_th=n_th)
+                trace, moment = lv.adjoint_defects(p, build(p, 6))
+                assert trace < 1e-13
+                assert moment < 1e-13
+
+
 class TestDynamicalMatrix:
     def test_exact_entries(self, std_params):
         np.testing.assert_array_equal(
