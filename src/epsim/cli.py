@@ -97,6 +97,9 @@ MEMORY_ESTIMATES: dict[str, Callable[[SweepConfig], float]] = {
     "liouvillian-check": lambda config: lv.witness_peak_bytes(config.cutoff),
     "trajectories": lambda config: tj.unraveling_peak_bytes(config.trajectories),
 }
+# what a scan does not read, dropped before sweep_points checks a point's
+# derived rates: both scans drop the drive, lep-scan also the thermal frame
+SCAN_FRAMES = {"ep-scan": {"eps": 0.0}, "lep-scan": {"eps": 0.0, "n_th": 0.0}}
 
 
 @dataclass
@@ -125,9 +128,10 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
     """Merge defaults, the optional config file, and CLI flag overrides.
 
     Every check of the config happens here, except that each sweep point's
-    parameters are built and checked by the sweep commands (sweep_points,
-    through SystemParams.along), before any numerics. The last check holds
-    a mode of MEMORY_ESTIMATES to md.MEMORY_BUDGET.
+    parameters are built and checked by the sweep commands (sweep_points),
+    before any numerics. Without a sweep, the parameters must have finite
+    derived rates (md.check_derived). The last check holds a mode of
+    MEMORY_ESTIMATES to md.MEMORY_BUDGET.
     """
     data = copy.deepcopy(DEFAULT_CONFIGS[mode])
     if path is not None:
@@ -162,6 +166,8 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
                 )
     try:
         params = md.SystemParams(**data["params"])
+        if data.get("sweep") is None:  # a sweep computes only its points
+            md.check_derived(params)
     except ValueError as exc:
         raise ConfigError(f"config field 'params': {exc}") from exc
     sweep = data.get("sweep")
@@ -241,12 +247,18 @@ def sweep_points(config: SweepConfig) -> tuple[np.ndarray, list[md.SystemParams]
     """The sweep grid and the parameters of each point, all checked up front."""
     axis = config.sweep["axis"]
     grid = sweep_values(config.sweep)
+    frame = SCAN_FRAMES.get(config.mode, {})
     points = []
     for value in grid:
         try:
-            points.append(config.params.along(axis, value))
+            point = config.params.along(axis, value)
+            try:  # the frames only zero eps and n_th: a point that passes passes there
+                md.check_derived(point)
+            except ValueError:
+                md.check_derived(point.with_(**frame))
         except ValueError as exc:
             raise ConfigError(f"sweep point {axis}={value} invalid: {exc}") from exc
+        points.append(point)
     return grid, points
 
 

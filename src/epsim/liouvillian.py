@@ -12,17 +12,17 @@ With the drive removed, every term of the generator conserves
 k = N_ket - N_bra, the total photon number on the ket side of rho minus that
 on the bra side, for every thermal occupation (a U(1) symmetry of the
 superoperator). The drive-free generator is therefore block-diagonal in k.
-The spectrum witness needs three sectors: k = +1 and k = -1 (the first
-moments <a>, <b> and their conjugates, with the pair -gamma +- i*Omega) and
-k = 0 (the steady state). It solves two, k = +1 and k = 0, by shift-invert
-sparse eigensolves near the targets (spectral.eigs_near), 140-146 positions
-each at d = 6 and about 2 d^3 / 3 in general. A Lindblad generator preserves
-Hermiticity, so rho -> rho^dagger maps sector k onto sector -k and the
-k = -1 block is exactly the complex conjugate of the k = +1 block, its
-positions mirrored (sector_mirror): the k = -1 eigenpairs are the mirrored
-conjugates of the k = +1 ones. No dense eigensolve of a sector is left, and
-the cutoff is limited only by a memory estimate (witness_peak_bytes against
-model.MEMORY_BUDGET, d <= 27).
+The spectrum witness reads two sectors: k = +1 (the first moments <a>, <b>,
+with the pair -gamma +- i*Omega) and k = 0 (the steady state), solved by
+shift-invert sparse eigensolves near the targets (spectral.eigs_near),
+140-146 positions each at d = 6 and about 2 d^3 / 3 in general. Each
+drive-free sector is its own conjugate: S = diag((-1)^(n_a,ket + n_a,bra))
+on vec(rho), the map rho -> P rho P for the parity P = (-1)^n_a, keeps every
+sector, and the drive-free generator has S L S = conj(L) exactly (the
+coupling changes sign under P, the dissipators do not). So the spectrum of
+each sector is closed under conjugation, and k = +1 holds both targets. No
+dense eigensolve of a sector is left, and the cutoff is limited only by a
+memory estimate (witness_peak_bytes against model.MEMORY_BUDGET, d <= 27).
 
 The first-moment dynamical matrix M = [[-i*ga, g], [g, -i*gb]] generates
 d/dt [<a>, <b>] = -i M v - eps; its degeneracy at g = kappa defines
@@ -304,8 +304,9 @@ class SpectrumWitness:
     """Full-generator spectral check against the first-moment sector.
 
     targets are -gamma +- i*Omega; nearest/distances report the closest
-    generator eigenvalues. The cluster fields describe the eigenvalue group
-    nearest to -gamma (degenerate with coalescing eigenvectors at g = kappa).
+    eigenvalues of sector k = +1. The cluster fields describe its eigenvalue
+    group nearest to -gamma (degenerate with coalescing eigenvectors at
+    g = kappa).
     """
 
     targets: np.ndarray
@@ -326,23 +327,6 @@ def sector_labels(cutoff: FockCutoff | int) -> np.ndarray:
     ops = FockCutoff.of(cutoff).ops
     n_total = ops.occ_a + ops.occ_b
     return np.subtract.outer(n_total, n_total).ravel(order="F")
-
-
-def sector_mirror(cutoff: FockCutoff | int, k: int) -> np.ndarray:
-    """Where rho -> rho^dagger takes each vec(rho) position of sector k, within sector -k.
-
-    rho[i, j] (position i + dim * j, sector k) goes to rho[j, i] (position
-    j + dim * i, sector -k). Entry s is that position's index among the
-    positions of sector -k, both in ascending order. A generator that
-    preserves Hermiticity commutes with rho -> rho^dagger, so its block on
-    sector -k is the complex conjugate of its block on sector k with rows
-    and columns moved by this map: an eigenpair (lam, v) of the sector-k
-    block gives the pair (conj(lam), w) of sector -k with w[perm] = conj(v).
-    """
-    cut = FockCutoff.of(cutoff)
-    labels = sector_labels(cut)
-    transposed = np.arange(labels.size).reshape(cut.dim, cut.dim).ravel(order="F")
-    return np.searchsorted(np.flatnonzero(labels == -k), transposed[labels == k])
 
 
 def sector_block(gen: Superoperator, k: int) -> scipy.sparse.csc_array:
@@ -408,19 +392,15 @@ def liouvillian_spectrum_check(
     Runs with the drive removed: the drive enters the moment dynamics only
     as the affine term, so the generator spectrum is drive-independent (the
     test suite verifies this numerically at small drive). Without the drive
-    the generator is block-diagonal in k = N_ket - N_bra. The targets
-    -gamma +- i*Omega and the eigenvalue group nearest -gamma live in the
-    sectors k = +1 and k = -1, the zero mode in k = 0. Two blocks are
-    solved (sector_block, sp.eigs_near), k = +1 and k = 0, each settling the
-    eigenvalues nearest its targets; the k = -1 eigenpairs are the exact
-    mirror of the k = +1 ones (sector_mirror): conjugate eigenvalues, with
-    residuals equal and settled alike, as the real shift and the target set
-    are their own conjugates. The shifts sit WITNESS_SHIFT *
-    (gamma + g) to the right of -gamma and of 0, never on a target: at the
-    n_th = 0 EP, -gamma is itself a defective eigenvalue, and 0 is always
-    an eigenvalue. Eigenvectors of different sectors are orthogonal, so
-    cluster angles are computed within a sector only; the cluster tolerance
-    is sp.CLUSTER_EPS_SCALE * ||L||_F of the whole generator.
+    the generator is block-diagonal in k = N_ket - N_bra, and each sector's
+    spectrum is closed under conjugation (module docstring). Two blocks are
+    solved (sector_block, sp.eigs_near): k = +1, which holds both targets
+    -gamma +- i*Omega and the eigenvalue group nearest -gamma, and k = 0,
+    which holds the zero mode. The shifts sit WITNESS_SHIFT * (gamma + g)
+    to the right of -gamma and of 0, never on a target: at the n_th = 0 EP,
+    -gamma is itself a defective eigenvalue, and 0 is always an eigenvalue.
+    The cluster tolerance is sp.CLUSTER_EPS_SCALE * ||L||_F of the whole
+    generator.
 
     At n_th = 0 the first-moment sector is exactly closed in the truncated
     space, so the containment holds to rounding at any cutoff. For n_th > 0
@@ -445,28 +425,19 @@ def liouvillian_spectrum_check(
     plus = sp.eigs_near(sector_block(gen, 1), anchor + shift, [*targets, anchor], 4, eps_cluster)
     steady = sp.eigs_near(sector_block(gen, 0), shift, [0.0], 2)
 
-    # k = -1 mirrors k = +1 exactly (sector_mirror): conjugate eigenvalues
-    values = np.concatenate([plus.eigenvalues, plus.eigenvalues.conj()])
-    sectors = np.repeat([1, -1], plus.eigenvalues.size)
+    values = plus.eigenvalues
     dists = np.abs(values[None, :] - targets[:, None])
     nearest_idx = np.argmin(dists, axis=1)
-    nearest = values[nearest_idx]
-    distances = dists[np.arange(2), nearest_idx]
-    zero_dist = float(np.min(np.abs(steady.eigenvalues)))
-
     clusters = sp.cluster_eigenvalues(values, eps_cluster)
     near_gamma = min(clusters, key=lambda grp: min(abs(values[i] - anchor) for i in grp))
     min_angle = None
     if len(near_gamma) >= 2:
-        minus_vectors = np.empty_like(plus.eigenvectors)
-        minus_vectors[sector_mirror(cut, 1)] = plus.eigenvectors.conj()
-        vectors = [*plus.eigenvectors.T, *minus_vectors.T]
-        min_angle = sp.cluster_min_angle(vectors, near_gamma, sectors)
+        min_angle = sp.cluster_min_angle(plus.eigenvectors.T, near_gamma)
     return SpectrumWitness(
         targets=targets,
-        nearest=nearest,
-        distances=distances,
-        zero_mode_distance=zero_dist,
+        nearest=values[nearest_idx],
+        distances=dists[np.arange(2), nearest_idx],
+        zero_mode_distance=float(np.min(np.abs(steady.eigenvalues))),
         cluster_size=len(near_gamma),
         cluster_min_angle=min_angle,
         degenerate_pair_flagged=min_angle is not None and min_angle < sp.DEFAULT_ANGLE_EPS,

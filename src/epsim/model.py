@@ -40,6 +40,7 @@ transformation as their lowercase halves, never by conjugate transposition.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -182,6 +183,23 @@ def derive(params: SystemParams) -> DerivedParams:
         chi_p=chi_t + 1j * (two_eps2 * gamma_p / xi_p),
         chi_p_full=chi_t + two_eps2 * (g + 1j * gamma_p) / xi_p,
     )
+
+
+def check_derived(params: SystemParams) -> None:
+    """Raise ValueError naming the first field of derive(params) that is not finite.
+
+    Finite parameters can still overflow in products such as g * g; such a
+    point has no meaningful closed forms or operators. A pole of chi
+    (ChiPoleError) is left to the command that meets it.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy scalars warn
+            der = derive(params)
+    except ChiPoleError:
+        return
+    for name, value in vars(der).items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"derived {name} = {value} is not finite")
 
 
 class DisplacedOps(NamedTuple):

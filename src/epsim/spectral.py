@@ -231,23 +231,17 @@ def principal_angle(u: np.ndarray, v: np.ndarray) -> float:
     return float(_pair_angles(np.atleast_2d(u), np.atleast_2d(v))[0])
 
 
-def cluster_min_angle(vectors, group: Sequence[int], sectors=None) -> float:
+def cluster_min_angle(vectors, group: Sequence[int]) -> float:
     """Smallest principal angle between the eigenvectors of one cluster.
 
     vectors[i] is the eigenvector of eigenvalue i (the transpose of an
-    eigenvector matrix qualifies); group holds at least two indices. With
-    sectors, eigenvectors of different sectors have disjoint support, so
-    their angle is exactly pi/2.
+    eigenvector matrix qualifies); group holds at least two indices.
     """
     first, second = np.array(
         [(i, j) for pos, i in enumerate(group) for j in group[pos + 1 :]]
     ).T
     vectors = np.asarray(vectors)
-    angles = _pair_angles(vectors[first], vectors[second])
-    if sectors is not None:
-        sectors = np.asarray(sectors)
-        angles = np.where(sectors[first] == sectors[second], angles, np.pi / 2)
-    return float(angles.min())
+    return float(_pair_angles(vectors[first], vectors[second]).min())
 
 
 def _clusters(values: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

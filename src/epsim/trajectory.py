@@ -76,7 +76,8 @@ CHUNK_SIZE = 1024
 # by peak resident growth: dense d^2 x d^2 arrays of the no-jump propagator's
 # build (H_nh, -i H_nh dt, scipy's expm work and its result), (d^2, batch)
 # arrays of a chunk's stepping, and generator sizes of master_propagate
-# (assembly, |L| for its 1-norm, the scaled step, expm_multiply's shifted copy).
+# (assembly, the scaled step, expm_multiply's shifted copy; measured when the
+# 1-norm still copied |L|, so an upper bound).
 _PROPAGATOR_ARRAYS = 9
 _BATCH_ARRAYS = 6
 _MASTER_GENERATOR_COPIES = 5
@@ -651,7 +652,9 @@ def master_propagate(
     from scipy.sparse.linalg import expm_multiply
 
     gen = lv.build_liouvillian(params, cutoff).csr
-    norm_1 = float(abs(gen).sum(axis=0).max())
+    # column sums of |L| from the CSR arrays, without a copy of the generator
+    column_sums = np.bincount(gen.indices, weights=np.abs(gen.data), minlength=gen.shape[1])
+    norm_1 = float(column_sums.max())
     out = np.zeros((len(times),) + rho_0.shape, dtype=complex)
     vec_rho = lv.vec(rho_0)
     previous = 0.0

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,72 @@ class TestConfigHandling:
         assert json.dumps(echoed, sort_keys=True, separators=(",", ":")) == again.canonical()
 
 
+OVERFLOW_CONFIGS = {
+    # g * g overflows at every sweep point
+    "spectrum": (
+        "spectrum",
+        {"mode": "hamiltonian-spectrum", "params": {"g": 1e308, "gamma_a": 1e308}},
+        "sweep point kappa=0.0 invalid: derived xi_p = inf is not finite",
+    ),
+    "ep-scan": (
+        "ep-scan",
+        {
+            "mode": "ep-scan",
+            "params": {"gamma_a": 1e300},
+            "sweep": {"axis": "g", "min": 1e300, "max": 1.5e300, "step": 1e299},
+        },
+        "sweep point g=1e+300 invalid: derived xi_p = inf is not finite",
+    ),
+    # no sweep: the parameters themselves are checked
+    "liouvillian-check": (
+        "liouvillian-check",
+        {"mode": "liouvillian-check", "params": {"g": 1e200, "gamma_a": 1e200}},
+        "config field 'params': derived xi_p = inf is not finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOW_CONFIGS)
+def test_overflowing_derived_rates_are_config_errors(tmp_path, capsys, name):
+    # refused before any operator is built: no warning, no table
+    command, config, message = OVERFLOW_CONFIGS[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, params, sweep",
+    [
+        # the scans drop the drive, so its overflowing shift chi is not read
+        ("ep-scan", {"eps": 1e155}, None),
+        ("lep-scan", {"eps": 1e155}, None),
+        # lep-scan reads the full-dynamics frame, not the thermal one
+        ("lep-scan", {"n_th": 1e300}, None),
+        # a sweep computes only its points, which replace the base g
+        ("ep-scan", {"g": 1e160}, None),
+        ("spectrum", {"g": 1e160}, {"axis": "g", "min": 1.0, "max": 1.5, "step": 0.25}),
+    ],
+    ids=["ep-scan-eps", "lep-scan-eps", "lep-scan-n_th", "ep-scan-base-g", "spectrum-base-g"],
+)
+def test_overflow_the_command_does_not_read_runs(tmp_path, capsys, command, params, sweep):
+    mode = "hamiltonian-spectrum" if command == "spectrum" else command
+    config = {"mode": mode, "params": params, "cutoff": 3}
+    if sweep is not None:
+        config["sweep"] = sweep
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 class TestOutputRouting:
     SHORT_GRID = {"axis": "g", "min": 0.9, "max": 1.1, "step": 0.05}
 
@@ -373,8 +440,8 @@ class TestSpectrumCommand:
         assert cli.load_config(mode, None, {"cutoff": 60}).cutoff == 60
 
     def test_huge_integer_g_matches_float(self, tmp_path):
-        # an integer parameter is made a float once, so 10**300 runs as 1e300
-        # instead of overflowing in integer arithmetic (g * g)
+        # an integer parameter is made a float once, so 10**300 is refused as
+        # 1e300 is (g * g overflows), instead of overflowing in integer arithmetic
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         echo = ("# config: ", "# units: ")
         outputs = []
@@ -391,8 +458,10 @@ class TestSpectrumCommand:
             table = [line for line in done.stdout.splitlines() if not line.startswith(echo)]
             outputs.append((done.returncode, table, done.stderr))
         assert outputs[0] == outputs[1]
-        assert outputs[0][0] == 0
-        assert "Traceback" not in outputs[0][2]
+        assert outputs[0][:2] == (1, [])
+        assert outputs[0][2] == (
+            "config error: sweep point kappa=0.0 invalid: derived xi_p = inf is not finite\n"
+        )
 
 
 class TestScanCommands:

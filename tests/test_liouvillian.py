@@ -293,24 +293,49 @@ class TestMirror:
         build = lv.build_liouvillian_from_hnh if from_hnh else lv.build_liouvillian
         assert_exact_mirror(build(p, d), d)
 
-    @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_mirror_is_the_transpose_within_the_sectors(self, d):
-        labels = lv.sector_labels(d)
-        transposed = transpose_positions(d)
-        for k in (1, 2):
-            plus, minus = np.flatnonzero(labels == k), np.flatnonzero(labels == -k)
-            np.testing.assert_array_equal(minus[lv.sector_mirror(d, k)], transposed[plus])
 
-    @pytest.mark.parametrize("d", [3, 4, 6])
+def parity_signs(d):
+    """S = diag((-1)^(n_a,ket + n_a,bra)) on vec(rho): rho -> P rho P, P = (-1)^n_a."""
+    occ_a = FockCutoff(d).ops.occ_a
+    return (-1.0) ** np.add.outer(occ_a, occ_a).ravel(order="F")
+
+
+def parity_conjugate(gen, d):
+    """Whether S L S == conj(L) holds entry for entry (S is +-1: no rounding)."""
+    matrix = gen.matrix
+    signs = parity_signs(d)
+    return np.array_equal(matrix * np.outer(signs, signs), matrix.conj())
+
+
+class TestParityConjugation:
+    """The drive-free generator is its own conjugate under S, sector by sector.
+
+    S keeps every k = N_ket - N_bra sector, so each sector's spectrum is
+    closed under conjugation: the witness reads both -gamma +- i*Omega from
+    sector k = +1 alone.
+    """
+
+    @given(params=valid_params())
+    def test_drive_free_generators(self, params):
+        p = params.with_(eps=0.0)
+        assert parity_conjugate(lv.build_liouvillian(p, 3), 3)
+        assert parity_conjugate(lv.build_liouvillian_from_hnh(p, 3), 3)
+
+    @pytest.mark.parametrize("d", [4, 6])
     @pytest.mark.parametrize("n_th", [0.0, 0.2])
     @pytest.mark.parametrize("from_hnh", [False, True])
-    def test_minus_block_is_the_mirrored_plus_block(self, from_hnh, n_th, d):
+    def test_drive_free_generators_at_larger_cutoffs(self, from_hnh, n_th, d):
         p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=0.0, n_th=n_th)
         build = lv.build_liouvillian_from_hnh if from_hnh else lv.build_liouvillian
-        gen = build(p, d)
-        perm = lv.sector_mirror(d, 1)
-        plus, minus = lv.sector_block(gen, 1).toarray(), lv.sector_block(gen, -1).toarray()
-        np.testing.assert_array_equal(minus[np.ix_(perm, perm)], plus.conj())
+        assert parity_conjugate(build(p, d), d)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1.0])
+    @pytest.mark.parametrize("n_th", [0.0, 0.2])
+    @pytest.mark.parametrize("from_hnh", [False, True])
+    def test_the_drive_breaks_it(self, from_hnh, n_th, eps):
+        p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=eps, n_th=n_th)
+        build = lv.build_liouvillian_from_hnh if from_hnh else lv.build_liouvillian
+        assert not parity_conjugate(build(p, 4), 4)
 
 
 class TestMomentCheck:
@@ -455,8 +480,8 @@ class TestSpectrumWitness:
         assert witness.zero_mode_distance < 1e-10
 
     def test_degenerate_pair_without_coalescence_not_flagged(self):
-        # away from the EP the -gamma +- i*Omega modes are doubly degenerate
-        # (ket- and bra-side sectors) with orthogonal eigenmatrices
+        # away from the EP -gamma +- i*Omega are two simple eigenvalues of
+        # sector k = +1, each a cluster of its own
         p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=0.0)
         witness = lv.liouvillian_spectrum_check(p, 4)
         assert witness.distances.max() <= 1e-6
@@ -516,32 +541,33 @@ class TestSpectrumWitness:
 
 
 def dense_witness(params, d, by_sector=False):
-    """The spectrum witness from dense eigensolves of the whole generator.
+    """The spectrum witness from dense eigensolves.
 
-    With by_sector, the eigenpairs come from sector_spectrum, its vectors
-    zero-padded onto every vec(rho) position.
+    The nearest eigenvalues and the zero mode come from the whole generator,
+    sector by sector with by_sector (sector_spectrum); the cluster nearest
+    -gamma, as the witness reads it, from the dense k = +1 block.
     """
     der = md.derive(params.with_(n_th=0.0))
     gen = lv.build_liouvillian(params.with_(eps=0.0), d)
     if by_sector:
         spectrum = sector_spectrum(gen)
         values, norm = spectrum.eigenvalues, spectrum.norm
-        vectors = np.zeros((values.size, values.size), dtype=complex)
-        for i in range(values.size):
-            vectors[spectrum.blocks[spectrum.sectors[i]][0], i] = spectrum.vector(i)
     else:
         matrix = gen.matrix
-        values, vectors = np.linalg.eig(matrix)
+        values = np.linalg.eigvals(matrix)
         norm = np.linalg.norm(matrix)
     targets = np.array([-der.gamma_p + 1j * der.omega_p, -der.gamma_p - 1j * der.omega_p])
     dists = np.abs(values[None, :] - targets[:, None])
     nearest_idx = np.argmin(dists, axis=1)
-    clusters = sp.cluster_eigenvalues(values, sp.CLUSTER_EPS_SCALE * norm)
-    near_gamma = min(clusters, key=lambda grp: min(abs(values[i] + der.gamma_p) for i in grp))
+    plus = sp.eig(lv.sector_block(gen, 1).toarray(), want_vectors=True)
+    clusters = sp.cluster_eigenvalues(plus.eigenvalues, sp.CLUSTER_EPS_SCALE * norm)
+    near_gamma = min(
+        clusters, key=lambda grp: min(abs(plus.eigenvalues[i] + der.gamma_p) for i in grp)
+    )
     min_angle = None
     if len(near_gamma) >= 2:
         min_angle = min(
-            sp.principal_angle(vectors[:, i], vectors[:, j])
+            sp.principal_angle(plus.eigenvectors[:, i], plus.eigenvectors[:, j])
             for pos, i in enumerate(near_gamma)
             for j in near_gamma[pos + 1 :]
         )
@@ -608,76 +634,3 @@ class TestSectorWitnessAgainstDense:
         for value, vector in zip(spectrum.eigenvalues, spectrum.eigenvectors.T):
             assert np.linalg.norm(dense @ vector - value * vector) <= bound
         np.testing.assert_allclose(spectrum.eigenvalues[:2], [-2.0, -2.0], atol=1e-7)
-
-
-def direct_witness(params, d):
-    """The witness's moment sectors with the k = -1 block solved on its own.
-
-    The reference for the mirrored k = -1 eigenpairs: both blocks go through
-    sp.eigs_near with the witness's shift, targets and cluster tolerance.
-    """
-    der = md.derive(params.with_(n_th=0.0))
-    gen = lv.build_liouvillian(params.with_(eps=0.0), d)
-    anchor = -der.gamma_p + 0j
-    targets = np.array([anchor + 1j * der.omega_p, anchor - 1j * der.omega_p])
-    sigma = anchor + lv.WITNESS_SHIFT * (der.gamma_p + params.g)
-    norm = float(np.linalg.norm(gen.csr.data))
-    eps = sp.CLUSTER_EPS_SCALE * norm
-    plus, minus = (
-        sp.eigs_near(lv.sector_block(gen, k), sigma, [*targets, anchor], 4, eps)
-        for k in (1, -1)
-    )
-    values = np.concatenate([plus.eigenvalues, minus.eigenvalues])
-    sectors = np.repeat([1, -1], [plus.eigenvalues.size, minus.eigenvalues.size])
-    dists = np.abs(values[None, :] - targets[:, None])
-    clusters = sp.cluster_eigenvalues(values, eps)
-    near_gamma = min(clusters, key=lambda grp: min(abs(values[i] - anchor) for i in grp))
-    min_angle = None
-    if len(near_gamma) >= 2:
-        vectors = [*plus.eigenvectors.T, *minus.eigenvectors.T]
-        min_angle = sp.cluster_min_angle(vectors, near_gamma, sectors)
-    return {
-        "plus": plus.eigenvalues,
-        "minus": minus.eigenvalues,
-        "sigma": sigma,
-        "norm": norm,
-        "nearest": values[np.argmin(dists, axis=1)],
-        "cluster_size": len(near_gamma),
-        "degenerate_pair_flagged": min_angle is not None and min_angle < sp.DEFAULT_ANGLE_EPS,
-    }
-
-
-class TestMirroredWitness:
-    DEFAULTS = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=1.0)
-    EP = md.SystemParams.from_mean_split(1.0, 2.0, 1.0, eps=0.0)
-    THERMAL_LEP = md.SystemParams.from_mean_split(1.0, 2.0, 1.0, eps=0.0, n_th=0.2)
-
-    @pytest.mark.parametrize(
-        "params, d, defective",
-        [
-            (DEFAULTS, 4, False),
-            (DEFAULTS, 6, False),
-            (EP, 4, True),
-            (THERMAL_LEP, 8, False),
-            (THERMAL_LEP, 12, False),
-        ],
-        ids=["defaults-d4", "defaults-d6", "ep-d4", "thermal-lep-d8", "thermal-lep-d12"],
-    )
-    def test_matches_a_direct_minus_solve(self, params, d, defective):
-        ref = direct_witness(params, d)
-        witness = lv.liouvillian_spectrum_check(params, d)
-        assert witness.cluster_size == ref["cluster_size"]
-        assert witness.degenerate_pair_flagged == ref["degenerate_pair_flagged"]
-        # the mirrored spectrum is conjugation-symmetric, as the targets are
-        assert witness.distances[1] == witness.distances[0]
-        if not defective:
-            # at a defective eigenvalue either solve is fixed only to ~sqrt(u)
-            atol = 1e-12 * ref["norm"]
-            # ARPACK may return either of two eigenvalues tied at the largest
-            # distance from the shift; every nearer one is fixed
-            dist_plus, dist_minus = (np.abs(ref[k] - ref["sigma"]) for k in ("plus", "minus"))
-            reach = min(dist_plus.max(), dist_minus.max()) - atol
-            assert_multiset_close(
-                ref["plus"][dist_plus < reach].conj(), ref["minus"][dist_minus < reach], atol
-            )
-            np.testing.assert_allclose(witness.nearest, ref["nearest"], rtol=0, atol=atol)

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conftest import assert_multiset_close, valid_params
 from epsim import fockspace as fs
 from epsim import model as md
 from epsim import spectral as sp
+from epsim.errors import ChiPoleError
 from epsim.fockspace import FockCutoff
 
 
@@ -111,6 +113,38 @@ class TestDerive:
         # imaginary part of the full scalar equals the reported chi
         der = md.derive(std_params)
         assert der.chi_p == pytest.approx(1j * der.chi_p_full.imag)
+
+
+    @given(params=valid_params())
+    def test_check_derived_passes_ordinary_points(self, params):
+        md.check_derived(params)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"g": 1e308, "gamma_a": 1e308}, "xi_p"),
+            ({"g": 1.0, "gamma_a": 1e300}, "omega_p"),
+            ({"g": 1.0, "gamma_a": 1.0, "n_th": 1e308}, "gamma_a_p"),
+            ({"g": 1.0, "gamma_a": 1.0, "eps": 1e200}, "chi_p"),
+        ],
+    )
+    def test_check_derived_names_the_first_overflow(self, fields, name):
+        # numpy scalars, as a sweep grid makes them, overflow without a warning
+        params = md.SystemParams(**{"gamma_b": 1.0, **fields})
+        numpy_params = dataclasses.replace(
+            params, **{key: np.float64(value) for key, value in fields.items()}
+        )
+        for point in (params, numpy_params):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^derived {name} = .* is not finite$"):
+                    md.check_derived(point)
+
+    def test_check_derived_leaves_the_chi_pole_to_the_command(self):
+        params = md.SystemParams(g=1e-200, gamma_a=0.0, gamma_b=1.0)
+        with pytest.raises(ChiPoleError):
+            md.derive(params)
+        md.check_derived(params)
 
 
 class TestHamiltonian:

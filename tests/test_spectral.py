@@ -209,12 +209,10 @@ class TestClustering:
         )
         assert sp.cluster_eigenvalues(values, eps) == cluster_reference(values, eps)
 
-    def test_cluster_min_angle_within_and_across_sectors(self):
+    def test_cluster_min_angle_is_the_smallest_pair_angle(self):
         vectors = np.array([[1.0, 0.0], [1.0, 1e-4], [0.0, 1.0]], dtype=complex)
         assert sp.cluster_min_angle(vectors, [0, 1, 2]) == pytest.approx(1e-4)
-        # index 1 in a sector of its own: only the pi/2 pairs remain
-        assert sp.cluster_min_angle(vectors, [0, 1, 2], [0, 1, 0]) == np.pi / 2
-        assert sp.cluster_min_angle(vectors, [0, 1, 2], [0, 0, 1]) == pytest.approx(1e-4)
+        assert sp.cluster_min_angle(vectors, [0, 2]) == np.pi / 2
 
     def test_best_cluster_has_the_smallest_angle(self):
         # two Jordan blocks; the second is tilted further from coalescence
