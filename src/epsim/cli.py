@@ -294,7 +294,10 @@ def cmd_spectrum(config: SweepConfig) -> Table:
     the configured cutoff, matched to each tracked state by nearest distance
     to its analytic value; the reported non-Hermitian numeric values are
     shifted by +Re(chi_p_full) to match the imaginary-chi convention of the
-    analytic column.
+    analytic column. The h_pt and h_nh of a chunk of points are solved as
+    one stack (sp.eigvals_stack, bit-identical to one solve per matrix): a
+    chunk holds enough points for a piece on every core, as many as
+    md.spectrum_chunk_points allows.
     """
     columns = [
         "sweep_value", "n_e", "n_f",
@@ -303,25 +306,32 @@ def cmd_spectrum(config: SweepConfig) -> Table:
     ]
 
     grid, points = sweep_points(config)
+    axis, cutoff, n = config.sweep["axis"], config.cutoff, config.cutoff**2
+    # two matrices a point: enough points for a piece on every core, as the budget allows
+    depth = min(len(points), md.spectrum_chunk_points(cutoff, -(-sp.threaded_depth(n) // 2)))
+    stack = np.empty((2 * depth, n, n), dtype=complex)  # reused by every chunk
     rows = []
-    for value, point in zip(grid, points):
-        der = md.derive(point)
-        h_pt = md.build_h_pt(point, config.cutoff)
-        pt_vals = sp.eig(h_pt, want_vectors=False).eigenvalues
-        nh_vals = sp.eig(
-            md.build_h_nh(point, config.cutoff), want_vectors=False
-        ).eigenvalues
-        for n_e, n_f in md.TRACKED_STATES:
-            pt_a = md.analytic_lambda_pt(n_e, n_f, der)
-            nh_a = md.analytic_lambda_nh(n_e, n_f, der)
-            nh_a_full = md.analytic_lambda_nh(n_e, n_f, der, full_chi=True)
-            pt_n = pt_vals[np.argmin(np.abs(pt_vals - pt_a))]
-            nh_n = nh_vals[np.argmin(np.abs(nh_vals - nh_a_full))] + der.chi_p_full.real
-            rows.append([
-                float(value), n_e, n_f,
-                pt_a.real, pt_a.imag, pt_n.real, pt_n.imag, abs(pt_a - pt_n),
-                nh_a.real, nh_a.imag, nh_n.real, nh_n.imag, abs(nh_a - nh_n),
-            ])
+    for start in range(0, len(points), depth):
+        chunk = list(zip(grid[start : start + depth], points[start : start + depth]))
+        names = []
+        for k, (value, point) in enumerate(chunk):
+            stack[2 * k] = md.build_h_pt(point, cutoff)
+            stack[2 * k + 1] = md.build_h_nh(point, cutoff)
+            names += [f"h_pt at sweep point {axis}={value}", f"h_nh at sweep point {axis}={value}"]
+        values = sp.eigvals_stack(stack[: 2 * len(chunk)], names)
+        for (value, point), pt_vals, nh_vals in zip(chunk, values[::2], values[1::2]):
+            der = md.derive(point)
+            for n_e, n_f in md.TRACKED_STATES:
+                pt_a = md.analytic_lambda_pt(n_e, n_f, der)
+                nh_a = md.analytic_lambda_nh(n_e, n_f, der)
+                nh_a_full = md.analytic_lambda_nh(n_e, n_f, der, full_chi=True)
+                pt_n = pt_vals[np.argmin(np.abs(pt_vals - pt_a))]
+                nh_n = nh_vals[np.argmin(np.abs(nh_vals - nh_a_full))] + der.chi_p_full.real
+                rows.append([
+                    float(value), n_e, n_f,
+                    pt_a.real, pt_a.imag, pt_n.real, pt_n.imag, abs(pt_a - pt_n),
+                    nh_a.real, nh_a.imag, nh_n.real, nh_n.imag, abs(nh_a - nh_n),
+                ])
     return Table(columns, rows)
 
 

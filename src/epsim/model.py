@@ -21,7 +21,8 @@ displaced-operator products of build_h_pt_split are expanded into the same
 terms; displaced_ops and pt_coefficient_tableau keep the products as the
 definitions. Every operator is a dense d^2 x d^2 array, so the memory of a
 spectrum sweep grows as d^4 (spectrum_peak_bytes, which the CLI holds to
-MEMORY_BUDGET with check_memory).
+MEMORY_BUDGET with check_memory, and which spectrum_chunk_points reads to
+size the chunks of sweep points the spectrum command solves at once).
 
 collapse_channels states the collapse set once, as (rate, jump, product)
 rows over the same cached operators: loss a, gain a, loss b, gain b, the
@@ -59,10 +60,13 @@ TRACKED_STATES: tuple[tuple[int, int], ...] = ((1, 0), (0, 1), (2, 0), (0, 2))
 SWEEP_AXES = ("kappa", "g", "gamma_a", "gamma_b", "eps", "n_th")
 
 MEMORY_BUDGET = 2**30  # bytes a command's cutoff-dependent arrays may need (check_memory)
-# dense d^2 x d^2 arrays a spectrum point holds besides the cached terms: h_pt and
-# h_nh, the two temporaries of eig's Frobenius norm, then zgeev's copy and work
-# (peak resident growth 4.1-4.2 arrays at d = 28 and 32)
-_SPECTRUM_POINT_ARRAYS = 5
+# dense d^2 x d^2 arrays a spectrum chunk holds besides the cached terms: per
+# sweep point its h_pt and h_nh in the stack and at most one zgeev copy of each
+# while the stack is solved; per chunk the sum a builder returns and the term
+# it adds, which the allocator may keep while the stack is solved (peak
+# resident growth 18.6 of the estimate's 19 arrays at d = 28 on 2 cores)
+_SPECTRUM_POINT_ARRAYS = 4
+_SPECTRUM_CHUNK_ARRAYS = 2
 
 
 def is_finite_number(value) -> bool:
@@ -450,16 +454,28 @@ def check_memory(need: float, what: str) -> None:
         )
 
 
-def spectrum_peak_bytes(cutoff: FockCutoff | int) -> float:
+def spectrum_peak_bytes(cutoff: FockCutoff | int, points: int = 1) -> float:
     """Estimate of the dense memory (bytes) a spectrum sweep needs at this cutoff.
 
     Every operator is a dense d^2 x d^2 complex array, 16 d^4 bytes: the
     cutoff's cached terms (FockCutoff.ops, the occupation vectors aside) and
-    _SPECTRUM_POINT_ARRAYS more while a point is built and diagonalized.
+    the arrays of a chunk of this many sweep points while it is built and
+    diagonalized (_SPECTRUM_POINT_ARRAYS each, _SPECTRUM_CHUNK_ARRAYS more).
     """
     d = FockCutoff.of(cutoff).d
     cached = len(fs.TwoModeOps._fields) - 2  # occ_a and occ_b are vectors
-    return 16.0 * d**4 * (cached + _SPECTRUM_POINT_ARRAYS)
+    return 16.0 * d**4 * (cached + _SPECTRUM_CHUNK_ARRAYS + _SPECTRUM_POINT_ARRAYS * points)
+
+
+def spectrum_chunk_points(cutoff: FockCutoff | int, wanted: int) -> int:
+    """Sweep points a spectrum chunk holds at this cutoff.
+
+    At most wanted, and as many as keep spectrum_peak_bytes within
+    MEMORY_BUDGET, but at least one.
+    """
+    fixed = spectrum_peak_bytes(cutoff, 0)
+    per_point = spectrum_peak_bytes(cutoff, 1) - fixed
+    return max(1, min(wanted, int((MEMORY_BUDGET - fixed) // per_point)))
 
 
 def analytic_lambda_pt(n_e: int, n_f: int, derived: DerivedParams) -> complex:

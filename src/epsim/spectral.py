@@ -5,11 +5,10 @@ iteration to Schur form, eigenvectors by back-substitution) is fulfilled by
 LAPACK's zgeev through numpy; this module adds failure reporting, a
 residual guarantee on eigenpairs, eigenvalue clustering and the
 eigenvector-coalescence metric used to locate exceptional points on
-parameter grids. Eigenvalue-only solves (eig with want_vectors=False, as
-the spectrum command runs them) have no vectors and so no residual check.
-For sparse matrices too large to diagonalize densely, eigs_near finds the
-eigenpairs nearest a few targets by shift-invert ARPACK, under the same
-residual bound, and proves that it has not missed a nearer eigenvalue.
+parameter grids. For sparse matrices too large to diagonalize densely,
+eigs_near finds the eigenpairs nearest a few targets by shift-invert
+ARPACK, under the same residual bound, and proves that it has not missed a
+nearer eigenvalue.
 
 Coalescence reports are built on stacks: coalescence_scan diagonalizes its
 whole grid in one batched solve, then finds the clusters of every point
@@ -19,18 +18,30 @@ stack of the same code. Every point is computed on its own, so a report
 does not depend on the stack it was built in. cluster_eigenvalues and
 principal_angle are the one-row cases of the same clustering and angles.
 
+Eigenvalue-only solves run on stacks too: eigvals_stack solves a stack of
+matrices with np.linalg.eigvals, bit-identical to one call per matrix, and
+has no vectors and so no residual check. numpy releases the GIL in a
+gufunc loop only when the loop's size, here the matrices of the call times
+their dimension n, is over GIL_LOOP_SIZE (500), so a one-matrix call holds
+it for its whole solve and threads over such calls take turns. The stack is
+split into one contiguous piece per usable core (os.sched_getaffinity),
+each at least piece_depth(n) = 500 // n + 1 matrices deep (8 at n = 64),
+and the pieces are solved on threads that run at once; a stack too short
+for two pieces is one piece.
+
 Norms are Frobenius throughout.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .errors import EigenConvergenceError, MatrixExpOverflowError
+from .errors import EigenConvergenceError, MatrixExpOverflowError, NumericalError
 
 if TYPE_CHECKING:  # scipy.sparse is imported where it is used, not at import time
     import scipy.sparse
@@ -38,6 +49,10 @@ if TYPE_CHECKING:  # scipy.sparse is imported where it is used, not at import ti
 DEFAULT_RESIDUAL_TOL = 1e-9
 DEFAULT_ANGLE_EPS = 1e-3
 CLUSTER_EPS_SCALE = 1e-6
+# numpy runs a gufunc loop without the GIL only when its size (the loop's
+# matrices times their dimension, for eigvals) is over this
+# (NPY_BEGIN_THREADS_THRESHOLDED in numpy's ndarraytypes.h)
+GIL_LOOP_SIZE = 500
 
 
 @dataclass
@@ -49,9 +64,9 @@ class Spectrum:
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
-    residuals: np.ndarray | None = None
-    norm: float = 0.0
+    eigenvectors: np.ndarray
+    residuals: np.ndarray
+    norm: float
 
 
 def _eigenpairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,10 +86,10 @@ def _residual_bound(norm):
     return DEFAULT_RESIDUAL_TOL * np.maximum(norm, np.finfo(float).tiny)
 
 
-def eig(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
-    """All eigenvalues (and right eigenvectors) of a dense complex matrix.
+def eig(a: np.ndarray) -> Spectrum:
+    """All eigenvalues and right eigenvectors of a dense complex matrix.
 
-    The eigenpairs are residual-checked; eigenvalues alone are not.
+    The eigenpairs are residual-checked.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -82,14 +97,6 @@ def eig(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
     # the norm coalescence_scan takes of its stack, bit for bit (the
     # axis-free np.linalg.norm sums in another order)
     norm = float(np.linalg.norm(a, axis=(-2, -1)))
-    if not want_vectors:
-        try:
-            values = np.linalg.eigvals(a)
-        except np.linalg.LinAlgError as exc:
-            raise EigenConvergenceError(
-                f"eigvals failed for dim={a.shape[0]}, norm={norm:.3e}: {exc}"
-            ) from exc
-        return Spectrum(eigenvalues=values, norm=norm)
     try:
         values, vectors, residuals = _eigenpairs(a[None])
     except np.linalg.LinAlgError as exc:
@@ -99,6 +106,71 @@ def eig(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
     values, vectors, residuals = values[0], vectors[0], residuals[0]
     _check_residuals(residuals, norm, f"dim={a.shape[0]}")
     return Spectrum(values, vectors, residuals, norm)
+
+
+def piece_depth(n: int) -> int:
+    """The fewest n x n matrices an eigvals call needs to release the GIL."""
+    return GIL_LOOP_SIZE // n + 1
+
+
+def _cores() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def threaded_depth(n: int) -> int:
+    """Matrices a stack needs for eigvals_stack to give every usable core a piece."""
+    return _cores() * piece_depth(n)
+
+
+def eigvals_stack(stack: np.ndarray, names: Sequence[str] | None = None) -> np.ndarray:
+    """Eigenvalues of every matrix of a stack, shape (m, n, n) -> (m, n).
+
+    Each row equals np.linalg.eigvals of its matrix bit for bit, in stack
+    order. The stack is solved in contiguous pieces on threads, one piece per
+    usable core and each at least piece_depth(n) deep (see the module
+    docstring); the pool lives for this call. names[i] names matrix i in
+    errors ("matrix i" by default). Raises NumericalError when a matrix's
+    Frobenius norm is not finite (an entry beyond about 1e154, inf or nan),
+    before any solve, and EigenConvergenceError naming the first matrix
+    whose solve fails: a piece that fails is solved again one matrix at a
+    time.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
+    m, n = stack.shape[:2]
+    if names is None:
+        names = [f"matrix {i}" for i in range(m)]
+    if len(names) != m:
+        raise ValueError(f"got {len(names)} names for {m} matrices")
+    with np.errstate(over="ignore"):
+        norms = np.array([np.linalg.norm(matrix) for matrix in stack])
+    if not np.all(np.isfinite(norms)):
+        i = int(np.argmin(np.isfinite(norms)))  # the first that is not
+        raise NumericalError(f"{names[i]}: Frobenius norm {norms[i]} is not finite")
+
+    def solve(bounds: tuple[int, int]) -> np.ndarray:
+        start, stop = bounds
+        try:
+            return np.linalg.eigvals(stack[start:stop])
+        except np.linalg.LinAlgError:
+            rows = []
+            for i in range(start, stop):
+                try:
+                    rows.append(np.linalg.eigvals(stack[i]))
+                except np.linalg.LinAlgError as exc:
+                    raise EigenConvergenceError(
+                        f"eigvals failed for {names[i]} (dim={n}): {exc}"
+                    ) from exc
+            return np.array(rows)
+
+    from concurrent.futures import ThreadPoolExecutor  # imported where used, as scipy.sparse is
+
+    count = max(1, min(_cores(), m // piece_depth(n)))
+    bounds = [m * k // count for k in range(count + 1)]
+    with ThreadPoolExecutor(count) as pool:
+        pieces = list(pool.map(solve, zip(bounds, bounds[1:])))
+    return np.concatenate(pieces)
 
 
 def _check_residuals(residuals: np.ndarray, norm: float, where: str) -> None:
@@ -380,7 +452,7 @@ def coalescence_report(
 
     Raises EigenConvergenceError when eig fails or misses its residual bound.
     """
-    spectrum = eig(a, want_vectors=True)
+    spectrum = eig(a)
     return _reports(
         [param],
         spectrum.eigenvalues[None],

@@ -8,12 +8,15 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from epsim import cli
 from epsim import liouvillian as lv
 from epsim import model as md
+from epsim import spectral as sp
 from epsim import trajectory as tj
+from epsim.errors import ConfigError
 
 
 def run(args):
@@ -432,6 +435,81 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: hamiltonian-spectrum at cutoff d=60 needs an")
         assert f"{md.spectrum_peak_bytes(60) / 1e6:.0f} MB" in err
+
+    def test_budget_admits_d43_and_refuses_d44(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a point was built")
+
+        monkeypatch.setattr(md, "build_h_pt", unreachable)
+        assert md.spectrum_peak_bytes(43) <= md.MEMORY_BUDGET < md.spectrum_peak_bytes(44)
+        assert cli.load_config("hamiltonian-spectrum", None, {"cutoff": 43}).cutoff == 43
+        with pytest.raises(ConfigError, match="cutoff d=44"):
+            cli.load_config("hamiltonian-spectrum", None, {"cutoff": 44})
+        # a chunk holds as many points as the budget allows, never fewer than one
+        assert md.spectrum_chunk_points(43, 8) == 1
+        assert md.spectrum_chunk_points(8, 8) == 8
+        for d in (20, 30, 36):
+            points = md.spectrum_chunk_points(d, 1000)
+            assert 1 < points < 1000
+            assert md.spectrum_peak_bytes(d, points) <= md.MEMORY_BUDGET
+            assert md.spectrum_peak_bytes(d, points + 1) > md.MEMORY_BUDGET
+
+    def test_rows_equal_a_per_point_reference_loop(self, tmp_path, monkeypatch):
+        # two cores at d = 8: chunks of 8 points (two pieces of 8 matrices),
+        # so 21 points are two full chunks and a short one
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "params": {"n_th": 0.1},
+            "sweep": {"axis": "kappa", "min": 0.0, "max": 2.0, "step": 0.1},
+        }))
+        config = cli.load_config("hamiltonian-spectrum", str(cfg), {})
+        monkeypatch.setattr(sp.os, "sched_getaffinity", lambda pid: {0, 1})
+        depths = []
+        real_eigvals_stack = sp.eigvals_stack
+
+        def recording_eigvals_stack(stack, names):
+            depths.append(len(stack))
+            return real_eigvals_stack(stack, names)
+
+        monkeypatch.setattr(sp, "eigvals_stack", recording_eigvals_stack)
+        table = cli.cmd_spectrum(config)
+        assert depths == [16, 16, 10]
+
+        reference = []
+        for value, point in zip(*cli.sweep_points(config)):
+            der = md.derive(point)
+            pt_vals = np.linalg.eigvals(md.build_h_pt(point, 8))
+            nh_vals = np.linalg.eigvals(md.build_h_nh(point, 8))
+            for n_e, n_f in md.TRACKED_STATES:
+                pt_a = md.analytic_lambda_pt(n_e, n_f, der)
+                nh_a = md.analytic_lambda_nh(n_e, n_f, der)
+                nh_a_full = md.analytic_lambda_nh(n_e, n_f, der, full_chi=True)
+                pt_n = pt_vals[np.argmin(np.abs(pt_vals - pt_a))]
+                nh_n = nh_vals[np.argmin(np.abs(nh_vals - nh_a_full))] + der.chi_p_full.real
+                reference.append([
+                    float(value), n_e, n_f,
+                    pt_a.real, pt_a.imag, pt_n.real, pt_n.imag, abs(pt_a - pt_n),
+                    nh_a.real, nh_a.imag, nh_n.real, nh_n.imag, abs(nh_a - nh_n),
+                ])
+        assert table.rows == reference
+
+    def test_huge_drive_is_a_numerical_failure(self, tmp_path):
+        # eps = 1e100 puts entries near 1e200 in h_pt: their Frobenius norm
+        # overflows, which fails the command without a warning (-W error) or a table
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"params": {"eps": 1e100}, "cutoff": 3}')
+        out = tmp_path / "spec.csv"
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "epsim", "spectrum",
+             "--config", str(cfg), "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2
+        assert done.stderr == (
+            "numerical failure: h_pt at sweep point kappa=0.0: Frobenius norm inf is not finite\n"
+        )
+        assert done.stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("mode", ["ep-scan", "lep-scan"])
     def test_scans_have_no_memory_estimate(self, mode):

@@ -203,7 +203,7 @@ def sector_spectrum(gen):
     blocks = []
     for k in np.unique(labels):
         block = lv.sector_block(gen, int(k)).toarray()
-        blocks.append((np.flatnonzero(labels == k), sp.eig(block, want_vectors=True)))
+        blocks.append((np.flatnonzero(labels == k), sp.eig(block)))
     sizes = [len(idx) for idx, _ in blocks]
     return SectorSpectrum(
         eigenvalues=np.concatenate([spec.eigenvalues for _, spec in blocks]),
@@ -559,7 +559,7 @@ def dense_witness(params, d, by_sector=False):
     targets = np.array([-der.gamma_p + 1j * der.omega_p, -der.gamma_p - 1j * der.omega_p])
     dists = np.abs(values[None, :] - targets[:, None])
     nearest_idx = np.argmin(dists, axis=1)
-    plus = sp.eig(lv.sector_block(gen, 1).toarray(), want_vectors=True)
+    plus = sp.eig(lv.sector_block(gen, 1).toarray())
     clusters = sp.cluster_eigenvalues(plus.eigenvalues, sp.CLUSTER_EPS_SCALE * norm)
     near_gamma = min(
         clusters, key=lambda grp: min(abs(plus.eigenvalues[i] + der.gamma_p) for i in grp)

@@ -8,7 +8,7 @@ from conftest import assert_multiset_close, random_complex_matrix
 from epsim import liouvillian as lv
 from epsim import model as md
 from epsim import spectral as sp
-from epsim.errors import EigenConvergenceError, MatrixExpOverflowError
+from epsim.errors import EigenConvergenceError, MatrixExpOverflowError, NumericalError
 
 
 class TestEig:
@@ -50,6 +50,44 @@ class TestEig:
         spec = sp.eig(random_complex_matrix(rng, 256))
         assert spec.residuals.max() <= 1e-9 * spec.norm
 
+
+class TestEigvalsStack:
+    @staticmethod
+    def stack_of(seed, count, dim):
+        rng = np.random.default_rng(seed)
+        return np.stack([random_complex_matrix(rng, dim) for _ in range(count)])
+
+    @pytest.mark.parametrize(
+        "cores,count,pieces",
+        [({0}, 16, 1), ({0, 1}, 16, 2), ({0, 1}, 7, 1), ({0, 1}, 21, 2), ({0, 1, 2}, 25, 3)],
+        ids=["one-core", "two-pieces", "too-short-for-two", "uneven", "three-uneven"],
+    )
+    def test_bit_identical_to_per_matrix_eigvals(self, monkeypatch, cores, count, pieces):
+        # n = 64: a piece is at least 500 // 64 + 1 = 8 matrices deep
+        assert sp.piece_depth(64) == 8
+        stack = self.stack_of(count, count, 64)
+        monkeypatch.setattr(sp.os, "sched_getaffinity", lambda pid: cores)
+        calls = []
+        real_eigvals = np.linalg.eigvals
+
+        def recording_eigvals(a):
+            calls.append(len(a))
+            return real_eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+        values = sp.eigvals_stack(stack)
+        monkeypatch.undo()
+        assert len(calls) == pieces and sum(calls) == count
+        assert min(calls) >= 8 or pieces == 1
+        assert values.shape == (count, 64)
+        for row, matrix in zip(values, stack):
+            assert np.array_equal(row, np.linalg.eigvals(matrix))
+
+    def test_threaded_depth_gives_every_core_a_piece(self, monkeypatch):
+        monkeypatch.setattr(sp.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert sp.threaded_depth(64) == 16
+        assert sp.threaded_depth(1849) == 2  # one matrix a piece at d = 43
+
     @given(seed=st.integers(0, 10**6))
     def test_similarity_invariance(self, seed):
         rng = np.random.default_rng(seed)
@@ -58,11 +96,8 @@ class TestEig:
         scale = np.diag(rng.uniform(0.5, 2.0, 8))
         s = basis @ scale
         similar = np.linalg.solve(s, a @ s)
-        assert_multiset_close(
-            sp.eig(similar, want_vectors=False).eigenvalues,
-            sp.eig(a, want_vectors=False).eigenvalues,
-            atol=1e-7,
-        )
+        values = sp.eigvals_stack(np.stack([similar, a]))
+        assert_multiset_close(values[0], values[1], atol=1e-7)
 
     @given(seed=st.integers(0, 10**6))
     def test_trace_and_determinant_consistency(self, seed):
@@ -70,7 +105,7 @@ class TestEig:
 
         rng = np.random.default_rng(seed)
         a = random_complex_matrix(rng, 12) / 2.0
-        vals = sp.eig(a, want_vectors=False).eigenvalues
+        vals = sp.eigvals_stack(a[None])[0]
         assert np.sum(vals) == pytest.approx(np.trace(a), rel=1e-8, abs=1e-10)
         schur_t, _ = scipy.linalg.schur(a, output="complex")
         det_schur = np.prod(np.diag(schur_t))
@@ -81,8 +116,53 @@ class TestEig:
         rng = np.random.default_rng(seed)
         a = random_complex_matrix(rng, 10)
         herm = a + a.conj().T
-        vals = sp.eig(herm, want_vectors=False).eigenvalues
+        vals = sp.eigvals_stack(herm[None])[0]
         assert np.max(np.abs(vals.imag)) < 1e-10
+
+    @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])
+    def test_nonfinite_norm_names_its_matrix(self, entry):
+        stack = self.stack_of(0, 3, 4)
+        stack[1, 2, 3] = entry
+        with np.errstate(all="raise"):  # the norm's overflow raises no warning
+            with pytest.raises(NumericalError, match=r"^second: Frobenius norm (inf|nan) "):
+                sp.eigvals_stack(stack, ["first", "second", "third"])
+
+    def test_failing_piece_names_its_first_failing_matrix(self, monkeypatch):
+        stack = self.stack_of(1, 16, 64)
+        bad = {11, 13}  # both in the second of two pieces
+        for i in bad:
+            stack[i, 0, 0] = 7.0
+        real_eigvals = np.linalg.eigvals
+
+        def failing_eigvals(a):
+            if np.any(np.asarray(a)[..., 0, 0] == 7.0):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigvals(a)
+
+        monkeypatch.setattr(sp.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+        with pytest.raises(EigenConvergenceError, match=r"eigvals failed for point 11 \(dim=64\)"):
+            sp.eigvals_stack(stack, [f"point {i}" for i in range(16)])
+
+    def test_piece_that_fails_only_as_a_stack_is_solved_one_by_one(self, monkeypatch):
+        stack = self.stack_of(2, 16, 64)
+        real_eigvals = np.linalg.eigvals
+
+        def stack_failing_eigvals(a):
+            if np.ndim(a) == 3 and len(a) > 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", stack_failing_eigvals)
+        values = sp.eigvals_stack(stack)
+        monkeypatch.undo()
+        assert np.array_equal(values, np.linalg.eigvals(stack))
+
+    def test_rejects_non_stack(self):
+        with pytest.raises(ValueError):
+            sp.eigvals_stack(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="got 1 names for 2 matrices"):
+            sp.eigvals_stack(np.zeros((2, 3, 3)), ["only one"])
 
 
 def sparse_csc(dense):
@@ -413,9 +493,9 @@ class TestBatchedScan:
         redone = []
         real_sp_eig = sp.eig
 
-        def counting_eig(a, want_vectors=True):
+        def counting_eig(a):
             redone.append(a[0, 0])
-            return real_sp_eig(a, want_vectors)
+            return real_sp_eig(a)
 
         good = sp.coalescence_scan([lep_builder(g) for g in grid], grid)
         monkeypatch.setattr(np.linalg, "eig", corrupting_eig)
