@@ -317,7 +317,7 @@ def cmd_spectrum(config: SweepConfig) -> Table:
         for k, (value, point) in enumerate(chunk):
             stack[2 * k] = md.build_h_pt(point, cutoff)
             stack[2 * k + 1] = md.build_h_nh(point, cutoff)
-            names += [f"h_pt at sweep point {axis}={value}", f"h_nh at sweep point {axis}={value}"]
+            names += [f"{op} at sweep point {axis}={value}" for op in ("h_pt", "h_nh")]
         values = sp.eigvals_stack(stack[: 2 * len(chunk)], names)
         for (value, point), pt_vals, nh_vals in zip(chunk, values[::2], values[1::2]):
             der = md.derive(point)
