@@ -224,9 +224,13 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
         raw=data,
     )
     if mode in MEMORY_ESTIMATES:
-        what = f"{mode} at cutoff d={cutoff}"
-        if trajectories is not None:
-            what += f" with {trajectories.n_samples} samples"
+        if trajectories is None:
+            what = f"{mode} at cutoff d={cutoff}"
+        else:
+            what = (
+                f"{mode} of {trajectories.n_traj} trajectories at cutoff d={cutoff}"
+                f" with {trajectories.n_samples} samples"
+            )
         try:
             md.check_memory(MEMORY_ESTIMATES[mode](config), what)
         except ValueError as exc:

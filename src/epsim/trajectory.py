@@ -35,24 +35,30 @@ binary lifting: with U_k = U^(2^k) precomputed for 2^k up to the longest
 sample interval, each pending trajectory advances by descending powers of
 two as long as the advanced state stays at or above its threshold, and the
 next single step is its jump. A batch of trajectories is propagated as the
-columns of one matrix, so a sample interval costs (its largest number of
-jumps + 1) rounds of at most K + 1 batched products. The engine keeps each
-column normalized and folds the norm^2 it removes into that column's
-threshold and survival.
+rows of one C-ordered (batch, d^2) array, one contiguous row per trajectory,
+multiplied from the right by the transposed powers, so a sample interval
+costs (its largest number of jumps + 1) rounds of at most K + 1 batched
+products. At power 2^k only the rows with 2^k steps left are multiplied.
+Within a lift a row is not renormalized: its norm^2 relative to the start of
+the lift is what the threshold test reads, and each row that moved is
+renormalized once at the end, its threshold divided and its survival
+multiplied by that norm^2.
 
 Randomness comes from one counter-based Philox stream per trajectory, keyed
-by (seed, trajectory index), so results are reproducible and independent of
-batching; `philox_stream` defines it. Philox4x64-10 (Salmon et al., SC'11)
-makes uniform j of a stream a pure function of (seed, index, j), so the
-engine evaluates its streams itself, on arrays: every trajectory of a batch
-that needs more uniforms gets its next block of them in one vectorized pass,
-bit-identical to what the stream's `Generator.random()` gives. Consecutive
-blocks continue the same stream, so the numbers do not depend on the block
-length. Trajectories are independent. Each caller reduces the samples;
-`run_ensemble` adds them in chunk order.
+by (seed, trajectory index), so results are reproducible; `philox_stream`
+defines it. Random numbers and jump records are independent of batching
+exactly, while states and survivals agree to rounding: BLAS may sum a
+product in another order for another batch shape. Philox4x64-10 (Salmon
+et al., SC'11) makes uniform j of a stream a pure function of (seed, index,
+j), so the engine evaluates its streams itself, on arrays: every trajectory
+of a batch that needs more uniforms gets its next block of them in one
+vectorized pass, bit-identical to what the stream's `Generator.random()`
+gives. Consecutive blocks continue the same stream, so the numbers do not
+depend on the block length. Trajectories are independent. Each caller
+reduces the samples; `run_ensemble` adds them in chunk order.
 
-The memory a run needs grows as d^4 and with the sample count;
-unraveling_peak_bytes estimates it and the CLI holds it to
+The memory a run needs grows as d^4 and with the sample and trajectory
+counts; unraveling_peak_bytes estimates it and the CLI holds it to
 model.MEMORY_BUDGET (model.check_memory).
 """
 
@@ -74,17 +80,28 @@ TOP_LEVEL_GUARD = 1e-6
 CHUNK_SIZE = 1024
 # Memory held at once by ensemble_vs_master (unraveling_peak_bytes), measured
 # by peak resident growth: dense d^2 x d^2 arrays of the no-jump propagator's
-# build (H_nh, -i H_nh dt, scipy's expm work and its result), (d^2, batch)
+# build (H_nh, -i H_nh dt, scipy's expm work and its result), (batch, d^2)
 # arrays of a chunk's stepping, and generator sizes of master_propagate
 # (assembly, the scaled step, expm_multiply's shifted copy; measured when the
-# 1-norm still copied |L|, so an upper bound).
+# 1-norm still copied |L|, so an upper bound). With one trajectory per row,
+# the thermal default run grows 45, 120 and 314 MiB over a d = 3 run at
+# d = 12, 16 and 20 (40, 119 and 311 with one per column), and the stepping
+# of one chunk of 1000 peaks at 4.6, 4.0, 3.9 and 3.9 batch arrays at d = 6,
+# 12, 16 and 20 (tracemalloc; 5.6 to 4.8 with one per column), so
+# _BATCH_ARRAYS stays an upper bound.
 _PROPAGATOR_ARRAYS = 9
 _BATCH_ARRAYS = 6
 _MASTER_GENERATOR_COPIES = 5
+# Bytes run_ensemble keeps for each trajectory whatever its jumps: its
+# survival (8, twice while the chunks' survivals are joined), its jump list
+# (56 when empty) and that list's place in jump_records (8, 9 with the
+# list's growth). tracemalloc measured a peak of 81.1 per trajectory over
+# 2e5 trajectories that never jump.
+_TRAJECTORY_BYTES = 81
 # Uniforms evaluated per trajectory at a time. A trajectory reads 1 + 2 per
 # jump; a longer block means fewer calls that refill but more unread words.
 _DRAW_BLOCK = 32
-_NORM2_FLOOR = np.finfo(float).tiny  # smallest norm^2 a skip may renormalize by
+_NORM2_FLOOR = np.finfo(float).tiny  # smallest norm^2, over a lift, a skip may reach
 
 
 @dataclass(frozen=True)
@@ -170,23 +187,27 @@ class TrajectoryConfig:
 def unraveling_peak_bytes(config: TrajectoryConfig) -> float:
     """Estimate of the memory (bytes) ensemble_vs_master needs for this config.
 
-    It counts what grows with the cutoff, the batch and the samples, as if
-    held at once. Dense d^2 x d^2 complex arrays, 16 d^4 bytes each: the
-    cutoff's cached terms (FockCutoff.ops), _PROPAGATOR_ARRAYS while
-    exp(-i H_nh dt) is formed, the further propagator powers, four collapse
-    operators, and two (n_samples, d^2, d^2) stacks (the ensemble's sums and
-    average, then the average and the master reference). The chunk's
-    _BATCH_ARRAYS (d^2, batch) complex arrays. _MASTER_GENERATOR_COPIES of the
-    CSR generator master_propagate assembles (lv.generator_entries, 20 bytes
-    an entry). The sample count is n_samples, so a long t_final is caught
-    before its sample list is built.
+    It counts what grows with the cutoff, the batch, the samples and the
+    trajectories, as if held at once. Dense d^2 x d^2 complex arrays, 16 d^4
+    bytes each: the cutoff's cached terms (FockCutoff.ops), _PROPAGATOR_ARRAYS
+    while exp(-i H_nh dt) is formed, the further propagator powers, four
+    collapse operators, and two (n_samples, d^2, d^2) stacks (the ensemble's
+    sums and average, then the average and the master reference). The
+    chunk's _BATCH_ARRAYS (batch, d^2) complex arrays. _TRAJECTORY_BYTES for
+    each of the n_traj trajectories (its survival and jump list); the jumps
+    themselves, tuples in those lists, cannot be known before the run and
+    are not counted. _MASTER_GENERATOR_COPIES of the CSR generator
+    master_propagate assembles (lv.generator_entries, 20 bytes an entry).
+    The sample count is n_samples, so a long t_final is caught before its
+    sample list is built.
     """
     cut = FockCutoff.of(config.cutoff)
     cached = len(fs.TwoModeOps._fields) - 2  # occ_a and occ_b are vectors
     dense = cached + _PROPAGATOR_ARRAYS + config.n_powers - 1 + 4 + 2 * config.n_samples
     batch = _BATCH_ARRAYS * cut.dim * min(config.n_traj, CHUNK_SIZE)
     generator = _MASTER_GENERATOR_COPIES * 20.0 * lv.generator_entries(cut)
-    return 16.0 * cut.dim**2 * dense + 16.0 * batch + generator
+    trajectories = float(_TRAJECTORY_BYTES) * config.n_traj
+    return 16.0 * cut.dim**2 * dense + 16.0 * batch + generator + trajectories
 
 
 @dataclass
@@ -288,6 +309,18 @@ def _populations(states: np.ndarray) -> np.ndarray:
     return np.square(states.real) + np.square(states.imag)
 
 
+def _norm2(rows: np.ndarray) -> np.ndarray:
+    """The norm^2 of each row of a C-ordered complex array."""
+    flat = rows.view(float)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _scale_rows(rows: np.ndarray, divisors: np.ndarray) -> None:
+    """Divide each row of a C-ordered complex array by a real number, in place."""
+    flat = rows.view(float)
+    flat /= divisors[:, None]
+
+
 class _Draws:
     """Each trajectory's uniforms, evaluated from its Philox stream _DRAW_BLOCK at a time."""
 
@@ -299,31 +332,38 @@ class _Draws:
         self.used = np.full(len(indices), self.block)
         self.read = np.zeros(len(indices), dtype=np.int64)  # words taken from each stream
 
-    def next(self, cols: np.ndarray) -> np.ndarray:
-        """The next uniform of each trajectory at chunk positions cols (distinct)."""
-        empty = cols[self.used[cols] == self.block]
+    def next(self, rows: np.ndarray) -> np.ndarray:
+        """The next uniform of each trajectory at chunk positions rows (distinct)."""
+        empty = rows[self.used[rows] == self.block]
         if empty.size:
             self.buffer[empty] = _philox_uniforms(
                 self.seed, self.index[empty], self.read[empty], self.block
             )
             self.read[empty] += self.block
             self.used[empty] = 0
-        values = self.buffer[cols, self.used[cols]]
-        self.used[cols] += 1
+        values = self.buffer[rows, self.used[rows]]
+        self.used[rows] += 1
         return values
 
 
 class _Engine:
-    """Precomputed matrices shared by every trajectory of one configuration."""
+    """Precomputed matrices shared by every trajectory of one configuration.
+
+    A batch holds one trajectory per row, so an operator acts on it from the
+    right, through its transpose.
+    """
 
     def __init__(self, params: md.SystemParams, config: TrajectoryConfig):
         self.config = config
         self.cut = FockCutoff.of(config.cutoff)
-        # powers[k] = exp(-i H_nh dt 2^k), config.n_powers of them
-        self.powers = [no_jump_propagator(params, self.cut, config.dt)]
+        # powers_t[k] = exp(-i H_nh dt 2^k)^T, config.n_powers of them
+        power = no_jump_propagator(params, self.cut, config.dt)
+        self.powers_t = [power.T]
         for _ in range(config.n_powers - 1):
-            self.powers.append(self.powers[-1] @ self.powers[-1])
+            power = power @ power
+            self.powers_t.append(power.T)
         self.collapse = md.build_collapse_ops(params, self.cut)
+        self.collapse_t = [op.T for op in self.collapse]
         # (channel, basis state): the jump weight rate * <i|product|i>, and the
         # guard of a creation jump (a_dag, b_dag), 1.0 on its mode's top level
         ops, top = self.cut.ops, self.cut.d - 1
@@ -351,9 +391,9 @@ class _Engine:
 
         At the i-th sample time it calls on_sample(i, states, survival,
         jump_counts): the normalized states (dim, batch), each trajectory's
-        survival so far and its jump count so far. These are the engine's
-        working arrays, changed in place once the call returns, so a caller
-        that keeps them copies them.
+        survival so far and its jump count so far. These are views of the
+        engine's working arrays, changed in place once the call returns, so
+        a caller that keeps them copies them.
 
         Returns each trajectory's jump record and survival (product of the
         norm^2 decays of its no-jump stretches). Without allow_jumps every
@@ -362,7 +402,7 @@ class _Engine:
         """
         cfg = self.config
         batch = len(indices)
-        states = np.tile(initial[:, None], (1, batch)).astype(complex)
+        states = np.tile(initial.astype(complex), (batch, 1))  # (batch, dim), one row each
         survival = np.ones(batch)
         jump_counts = np.zeros(batch)
         if allow_jumps:
@@ -380,12 +420,12 @@ class _Engine:
                     states, threshold, survival, jump_counts,
                     sample_steps[i - 1], stop, draws, events,
                 )
-            on_sample(i, states, survival, jump_counts)
+            on_sample(i, states.T, survival, jump_counts)
 
         jumps: list[list[tuple[float, int]]] = [[] for _ in range(batch)]
-        for cols, steps, channels in events:
-            for col, step, channel in zip(cols.tolist(), steps.tolist(), channels.tolist()):
-                jumps[col].append((step * cfg.dt, channel))
+        for rows, steps, channels in events:
+            for row, step, channel in zip(rows.tolist(), steps.tolist(), channels.tolist()):
+                jumps[row].append((step * cfg.dt, channel))
         return jumps, survival
 
     def _advance(
@@ -399,22 +439,22 @@ class _Engine:
         draws: _Draws | None,
         events: list,
     ) -> None:
-        """Carry every column from grid step start to stop, in place.
+        """Carry every row from grid step start to stop, in place.
 
-        Each round lifts the pending columns as far as their thresholds allow
+        Each round lifts the pending rows as far as their thresholds allow
         (_lift); those still short of stop jump at their next step and stay
-        pending. A zero threshold (postselection) never jumps: such a column
-        is short of stop only because a long skip underflowed, and the next
-        round carries it on. Jump events (columns, grid steps, channels) go
-        to events. When one step dt alone underflows a column's norm^2, with
-        or without jumps, NumericalError asks for a smaller dt.
+        pending. A zero threshold (postselection) never jumps: such a row is
+        short of stop only because a long skip underflowed, and the next
+        round carries it on. Jump events (rows, grid steps, channels) go to
+        events. When one step dt alone underflows a row's norm^2, with or
+        without jumps, NumericalError asks for a smaller dt.
         """
-        cols = np.arange(states.shape[1])
-        remaining = np.full(cols.size, stop - start)
-        while cols.size:
-            psi = states[:, cols]
-            thr = threshold[cols]
-            surv = survival[cols]
+        rows = np.arange(len(states))
+        remaining = np.full(rows.size, stop - start)
+        while rows.size:
+            psi = states[rows]
+            thr = threshold[rows]
+            surv = survival[rows]
             before = remaining.copy()
             self._lift(psi, thr, surv, remaining)
             carried = remaining > 0
@@ -423,22 +463,22 @@ class _Engine:
             jumping = np.flatnonzero(carried & (thr > 0))
             if jumping.size:
                 remaining[jumping] -= 1
-                pending = cols[jumping]
-                jumped = self.powers[0] @ psi[:, jumping]  # collapsed below
+                pending = rows[jumping]
+                jumped = psi[jumping] @ self.powers_t[0]  # collapsed below
                 populations = _populations(jumped)
-                norm2 = populations.sum(axis=0)
+                norm2 = populations.sum(axis=1)
                 if np.any(norm2 < _NORM2_FLOOR):  # _collapse divides by it
                     raise self._step_underflow()
                 surv[jumping] *= norm2
                 channels = self._collapse(jumped, populations, norm2, draws.next(pending))
-                psi[:, jumping] = jumped
+                psi[jumping] = jumped
                 thr[jumping] = draws.next(pending)
                 jump_counts[pending] += 1.0
                 events.append((pending, stop - remaining[jumping], channels))
-            states[:, cols] = psi
-            threshold[cols] = thr
-            survival[cols] = surv
-            cols = cols[carried]
+            states[rows] = psi
+            threshold[rows] = thr
+            survival[rows] = surv
+            rows = rows[carried]
             remaining = remaining[carried]
 
     def _step_underflow(self) -> NumericalError:
@@ -454,29 +494,38 @@ class _Engine:
         survival: np.ndarray,
         remaining: np.ndarray,
     ) -> None:
-        """Advance each column by the most steps, up to remaining, without a jump.
+        """Advance each row by the most steps, up to remaining, without a jump.
 
-        By descending powers of two, a column takes 2^k more steps while
-        it has that many left and its advanced norm^2 stays >= its threshold.
-        Because norm^2 is non-increasing this finds the last step before the
-        jump. An advanced column is renormalized; its threshold is divided and
-        its survival multiplied by the norm^2 it lost. A skip whose norm^2
-        underflows below the smallest normal float is not taken, so the
-        division stays finite. Works in place.
+        By descending powers of two, a row takes 2^k more steps while it has
+        that many left and its advanced norm^2 stays >= its threshold. Because
+        norm^2 is non-increasing this finds the last step before the jump.
+        Only the rows with 2^k steps left are multiplied at level k. A row is
+        not renormalized between levels: its norm^2 is relative to the start
+        of the lift, and a skip that takes it below the smallest normal float
+        is not taken, so the final division stays finite. Each row that
+        moved is then renormalized once, its threshold divided and its
+        survival multiplied by the norm^2 it lost. Works in place.
         """
-        for k in reversed(range(len(self.powers))):
+        norm2 = np.ones(len(psi))
+        for k in reversed(range(len(self.powers_t))):
             size = 1 << k
-            movable = remaining >= size
-            if not movable.any():
+            movable = np.flatnonzero(remaining >= size)
+            if movable.size == len(psi):
+                advanced = psi @ self.powers_t[k]
+            elif movable.size:
+                advanced = psi[movable] @ self.powers_t[k]
+            else:
                 continue
-            advanced = self.powers[k] @ psi
-            norm2 = _populations(advanced).sum(axis=0)
-            sel = np.flatnonzero(movable & (norm2 >= threshold) & (norm2 >= _NORM2_FLOOR))
-            kept = norm2[sel]
-            psi[:, sel] = advanced[:, sel] / np.sqrt(kept)
-            threshold[sel] /= kept
-            survival[sel] *= kept
+            reached = _norm2(advanced)
+            kept = (reached >= threshold[movable]) & (reached >= _NORM2_FLOOR)
+            sel = movable[kept]
+            psi[sel] = advanced[kept]
+            norm2[sel] = reached[kept]
             remaining[sel] -= size
+        # a row that did not move divides by 1.0, which changes nothing
+        _scale_rows(psi, np.sqrt(norm2))
+        threshold /= norm2
+        survival *= norm2
 
     def _collapse(
         self,
@@ -485,17 +534,17 @@ class _Engine:
         norm2: np.ndarray,
         uniforms: np.ndarray,
     ) -> np.ndarray:
-        """Draw a channel per column, check it and collapse psi in place.
+        """Draw a channel per row, check it and collapse psi in place.
 
         Returns the channels. Raises TruncationGuardError for a creation jump
         on a state with top-level population above guard_threshold, or for a
         jump that annihilates the state.
         """
-        weights = self.weights @ populations  # (n_ch, n)
-        cum = np.cumsum(weights, axis=0)
-        channels = (cum < uniforms * cum[-1]).sum(axis=0)
+        weights = populations @ self.weights.T  # (n, n_ch)
+        cum = np.cumsum(weights, axis=1)
+        channels = (cum < (uniforms * cum[:, -1])[:, None]).sum(axis=1)
         channels = np.minimum(channels, len(self.collapse) - 1)
-        top = (self.guards @ populations)[channels, np.arange(channels.size)] / norm2
+        top = (populations @ self.guards.T)[np.arange(channels.size), channels] / norm2
         worst = int(np.argmax(top))
         if top[worst] > self.config.guard_threshold:
             raise TruncationGuardError(
@@ -503,15 +552,15 @@ class _Engine:
                 f"population {top[worst]:.3e} > {self.config.guard_threshold}; "
                 f"increase the cutoff"
             )
-        for channel, op in enumerate(self.collapse):
+        for channel, op_t in enumerate(self.collapse_t):
             sel = np.flatnonzero(channels == channel)
             if sel.size:
-                psi[:, sel] = op @ psi[:, sel]
-        norms = np.linalg.norm(psi, axis=0)
+                psi[sel] = psi[sel] @ op_t
+        norms = np.sqrt(_norm2(psi))
         if np.any(norms == 0):
             channel = channels[np.flatnonzero(norms == 0)[0]]
             raise TruncationGuardError(f"jump on channel {channel} annihilated the state")
-        psi /= norms
+        _scale_rows(psi, norms)
         return channels
 
 

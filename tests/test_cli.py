@@ -648,7 +648,9 @@ class TestTrajectoriesCommand:
         big = tj.TrajectoryConfig(**{**vars(default), "cutoff": 40})
         assert run(["trajectories", "--cutoff", "40"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: trajectories at cutoff d=40 with 6 samples")
+        assert err.startswith(
+            "config error: trajectories of 1000 trajectories at cutoff d=40 with 6 samples"
+        )
         assert f"{tj.unraveling_peak_bytes(big) / 1e6:.0f} MB" in err
 
         cfg = tmp_path / "cfg.json"  # 10^6 steps, each one sampled
@@ -657,6 +659,16 @@ class TestTrajectoriesCommand:
         }))
         assert run(["trajectories", "--config", str(cfg)]) == 1
         assert "with 1000001 samples" in capsys.readouterr().err
+
+        # each trajectory keeps a survival and a jump list: 8.1 GB for 10^8
+        cfg.write_text(json.dumps({
+            "mode": "trajectories", "cutoff": 2, "trajectories": {"n_traj": 100_000_000},
+        }))
+        assert run(["trajectories", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "config error: trajectories of 100000000 trajectories at cutoff d=2 with 6 samples"
+        )
 
         # the thermal benchmark config passes, as the default does
         cfg.write_text(json.dumps({

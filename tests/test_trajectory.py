@@ -100,10 +100,11 @@ class TestMemoryEstimate:
         peak = tj.unraveling_peak_bytes(tj.TrajectoryConfig(**base))
         for change in ({"cutoff": 7}, {"n_traj": 200}, {"sample_every": 10}):
             assert tj.unraveling_peak_bytes(tj.TrajectoryConfig(**{**base, **change})) > peak
-        # a batch holds at most CHUNK_SIZE trajectories
+        # a batch holds at most CHUNK_SIZE trajectories; past it only each
+        # trajectory's own bytes grow
         chunk = tj.unraveling_peak_bytes(tj.TrajectoryConfig(**{**base, "n_traj": tj.CHUNK_SIZE}))
         more = tj.TrajectoryConfig(**{**base, "n_traj": 4 * tj.CHUNK_SIZE})
-        assert tj.unraveling_peak_bytes(more) == chunk
+        assert tj.unraveling_peak_bytes(more) - chunk == 3 * tj.CHUNK_SIZE * tj._TRAJECTORY_BYTES
 
 
 class TestNoJumpPropagator:
@@ -244,6 +245,22 @@ class TestEngineAlgorithm:
         records, survivals, states = reference_chunk(p, cfg, psi0, range(8))
         assert out["jumps"] == records
         assert {c for record in records for _, c in record} == {0, 1, 2, 3}
+        np.testing.assert_allclose(out["survival"], survivals, rtol=1e-12)
+        np.testing.assert_allclose(out["states"], states, rtol=1e-12, atol=1e-15)
+
+    def test_matches_reference_stepper_when_rows_stop_at_different_levels(self):
+        # sample intervals of 200 = 0b11001000 steps: a row that takes 128 and
+        # 64 has 8 left and sits out levels 32 and 16, while a row whose jump
+        # is nearer (it did not take 128 or 64) is still multiplied there
+        p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=1.0, n_th=0.2)
+        cfg = tj.TrajectoryConfig(
+            dt=1e-3, t_final=0.6, n_traj=32, seed=23, cutoff=3,
+            sample_every=200, guard_threshold=1.0,
+        )
+        psi0 = fs.basis_state(3, 0, 0)
+        out = run_logged(tj._Engine(p, cfg), psi0, range(32))
+        records, survivals, states = reference_chunk(p, cfg, psi0, range(32))
+        assert out["jumps"] == records
         np.testing.assert_allclose(out["survival"], survivals, rtol=1e-12)
         np.testing.assert_allclose(out["states"], states, rtol=1e-12, atol=1e-15)
 
