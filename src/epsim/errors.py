@@ -22,7 +22,7 @@ class ChiPoleError(NumericalError):
 
 
 class EigenConvergenceError(NumericalError):
-    """Dense eigensolver failed to converge or missed its residual bound."""
+    """Dense eigensolver failed to converge, missed its residual bound or had none."""
 
 
 class MatrixExpOverflowError(NumericalError):

@@ -12,17 +12,18 @@ With the drive removed, every term of the generator conserves
 k = N_ket - N_bra, the total photon number on the ket side of rho minus that
 on the bra side, for every thermal occupation (a U(1) symmetry of the
 superoperator). The drive-free generator is therefore block-diagonal in k.
-The spectrum witness reads two sectors: k = +1 (the first moments <a>, <b>,
-with the pair -gamma +- i*Omega) and k = 0 (the steady state), solved by
-shift-invert sparse eigensolves near the targets (spectral.eigs_near),
-140-146 positions each at d = 6 and about 2 d^3 / 3 in general. Each
-drive-free sector is its own conjugate: S = diag((-1)^(n_a,ket + n_a,bra))
-on vec(rho), the map rho -> P rho P for the parity P = (-1)^n_a, keeps every
-sector, and the drive-free generator has S L S = conj(L) exactly (the
-coupling changes sign under P, the dissipators do not). So the spectrum of
-each sector is closed under conjugation, and k = +1 holds both targets. No
-dense eigensolve of a sector is left, and the cutoff is limited only by a
-memory estimate (witness_peak_bytes against model.MEMORY_BUDGET, d <= 27).
+The spectrum witness reads two sectors: k = +1 (the first moments, with the
+pair -gamma +- i*Omega, judged by the scans' spectral.coalescence_report)
+and k = 0 (the steady state), solved by shift-invert sparse eigensolves near
+the targets (spectral.eigs_near), 140-146 positions each at d = 6 and about
+2 d^3 / 3 in general. Each drive-free sector is its own conjugate:
+S = diag((-1)^(n_a,ket + n_a,bra)) on vec(rho), the map rho -> P rho P for
+the parity P = (-1)^n_a, keeps every sector, and the drive-free generator has
+S L S = conj(L) exactly (the coupling changes sign under P, the dissipators
+do not). So the spectrum of each sector is closed under conjugation, and
+k = +1 holds both targets. No dense eigensolve of a sector is left, and the
+cutoff is limited only by a memory estimate (witness_peak_bytes against
+model.MEMORY_BUDGET, d <= 27).
 
 The first-moment dynamical matrix M = [[-i*ga, g], [g, -i*gb]] generates
 d/dt [<a>, <b>] = -i M v - eps; its degeneracy at g = kappa defines
@@ -399,8 +400,8 @@ def liouvillian_spectrum_check(
     which holds the zero mode. The shifts sit WITNESS_SHIFT * (gamma + g)
     to the right of -gamma and of 0, never on a target: at the n_th = 0 EP,
     -gamma is itself a defective eigenvalue, and 0 is always an eigenvalue.
-    The cluster tolerance is sp.CLUSTER_EPS_SCALE * ||L||_F of the whole
-    generator.
+    The group nearest -gamma is judged by sp.coalescence_report, as a scan
+    point is, with cluster tolerance sp.CLUSTER_EPS_SCALE * ||L||_F of L.
 
     At n_th = 0 the first-moment sector is exactly closed in the truncated
     space, so the containment holds to rounding at any cutoff. For n_th > 0
@@ -410,8 +411,7 @@ def liouvillian_spectrum_check(
     dynamical matrix, for which this check is a consistency witness only.
 
     The witness measures and does not judge: callers compare distances with
-    their own bound. A coalescing pair is flagged below sp.DEFAULT_ANGLE_EPS.
-    Raises ValueError for a cutoff whose witness_peak_bytes exceeds
+    their own bound. Raises ValueError for a cutoff whose witness_peak_bytes exceeds
     md.MEMORY_BUDGET.
     """
     cut = FockCutoff.of(cutoff)
@@ -428,17 +428,14 @@ def liouvillian_spectrum_check(
     values = plus.eigenvalues
     dists = np.abs(values[None, :] - targets[:, None])
     nearest_idx = np.argmin(dists, axis=1)
-    clusters = sp.cluster_eigenvalues(values, eps_cluster)
-    near_gamma = min(clusters, key=lambda grp: min(abs(values[i] - anchor) for i in grp))
-    min_angle = None
-    if len(near_gamma) >= 2:
-        min_angle = sp.cluster_min_angle(plus.eigenvectors.T, near_gamma)
+    clusters = sp.coalescence_report(plus, params.g, eps_cluster).clusters
+    near_gamma = min(clusters, key=lambda c: min(abs(value - anchor) for value in c.eigenvalues))
     return SpectrumWitness(
         targets=targets,
         nearest=values[nearest_idx],
         distances=dists[np.arange(2), nearest_idx],
         zero_mode_distance=float(np.min(np.abs(steady.eigenvalues))),
-        cluster_size=len(near_gamma),
-        cluster_min_angle=min_angle,
-        degenerate_pair_flagged=min_angle is not None and min_angle < sp.DEFAULT_ANGLE_EPS,
+        cluster_size=len(near_gamma.indices),
+        cluster_min_angle=near_gamma.min_angle,
+        degenerate_pair_flagged=near_gamma.coalescing,
     )

@@ -10,13 +10,14 @@ eigs_near finds the eigenpairs nearest a few targets by shift-invert
 ARPACK, under the same residual bound, and proves that it has not missed a
 nearer eigenvalue.
 
-Coalescence reports are built on stacks: coalescence_scan diagonalizes its
-whole grid in one batched solve, then finds the clusters of every point
-(chain-linked eigenvalues) and the eigenvector angles of every pair within
-a cluster in batched array operations; coalescence_report is the one-point
-stack of the same code. Every point is computed on its own, so a report
-does not depend on the stack it was built in. cluster_eigenvalues and
-principal_angle are the one-row cases of the same clustering and angles.
+The coalescence verdict has one owner, _reports: on a stack of solved
+eigenpairs it finds the clusters of every point (chain-linked eigenvalues),
+the eigenvector angles within each and whether each coalesces, in batched
+array operations. coalescence_scan solves its whole grid in one batch;
+coalescence_report is the one-point stack, read by the Liouvillian witness.
+Every point is computed on its own, so a report does not depend on the
+stack it was built in. cluster_eigenvalues and principal_angle are the
+one-row cases of the same clustering and angles.
 
 Eigenvalue-only solves run on stacks too: eigvals_stack solves a stack of
 matrices with np.linalg.eigvals, bit-identical to one call per matrix, and
@@ -39,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigenConvergenceError, MatrixExpOverflowError, NumericalError
 
@@ -89,14 +89,20 @@ def _residual_bound(norm):
 def eig(a: np.ndarray) -> Spectrum:
     """All eigenvalues and right eigenvectors of a dense complex matrix.
 
-    The eigenpairs are residual-checked.
+    The eigenpairs are residual-checked; a matrix whose Frobenius norm is not
+    finite (an entry beyond about 1e154, inf or nan) has no bound and is refused.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     # the norm coalescence_scan takes of its stack, bit for bit (the
     # axis-free np.linalg.norm sums in another order)
-    norm = float(np.linalg.norm(a, axis=(-2, -1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in the square of an inf entry
+        norm = float(np.linalg.norm(a, axis=(-2, -1)))
+    if not np.isfinite(norm):
+        raise EigenConvergenceError(
+            f"eig refused dim={a.shape[0]}: Frobenius norm {norm} is not finite"
+        )
     try:
         values, vectors, residuals = _eigenpairs(a[None])
     except np.linalg.LinAlgError as exc:
@@ -104,7 +110,8 @@ def eig(a: np.ndarray) -> Spectrum:
             f"eig failed for dim={a.shape[0]}, norm={norm:.3e}: {exc}"
         ) from exc
     values, vectors, residuals = values[0], vectors[0], residuals[0]
-    _check_residuals(residuals, norm, f"dim={a.shape[0]}")
+    if miss := _residual_miss(residuals, norm, f"dim={a.shape[0]}"):
+        raise EigenConvergenceError(miss)
     return Spectrum(values, vectors, residuals, norm)
 
 
@@ -173,11 +180,12 @@ def eigvals_stack(stack: np.ndarray, names: Sequence[str] | None = None) -> np.n
     return np.concatenate(pieces)
 
 
-def _check_residuals(residuals: np.ndarray, norm: float, where: str) -> None:
+def _residual_miss(residuals: np.ndarray, norm: float, where: str) -> str | None:
+    """How eigenpairs with these residuals miss their bound, None if they do not."""
     bound = _residual_bound(norm)
     if np.any(residuals > bound):
         worst = int(np.argmax(residuals))
-        raise EigenConvergenceError(
+        return (
             f"residual bound violated: pair {worst} has ||Av - lv|| = "
             f"{residuals[worst]:.3e} > {bound:.3e} ({where})"
         )
@@ -240,7 +248,8 @@ def eigs_near(
         count *= 2
     vectors = vectors / np.linalg.norm(vectors, axis=0)
     residuals = np.linalg.norm(a @ vectors - vectors * values, axis=0)
-    _check_residuals(residuals, norm, f"dim={dim}, sigma={sigma:.6g}")
+    if miss := _residual_miss(residuals, norm, f"dim={dim}, sigma={sigma:.6g}"):
+        raise EigenConvergenceError(miss)
     return Spectrum(values, vectors, residuals, norm)
 
 
@@ -267,6 +276,8 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
 
     Raises with a norm report when the result overflows.
     """
+    import scipy.linalg  # imported where it is used, as scipy.sparse is
+
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -301,19 +312,6 @@ def _pair_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def principal_angle(u: np.ndarray, v: np.ndarray) -> float:
     """Angle in [0, pi/2] between the one-dimensional spans of u and v."""
     return float(_pair_angles(np.atleast_2d(u), np.atleast_2d(v))[0])
-
-
-def cluster_min_angle(vectors, group: Sequence[int]) -> float:
-    """Smallest principal angle between the eigenvectors of one cluster.
-
-    vectors[i] is the eigenvector of eigenvalue i (the transpose of an
-    eigenvector matrix qualifies); group holds at least two indices.
-    """
-    first, second = np.array(
-        [(i, j) for pos, i in enumerate(group) for j in group[pos + 1 :]]
-    ).T
-    vectors = np.asarray(vectors)
-    return float(_pair_angles(vectors[first], vectors[second]).min())
 
 
 def _clusters(values: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,6 +359,7 @@ class EigenvalueCluster:
     indices: tuple[int, ...]
     eigenvalues: np.ndarray
     min_angle: float | None  # None for singleton clusters
+    coalescing: bool  # min_angle < angle_eps
 
 
 @dataclass
@@ -368,7 +367,7 @@ class CoalescenceReport:
     """Cluster/angle diagnostics of one grid point of a parameter scan.
 
     best is the cluster of size >= 2 with the smallest min_angle (the first
-    one on ties), None when every cluster is a singleton.
+    one on ties), None when every cluster is a singleton; it decides coalescing.
     """
 
     param: float
@@ -393,11 +392,11 @@ def _reports(
 ) -> list[CoalescenceReport]:
     """The CoalescenceReport of every point of an eigen-solved stack.
 
-    values (m, n) and vectors (m, n, n, unit-norm columns) are the eigenpairs
-    of the m matrices at params, norms (m,) their Frobenius norms. The
-    clusters of every point and the eigenvector angles of every pair within
-    one are computed in batched array operations, each point on its own, so
-    a point's report does not depend on the rest of the stack.
+    values (m, n) and vectors (m, dim, n, unit-norm columns) are the
+    eigenpairs of the m matrices at params, norms (m,) their Frobenius norms.
+    The clusters of every point and the eigenvector angles of every pair
+    within one are computed in batched array operations, each point on its
+    own, so a point's report does not depend on the rest of the stack.
     """
     m, n = values.shape
     eps = CLUSTER_EPS_SCALE * norms if cluster_eps is None else np.full(m, float(cluster_eps))
@@ -427,32 +426,28 @@ def _reports(
         best = None
         for start, stop in _runs(row_labels):
             angle = row_angles[row_labels[start]] if stop - start >= 2 else None
-            cluster = EigenvalueCluster(tuple(members[start:stop]), row[start:stop], angle)
+            coalescing = bool(angle is not None and angle < angle_eps)
+            cluster = EigenvalueCluster(
+                tuple(members[start:stop]), row[start:stop], angle, coalescing
+            )
             clusters.append(cluster)
             if angle is not None and (best is None or angle < best.min_angle):
                 best = cluster
-        reports.append(
-            CoalescenceReport(
-                param=param,
-                clusters=clusters,
-                best=best,
-                coalescing=bool(best is not None and best.min_angle < angle_eps),
-            )
-        )
+        coalescing = best is not None and best.coalescing
+        reports.append(CoalescenceReport(param, clusters, best, coalescing))
     return reports
 
 
 def coalescence_report(
-    a: np.ndarray,
+    spectrum: Spectrum,
     param: float,
     cluster_eps: float | None = None,
     angle_eps: float = DEFAULT_ANGLE_EPS,
 ) -> CoalescenceReport:
-    """The CoalescenceReport of one matrix, the one-point stack of coalescence_scan.
+    """The CoalescenceReport of one solved spectrum, the one-point stack of coalescence_scan.
 
-    Raises EigenConvergenceError when eig fails or misses its residual bound.
+    The spectrum may hold only a few of its matrix's eigenpairs, as eigs_near's does.
     """
-    spectrum = eig(a)
     return _reports(
         [param],
         spectrum.eigenvalues[None],
@@ -472,14 +467,12 @@ def coalescence_scan(
     """One CoalescenceReport per grid point, in grid order.
 
     matrices[i] is the matrix at grid[i]; they must be square and of one
-    shape. They are held together (len(grid) * n**2 complex numbers) and
-    diagonalized in one batched solve, normalized and residual-checked as
-    eig does, and the reports of the solved points are built as one stack,
-    so each report equals coalescence_report of its matrix. If the batched
-    solve fails, every point is redone on its own with coalescence_report,
-    and so is each point that fails its residual check. Eigensolver failures
-    at individual points are recorded on the report and do not abort the
-    scan.
+    shape. They are held together (len(grid) * n**2 complex numbers),
+    diagonalized in one batched solve and reported as one stack, so each
+    report equals coalescence_report of eig of its matrix, or records the
+    error eig raises: a residual miss is not solved again, and a point whose
+    norm is not finite is never solved. If the batched solve fails, each
+    point goes to eig on its own. Failures at points do not abort the scan.
     """
     grid = list(grid)
     if not grid:
@@ -493,28 +486,34 @@ def coalescence_scan(
     if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
         raise ValueError(f"expected square matrices of one shape, got shapes {shapes}")
     stack = np.stack(matrices)
-    norms = np.linalg.norm(stack, axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):  # as eig, which refuses such a point
+        norms = np.linalg.norm(stack, axis=(-2, -1))
+    finite = np.flatnonzero(np.isfinite(norms))
+    alone = np.flatnonzero(~np.isfinite(norms))
     reports: list[CoalescenceReport | None] = [None] * len(grid)
     try:
-        values, vectors, residuals = _eigenpairs(stack)
+        values, vectors, residuals = _eigenpairs(stack[finite])
     except np.linalg.LinAlgError:
-        solved = np.zeros(len(grid), dtype=bool)
+        alone = range(len(grid))
     else:
-        solved = np.all(residuals <= _residual_bound(norms)[:, None], axis=1)
-        kept = np.flatnonzero(solved)
+        missed = np.any(residuals > _residual_bound(norms[finite])[:, None], axis=1)
+        for i, row in zip(finite[missed], residuals[missed]):
+            miss = _residual_miss(row, norms[i], f"dim={stack.shape[1]}")
+            reports[i] = CoalescenceReport(param=grid[i], error=miss)
+        kept = finite[~missed]
         batch = _reports(
             [grid[i] for i in kept],
-            values[kept],
-            vectors[kept],
+            values[~missed],
+            vectors[~missed],
             norms[kept],
             cluster_eps,
             angle_eps,
         )
         for i, report in zip(kept, batch):
             reports[i] = report
-    for i in np.flatnonzero(~solved):
+    for i in alone:
         try:
-            reports[i] = coalescence_report(matrices[i], grid[i], cluster_eps, angle_eps)
+            reports[i] = coalescence_report(eig(matrices[i]), grid[i], cluster_eps, angle_eps)
         except EigenConvergenceError as exc:
             reports[i] = CoalescenceReport(param=grid[i], error=str(exc))
     return reports

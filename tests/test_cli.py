@@ -614,6 +614,29 @@ class TestScanCommands:
         _, _, rows = read_rows(out)
         assert [row["coalescing"] for row in rows] == ["False"] * 3
 
+    @pytest.mark.parametrize("command", ["ep-scan", "lep-scan"])
+    def test_points_whose_norm_overflows_are_excluded(self, tmp_path, command):
+        # gamma 1e154 passes the derived-rate check, but the Frobenius norm of
+        # every scanned matrix overflows: each point is excluded, without a
+        # warning (-W error would make it exit status 3)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": command,
+            "params": {"gamma_a": 1e154, "gamma_b": 1e154},
+            "sweep": {"axis": "g", "min": 1, "max": 2, "step": 1},
+        }))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "epsim", command, "--config", str(cfg), "--json"],
+            env=env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        lines = [json.loads(line) for line in done.stdout.splitlines()]
+        errors = [line["error"] for line in lines if "sweep_value" in line]
+        assert errors == ["eig refused dim=2: Frobenius norm inf is not finite"] * 2
+        summary = json.loads(lines[-1]["note"].split("summary: ", 1)[1])
+        assert summary["excluded_points"] == 2 and summary["located"] is None
+
     def test_json_lines_mode(self, tmp_path):
         out = tmp_path / "scan.jsonl"
         assert run(["lep-scan", "--out", str(out), "--json"]) == 0
@@ -746,6 +769,23 @@ class TestTrajectoriesCommand:
         assert "increase the cutoff" in err
 
 
+    def test_stiff_master_equation_fails_fast(self, tmp_path):
+        # gamma_a = 1e8 would take 26666670 expm_multiply sub-steps (hours);
+        # the sub-step limit refuses it before the first
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "params": {"gamma_a": 1e8}, "cutoff": 3, "trajectories": {"n_traj": 4},
+        }))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "epsim", "trajectories", "--config", str(cfg)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("numerical failure: the master equation needs 26666670 ")
+        assert done.stderr.endswith(f"more than the limit of {tj.MAX_MASTER_SUBSTEPS}\n")
+
+
 class TestLiouvillianCheckCommand:
     def test_all_checks_pass(self, tmp_path):
         out = tmp_path / "check.csv"
@@ -841,11 +881,12 @@ class TestLiouvillianCheckCommand:
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse costs tens of milliseconds to import; only the Liouvillian
-    # and master-equation paths load it, when they run
+    # importing scipy.linalg takes about half of a fresh ep-scan's wall time,
+    # and scipy.sparse tens of milliseconds; no scipy module is loaded until
+    # the path that uses it (mat_exp, the Liouvillian, the master equation) runs
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, epsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    code = "import sys, epsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

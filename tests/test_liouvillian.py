@@ -487,6 +487,15 @@ class TestSpectrumWitness:
         assert witness.distances.max() <= 1e-6
         assert not witness.degenerate_pair_flagged
 
+    def test_diabolic_pair_clustered_but_not_flagged(self):
+        # g -> 0 with equal losses: <a> and <b> both decay at -gamma with
+        # independent eigenvectors, one cluster of two that does not coalesce
+        p = md.SystemParams(g=1e-300, gamma_a=2.0, gamma_b=2.0, eps=0.0)
+        witness = lv.liouvillian_spectrum_check(p, 4)
+        assert witness.cluster_size == 2
+        assert witness.cluster_min_angle > sp.DEFAULT_ANGLE_EPS
+        assert not witness.degenerate_pair_flagged
+
     def test_jordan_pair_flagged_at_ep(self):
         p = md.SystemParams.from_mean_split(1.0, 2.0, 1.0, eps=0.0)
         witness = lv.liouvillian_spectrum_check(p, 4)

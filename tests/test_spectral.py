@@ -29,7 +29,7 @@ class TestEig:
         )
 
     def test_jordan_block_flags_coalescence(self):
-        report = sp.coalescence_report(np.array([[0.0, 1.0], [0.0, 0.0]]), param=0.0)
+        report = sp.coalescence_report(sp.eig(np.array([[0.0, 1.0], [0.0, 0.0]])), param=0.0)
         assert len(report.clusters) == 1
         assert report.clusters[0].indices == (0, 1)
         assert report.min_angle < 1e-6
@@ -290,27 +290,34 @@ class TestClustering:
         assert sp.cluster_eigenvalues(values, eps) == cluster_reference(values, eps)
 
     def test_cluster_min_angle_is_the_smallest_pair_angle(self):
-        vectors = np.array([[1.0, 0.0], [1.0, 1e-4], [0.0, 1.0]], dtype=complex)
-        assert sp.cluster_min_angle(vectors, [0, 1, 2]) == pytest.approx(1e-4)
-        assert sp.cluster_min_angle(vectors, [0, 2]) == np.pi / 2
+        vectors = np.array([[1.0, 0.0], [1.0, 1e-4], [0.0, 1.0]], dtype=complex).T
+
+        def cluster(values):
+            spectrum = sp.Spectrum(np.array(values, dtype=complex), vectors, np.zeros(3), 1.0)
+            return sp.coalescence_report(spectrum, 0.0, cluster_eps=1.0).best
+
+        three = cluster([0.0, 0.0, 0.0])
+        assert three.indices == (0, 1, 2) and three.min_angle == pytest.approx(1e-4)
+        pair = cluster([0.0, 5.0, 0.0])
+        assert pair.indices == (0, 2) and pair.min_angle == np.pi / 2
 
     def test_best_cluster_has_the_smallest_angle(self):
         # two Jordan blocks; the second is tilted further from coalescence
         a = np.zeros((4, 4), dtype=complex)
         a[0, 1] = 1.0
         a[2, 2], a[3, 3], a[2, 3] = 5.0, 5.0 + 1e-9, 1e-3
-        report = sp.coalescence_report(a, 0.0, cluster_eps=1e-6)
+        report = sp.coalescence_report(sp.eig(a), 0.0, cluster_eps=1e-6)
         assert [c.indices for c in report.clusters] == [(0, 1), (2, 3)]
         assert report.best is report.clusters[0]
         assert report.min_angle == report.best.min_angle < report.clusters[1].min_angle
-        singletons = sp.coalescence_report(np.diag([1.0, 2.0]), 0.0)
+        singletons = sp.coalescence_report(sp.eig(np.diag([1.0, 2.0])), 0.0)
         assert singletons.best is None and singletons.min_angle == np.inf
         assert not singletons.coalescing
 
     def test_ep_signature_of_moment_matrix(self):
         # eigenvector angle below angle_eps at g=kappa, above 10x away from it
         at_ep = lv.dynamical_matrix(md.SystemParams.from_mean_split(1.0, 2.0, 1.0))
-        report = sp.coalescence_report(at_ep, 1.0)
+        report = sp.coalescence_report(sp.eig(at_ep), 1.0)
         assert report.coalescing and report.min_angle < sp.DEFAULT_ANGLE_EPS
         away = lv.dynamical_matrix(md.SystemParams.from_mean_split(1.1, 2.0, 1.0))
         spec = sp.eig(away)
@@ -415,7 +422,7 @@ class TestBatchedScan:
     )
     def test_equals_per_point_reports(self, builder, grid):
         batched = sp.coalescence_scan([builder(x) for x in grid], list(grid))
-        single = [sp.coalescence_report(builder(x), x) for x in grid]
+        single = [sp.coalescence_report(sp.eig(builder(x)), x) for x in grid]
         assert any(r.coalescing for r in single)
         assert [report_key(r) for r in batched] == [report_key(r) for r in single]
 
@@ -429,7 +436,8 @@ class TestBatchedScan:
         matrices = [md.h_nh_block(base.along("g", g), 6, n_total) for g in grid]
         batched = sp.coalescence_scan(matrices, grid, cluster_eps=cluster_eps)
         single = [
-            sp.coalescence_report(m, g, cluster_eps=cluster_eps) for m, g in zip(matrices, grid)
+            sp.coalescence_report(sp.eig(m), g, cluster_eps=cluster_eps)
+            for m, g in zip(matrices, grid)
         ]
         assert [report_key(r) for r in batched] == [report_key(r) for r in single]
         if cluster_eps is not None:
@@ -440,7 +448,9 @@ class TestBatchedScan:
         grid = list(np.linspace(0.1, 1.5, 15))
         matrices = [np.array([[0.0, 1.0, 0.0], [0.0, t, 1.0], [0.0, 0.0, 2 * t]]) for t in grid]
         batched = sp.coalescence_scan(matrices, grid, cluster_eps=1.0)
-        single = [sp.coalescence_report(m, t, cluster_eps=1.0) for m, t in zip(matrices, grid)]
+        single = [
+            sp.coalescence_report(sp.eig(m), t, cluster_eps=1.0) for m, t in zip(matrices, grid)
+        ]
         assert [report_key(r) for r in batched] == [report_key(r) for r in single]
         chained = [r for r in single if 0.5 < r.param <= 1.0]
         assert chained and all([c.indices for c in r.clusters] == [(0, 1, 2)] for r in chained)
@@ -455,7 +465,7 @@ class TestBatchedScan:
         a[2:, 2:] = block + 5.0 * np.eye(2)
         grid = [0.0, 1.0, 2.0]
         batched = sp.coalescence_scan([a] * 3, grid, cluster_eps=1e-3)
-        single = [sp.coalescence_report(a, x, cluster_eps=1e-3) for x in grid]
+        single = [sp.coalescence_report(sp.eig(a), x, cluster_eps=1e-3) for x in grid]
         assert [report_key(r) for r in batched] == [report_key(r) for r in single]
         for report in batched:
             first, second = report.clusters
@@ -505,8 +515,9 @@ class TestBatchedScan:
         errors = {r.param: r.error for r in reports if r.error is not None}
         assert set(errors) == ({nan_at, bad_at} if with_nan else {bad_at})
         assert "residual bound violated" in errors[bad_at]
-        # a failed batch redoes every point, a failed residual only its own
-        assert len(redone) == (len(grid) if with_nan else 1)
+        # a point that misses its residual bound is not solved again; only a
+        # point whose norm is not finite goes to eig, which refuses it unsolved
+        assert len(redone) == (1 if with_nan else 0)
         for report, reference in zip(reports, good):
             if report.param not in errors:
                 assert report_key(report) == report_key(reference)
@@ -514,10 +525,56 @@ class TestBatchedScan:
         for report, g in zip(reports, grid):
             if report.param in errors:
                 with pytest.raises(EigenConvergenceError) as failure:
-                    sp.coalescence_report(mixed(g), g)
+                    sp.coalescence_report(sp.eig(mixed(g)), g)
                 assert str(failure.value) == report.error
             else:
-                assert report_key(report) == report_key(sp.coalescence_report(mixed(g), g))
+                assert report_key(report) == report_key(sp.coalescence_report(sp.eig(mixed(g)), g))
+
+    def test_failed_batch_is_solved_point_by_point(self, monkeypatch):
+        grid = list(0.8 + 0.02 * np.arange(41))
+        bad_at = grid[20]
+        real_eig = np.linalg.eig
+
+        def stack_failing_eig(a):
+            a = np.asarray(a)
+            if len(a) > 1 or a[0, 0, 0] == self.SENTINEL:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eig(a)
+
+        def mixed(g):
+            return np.array([[self.SENTINEL, 1.0], [0.5, 2.0]]) if g == bad_at else lep_builder(g)
+
+        good = sp.coalescence_scan([lep_builder(g) for g in grid], grid)
+        monkeypatch.setattr(np.linalg, "eig", stack_failing_eig)
+        reports = sp.coalescence_scan([mixed(g) for g in grid], grid)
+        assert [r.param for r in reports if r.error is not None] == [bad_at]
+        assert reports[20].error.startswith("eig failed for dim=2, norm=")
+        for report, reference in zip(reports, good):
+            if report.error is None:
+                assert report_key(report) == report_key(reference)
+
+    @pytest.mark.parametrize("entry", [1e154, 1e200, np.inf])
+    def test_point_whose_norm_overflows_is_never_solved(self, monkeypatch, entry):
+        grid = [1.0, 2.0, 3.0]
+        matrices = [lep_builder(g) for g in grid]
+        matrices[1] = np.array([[entry, entry], [entry, entry]], dtype=complex)
+        solved = []
+        real_eigenpairs = sp._eigenpairs
+
+        def counting_eigenpairs(stack):
+            solved.append(len(stack))
+            return real_eigenpairs(stack)
+
+        monkeypatch.setattr(sp, "_eigenpairs", counting_eigenpairs)
+        with np.errstate(all="raise"):  # the norm's overflow raises no warning
+            reports = sp.coalescence_scan(matrices, grid)
+        assert solved == [2]
+        assert reports[1].error == "eig refused dim=2: Frobenius norm inf is not finite"
+        assert reports[0].error is None and reports[2].error is None
+        # eig refuses the matrix with the same message
+        with pytest.raises(EigenConvergenceError) as failure:
+            sp.eig(matrices[1])
+        assert str(failure.value) == reports[1].error
 
     def test_unequal_shapes_raise(self):
         with pytest.raises(ValueError, match="one shape"):

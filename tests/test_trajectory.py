@@ -571,6 +571,28 @@ class TestEnsembleVsMaster:
         b = tj.master_propagate(thermal_params, 4, rho0, np.array([0.0, 6.0]))
         np.testing.assert_array_equal(a, b)
 
+    def test_substep_limit_counts_the_whole_grid(self, std_params, monkeypatch):
+        # five gaps of 0.2 take one sub-step each at cutoff 3
+        rho0 = np.outer(fs.basis_state(3, 1, 0), fs.basis_state(3, 1, 0))
+        times = np.arange(6) * 0.2
+        monkeypatch.setattr(tj, "MAX_MASTER_SUBSTEPS", 5)
+        tj.master_propagate(std_params, 3, rho0, times)
+        monkeypatch.setattr(tj, "MAX_MASTER_SUBSTEPS", 4)
+        with pytest.raises(NumericalError, match=r"needs 5 expm_multiply sub-steps .* limit of 4$"):
+            tj.master_propagate(std_params, 3, rho0, times)
+
+    def test_stiff_generator_is_refused_before_any_substep(self, std_params, monkeypatch):
+        # gamma_a = 1e8 gives ||L||_1 = 8e8: 26666670 sub-steps of gap * ||L||_1 <= 30
+        import scipy.sparse.linalg
+
+        def unreachable(*args):
+            raise AssertionError("expm_multiply was called")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", unreachable)
+        rho0 = np.outer(fs.basis_state(3, 1, 0), fs.basis_state(3, 1, 0))
+        with pytest.raises(NumericalError, match=r"needs 26666670 expm_multiply sub-steps"):
+            tj.master_propagate(std_params.with_(gamma_a=1e8), 3, rho0, np.arange(6) * 0.2)
+
     def test_trace_distance_basics(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
         assert tj.trace_distance(rho, rho) == 0.0
