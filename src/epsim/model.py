@@ -50,6 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fockspace as fs
+from . import spectral as sp
 from .errors import ChiPoleError, EPDegenerateError
 from .fockspace import FockCutoff
 
@@ -67,6 +68,11 @@ MEMORY_BUDGET = 2**30  # bytes a command's cutoff-dependent arrays may need (che
 # resident growth 18.6 of the estimate's 19 arrays at d = 28 on 2 cores)
 _SPECTRUM_POINT_ARRAYS = 4
 _SPECTRUM_CHUNK_ARRAYS = 2
+# bytes each piece of spectral.eigvals_stack (one solving thread) adds
+# whatever the cutoff, beyond its matrix copy: 16 matrices at d = 24 solved in
+# 2, 8 and 16 pieces grew the peak (ru_maxrss) by 0.76 to 1.05 MiB per piece
+# more than in one
+_SPECTRUM_PIECE_BYTES = 1_200_000
 
 
 def is_finite_number(value) -> bool:
@@ -461,10 +467,13 @@ def spectrum_peak_bytes(cutoff: FockCutoff | int, points: int = 1) -> float:
     cutoff's cached terms (FockCutoff.ops, the occupation vectors aside) and
     the arrays of a chunk of this many sweep points while it is built and
     diagonalized (_SPECTRUM_POINT_ARRAYS each, _SPECTRUM_CHUNK_ARRAYS more).
+    Each piece the chunk is solved in adds _SPECTRUM_PIECE_BYTES, counted for
+    one piece per usable core, the most spectral.eigvals_stack splits into.
     """
     d = FockCutoff.of(cutoff).d
     cached = len(fs.TwoModeOps._fields) - 2  # occ_a and occ_b are vectors
-    return 16.0 * d**4 * (cached + _SPECTRUM_CHUNK_ARRAYS + _SPECTRUM_POINT_ARRAYS * points)
+    dense = 16.0 * d**4 * (cached + _SPECTRUM_CHUNK_ARRAYS + _SPECTRUM_POINT_ARRAYS * points)
+    return dense + _SPECTRUM_PIECE_BYTES * sp._cores()
 
 
 def spectrum_chunk_points(cutoff: FockCutoff | int, wanted: int) -> int:

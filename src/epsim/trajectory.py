@@ -48,14 +48,26 @@ Randomness comes from one counter-based Philox stream per trajectory, keyed
 by (seed, trajectory index), so results are reproducible; `philox_stream`
 defines it. Random numbers and jump records are independent of batching
 exactly, while states and survivals agree to rounding: BLAS may sum a
-product in another order for another batch shape. Philox4x64-10 (Salmon
-et al., SC'11) makes uniform j of a stream a pure function of (seed, index,
-j), so the engine evaluates its streams itself, on arrays: every trajectory
-of a batch that needs more uniforms gets its next block of them in one
-vectorized pass, bit-identical to what the stream's `Generator.random()`
-gives. Consecutive blocks continue the same stream, so the numbers do not
-depend on the block length. Trajectories are independent. Each caller
-reduces the samples; `run_ensemble` adds them in chunk order.
+product in another order for another batch shape or another number of
+threads (at d = 14, one OpenBLAS thread against two moved 1831 of 2048
+thermal survivals by up to 1.5e-16, with the same jump records).
+Philox4x64-10 (Salmon et al., SC'11) makes uniform j of a stream a pure
+function of (seed, index, j), so the engine evaluates its streams itself,
+on arrays: every trajectory of a batch that needs more uniforms gets its
+next block of them in one vectorized pass, bit-identical to what the
+stream's `Generator.random()` gives. Consecutive blocks continue the same
+stream, so the numbers do not depend on the block length. Trajectories are
+independent. Each caller reduces the samples; `run_ensemble` adds them in
+chunk order.
+
+At small cutoffs the engine steps on one BLAS thread. Its products are
+(rows, d^2) @ (d^2, d^2), and at d = 6 OpenBLAS splits them over two
+threads from 64 rows with no gain in wall time, so run_chunk holds numpy's
+OpenBLAS to one thread for d <= _ONE_THREAD_MAX_CUTOFF (8, the measured
+crossover: at d = 6 run_ensemble is about a fifth faster, from d = 12 on
+slower). It reaches the library through ctypes; with any other BLAS the
+limit does nothing. Jump records and survivals were bit-identical either
+way up to d = 12.
 
 The memory a run needs grows as d^4 and with the sample and trajectory
 counts; unraveling_peak_bytes estimates it and the CLI holds it to
@@ -64,6 +76,10 @@ model.MEMORY_BUDGET (model.check_memory).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -102,6 +118,14 @@ _TRAJECTORY_BYTES = 81
 # jump; a longer block means fewer calls that refill but more unread words.
 _DRAW_BLOCK = 32
 _NORM2_FLOOR = np.finfo(float).tiny  # smallest norm^2, over a lift, a skip may reach
+# The largest cutoff d at which run_chunk steps on one BLAS thread
+# (_one_blas_thread). In-process run_ensemble of the thermal benchmark config
+# (n_th = 0.2, dt = 1e-3, t_final = 1, sample_every = 200; 4096 trajectories
+# up to d = 8, 2048 above), one OpenBLAS thread against two, medians on a
+# 2-core Intel Xeon host (numpy 2.4 with OpenBLAS 0.3.31): d = 6 -20 to
+# -25 %, d = 7 -23 %, d = 8 -1 to -12 %, d = 10 -2 to +6 %, d = 12 +2 to
+# +27 %, d = 14 +22 to +30 %.
+_ONE_THREAD_MAX_CUTOFF = 8
 
 
 @dataclass(frozen=True)
@@ -191,8 +215,9 @@ def unraveling_peak_bytes(config: TrajectoryConfig) -> float:
     trajectories, as if held at once. Dense d^2 x d^2 complex arrays, 16 d^4
     bytes each: the cutoff's cached terms (FockCutoff.ops), _PROPAGATOR_ARRAYS
     while exp(-i H_nh dt) is formed, the further propagator powers, four
-    collapse operators, and two (n_samples, d^2, d^2) stacks (the ensemble's
-    sums and average, then the average and the master reference). The
+    collapse operators, and three (n_samples, d^2, d^2) stacks (the master
+    reference, which ensemble_vs_master holds while the ensemble runs, and
+    the ensemble's sums and average). The
     chunk's _BATCH_ARRAYS (batch, d^2) complex arrays. _TRAJECTORY_BYTES for
     each of the n_traj trajectories (its survival and jump list); the jumps
     themselves, tuples in those lists, cannot be known before the run and
@@ -203,7 +228,7 @@ def unraveling_peak_bytes(config: TrajectoryConfig) -> float:
     """
     cut = FockCutoff.of(config.cutoff)
     cached = len(fs.TwoModeOps._fields) - 2  # occ_a and occ_b are vectors
-    dense = cached + _PROPAGATOR_ARRAYS + config.n_powers - 1 + 4 + 2 * config.n_samples
+    dense = cached + _PROPAGATOR_ARRAYS + config.n_powers - 1 + 4 + 3 * config.n_samples
     batch = _BATCH_ARRAYS * cut.dim * min(config.n_traj, CHUNK_SIZE)
     generator = _MASTER_GENERATOR_COPIES * 20.0 * lv.generator_entries(cut)
     trajectories = float(_TRAJECTORY_BYTES) * config.n_traj
@@ -321,6 +346,59 @@ def _scale_rows(rows: np.ndarray, divisors: np.ndarray) -> None:
     flat /= divisors[:, None]
 
 
+@functools.cache
+def _blas_thread_setter():
+    """numpy's openblas_set_num_threads_local, or None for any other BLAS.
+
+    The symbol is looked up through numpy's own extension module, so it is
+    the OpenBLAS that numpy links. scipy bundles another OpenBLAS, and once
+    mat_exp has imported scipy.linalg it is the first one the process maps;
+    setting that one would leave numpy's products on every thread.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        setter = ctypes.CDLL(_multiarray_umath.__file__).openblas_set_num_threads_local
+    except (ImportError, OSError, AttributeError):
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
+
+
+_blas_lock = threading.Lock()
+_blas_holders = 0  # callers inside _one_blas_thread
+_blas_restore = 0  # the thread count the first of them found
+
+
+@contextlib.contextmanager
+def _one_blas_thread(cut: FockCutoff):
+    """Run the body on one OpenBLAS thread if cut.d <= _ONE_THREAD_MAX_CUTOFF.
+
+    In numpy's OpenBLAS the setter returns the old count but sets the
+    count of the whole process, whatever its name says, so overlapping
+    callers share one limit: the first to enter sets one thread and the
+    last to leave restores the count the first one found. Larger cutoffs,
+    and any other BLAS, run unchanged.
+    """
+    global _blas_holders, _blas_restore
+    setter = _blas_thread_setter() if cut.d <= _ONE_THREAD_MAX_CUTOFF else None
+    if setter is None:
+        yield
+        return
+    with _blas_lock:
+        if not _blas_holders:
+            _blas_restore = setter(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if not _blas_holders:
+                setter(_blas_restore)
+
+
 class _Draws:
     """Each trajectory's uniforms, evaluated from its Philox stream _DRAW_BLOCK at a time."""
 
@@ -393,7 +471,8 @@ class _Engine:
         jump_counts): the normalized states (dim, batch), each trajectory's
         survival so far and its jump count so far. These are views of the
         engine's working arrays, changed in place once the call returns, so
-        a caller that keeps them copies them.
+        a caller that keeps them copies them. The stepping and these calls
+        run inside _one_blas_thread.
 
         Returns each trajectory's jump record and survival (product of the
         norm^2 decays of its no-jump stretches). Without allow_jumps every
@@ -414,13 +493,14 @@ class _Engine:
         events: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
         sample_steps = cfg.sample_steps
-        for i, stop in enumerate(sample_steps):
-            if i:
-                self._advance(
-                    states, threshold, survival, jump_counts,
-                    sample_steps[i - 1], stop, draws, events,
-                )
-            on_sample(i, states.T, survival, jump_counts)
+        with _one_blas_thread(self.cut):
+            for i, stop in enumerate(sample_steps):
+                if i:
+                    self._advance(
+                        states, threshold, survival, jump_counts,
+                        sample_steps[i - 1], stop, draws, events,
+                    )
+                on_sample(i, states.T, survival, jump_counts)
 
         jumps: list[list[tuple[float, int]]] = [[] for _ in range(batch)]
         for rows, steps, channels in events:
@@ -751,11 +831,16 @@ def ensemble_vs_master(
     config: TrajectoryConfig,
     initial: np.ndarray | None = None,
 ) -> UnravelingReport:
-    """Trace-distance time series between the unraveling and the master equation."""
+    """Trace-distance time series between the unraveling and the master equation.
+
+    The master equation is propagated first: it needs only the sample times,
+    so a generator over its sub-step limit is refused before any trajectory
+    is stepped.
+    """
     cut = FockCutoff.of(config.cutoff)
     psi0 = _check_initial(initial, cut)
-    ensemble = run_ensemble(params, config, psi0)
     rho_0 = np.outer(psi0, psi0.conj())
-    rho_exact = master_propagate(params, cut, rho_0, ensemble.sample_times)
+    rho_exact = master_propagate(params, cut, rho_0, config.sample_times)
+    ensemble = run_ensemble(params, config, psi0)
     distances = np.array([trace_distance(a, b) for a, b in zip(ensemble.rho_avg, rho_exact)])
     return UnravelingReport(ensemble=ensemble, rho_master=rho_exact, trace_distances=distances)

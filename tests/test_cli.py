@@ -454,6 +454,22 @@ class TestSpectrumCommand:
             assert md.spectrum_peak_bytes(d, points) <= md.MEMORY_BUDGET
             assert md.spectrum_peak_bytes(d, points + 1) > md.MEMORY_BUDGET
 
+    def test_each_usable_core_adds_a_piece(self, monkeypatch):
+        # a chunk is solved in at most one piece per usable core, and each
+        # piece holds memory that does not grow with the cutoff
+        peaks = {}
+        for cores in (1, 2, 16):
+            monkeypatch.setattr(sp.os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+            peaks[cores] = [md.spectrum_peak_bytes(d, k) for d, k in ((3, 1), (43, 1), (8, 8))]
+        for cores in (2, 16):
+            for one, many in zip(peaks[1], peaks[cores]):
+                assert many - one == (cores - 1) * md._SPECTRUM_PIECE_BYTES
+        # two cores still admit d = 43 and refuse --cutoff 60
+        monkeypatch.setattr(sp.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert cli.load_config("hamiltonian-spectrum", None, {"cutoff": 43}).cutoff == 43
+        with pytest.raises(ConfigError, match="cutoff d=60"):
+            cli.load_config("hamiltonian-spectrum", None, {"cutoff": 60})
+
     def test_rows_equal_a_per_point_reference_loop(self, tmp_path, monkeypatch):
         # two cores at d = 8: chunks of 8 points (two pieces of 8 matrices),
         # so 21 points are two full chunks and a short one

@@ -1,3 +1,6 @@
+import ctypes
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -185,6 +188,162 @@ class TestDeterminism:
     def test_trajectory_index_must_be_in_ensemble(self, std_params, fast_config, index):
         with pytest.raises(ValueError, match=r"traj_index .* \[0, 64\)"):
             tj.run_trajectory(std_params, fast_config, traj_index=index)
+
+
+def numpy_blas_threads():
+    """Reader of numpy's OpenBLAS thread count, or None for another BLAS."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for name in (
+        "openblas_get_num_threads",
+        "openblas_get_num_threads64_",
+        "scipy_openblas_get_num_threads64_",
+        "scipy_openblas_get_num_threads",
+    ):
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            return getter
+    return None
+
+
+@pytest.fixture
+def blas_threads():
+    getter = numpy_blas_threads()
+    if getter is None or tj._blas_thread_setter() is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with openblas_set_num_threads_local")
+    scipy.linalg.expm(np.eye(2))  # scipy's own OpenBLAS is loaded too, as in a run
+    return getter
+
+
+class RecordingSetter:
+    """A stand-in for openblas_set_num_threads_local: one count for the process."""
+
+    def __init__(self, count):
+        self.count = count
+        self.calls = []
+
+    def __call__(self, count):
+        self.calls.append(count)
+        previous, self.count = self.count, count
+        return previous
+
+
+def criterion_8_thermal(cutoff):
+    """The thermal ensemble of criterion 8, at this cutoff."""
+    params = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=1.0, n_th=0.2)
+    config = tj.TrajectoryConfig(
+        dt=0.001, t_final=1.0, n_traj=10_000, seed=4242, cutoff=cutoff,
+        sample_every=200, guard_threshold=1.0,
+    )
+    return params, config
+
+
+class TestBlasThreadLimit:
+    @pytest.mark.parametrize("cutoff", [6, 8])
+    def test_ensemble_equals_the_run_without_a_limit(self, monkeypatch, cutoff):
+        params, config = criterion_8_thermal(cutoff)
+        limited = tj.run_ensemble(params, config)
+        monkeypatch.setattr(tj, "_blas_thread_setter", lambda: None)
+        unlimited = tj.run_ensemble(params, config)
+        assert sum(map(len, limited.jump_records)) > 0
+        assert limited.jump_records == unlimited.jump_records
+        assert np.array_equal(limited.survivals, unlimited.survivals)
+
+    def test_single_trajectories_equal_the_runs_without_a_limit(
+        self, monkeypatch, std_params, fast_config
+    ):
+        runs = [
+            lambda: tj.run_trajectory(std_params, fast_config, traj_index=6),
+            lambda: tj.postselect_no_jump(std_params, fast_config),
+        ]
+        limited = [run() for run in runs]
+        monkeypatch.setattr(tj, "_blas_thread_setter", lambda: None)
+        for run, expected in zip(runs, limited):
+            result = run()
+            assert result.jumps == expected.jumps
+            assert result.survival == expected.survival
+        assert limited[0].jumps
+
+    def test_one_thread_while_stepping(self, blas_threads):
+        params, config = criterion_8_thermal(6)
+        config = tj.TrajectoryConfig(**{**vars(config), "n_traj": 256})
+        engine = tj._Engine(params, config)
+        counts = []
+        engine.run_chunk(
+            fs.basis_state(6, 0, 0), range(256), lambda *args: counts.append(blas_threads())
+        )
+        assert counts == [1] * config.n_samples
+
+    def test_count_is_restored_after_a_return_and_a_raise(self, blas_threads):
+        setter = tj._blas_thread_setter()
+        before = setter(3)
+        try:
+            params, config = criterion_8_thermal(6)
+            tj.run_ensemble(params, tj.TrajectoryConfig(**{**vars(config), "n_traj": 64}))
+            assert blas_threads() == 3
+            # a gain jump on a state with top-level weight (as in TestGuards)
+            p = md.SystemParams(g=1e-300, gamma_a=1.0, gamma_b=0.0, eps=0.0, n_th=5.0)
+            cfg = tj.TrajectoryConfig(dt=0.001, t_final=1.0, n_traj=64, seed=3, cutoff=3)
+            psi0 = (fs.basis_state(3, 1, 0) + fs.basis_state(3, 2, 0)) / np.sqrt(2)
+            with pytest.raises(TruncationGuardError):
+                tj.run_ensemble(p, cfg, psi0)
+            assert blas_threads() == 3
+        finally:
+            setter(before)
+
+    @pytest.mark.parametrize("cutoff", [2, tj._ONE_THREAD_MAX_CUTOFF])
+    def test_limit_covers_the_small_cutoffs(self, monkeypatch, std_params, cutoff):
+        setter = RecordingSetter(5)
+        monkeypatch.setattr(tj, "_blas_thread_setter", lambda: setter)
+        cfg = tj.TrajectoryConfig(dt=0.01, t_final=0.1, n_traj=4, seed=0, cutoff=cutoff)
+        tj.run_ensemble(std_params, cfg)
+        tj.postselect_no_jump(std_params, cfg)
+        assert setter.calls == [1, 5, 1, 5]
+
+    @pytest.mark.parametrize("cutoff", [tj._ONE_THREAD_MAX_CUTOFF + 1, 14])
+    def test_count_is_left_alone_above_the_crossover(self, monkeypatch, std_params, cutoff):
+        setter = RecordingSetter(5)
+        monkeypatch.setattr(tj, "_blas_thread_setter", lambda: setter)
+        cfg = tj.TrajectoryConfig(dt=0.01, t_final=0.1, n_traj=4, seed=0, cutoff=cutoff)
+        tj.run_ensemble(std_params, cfg)
+        tj.run_trajectory(std_params, cfg)
+        assert setter.calls == []
+
+    def test_overlapping_ensembles_restore_the_count(self, monkeypatch, std_params):
+        # the setter sets the count of the whole process, so the last of
+        # several overlapping runs must restore what the first one found
+        setter = RecordingSetter(5)
+        monkeypatch.setattr(tj, "_blas_thread_setter", lambda: setter)
+        cfg = tj.TrajectoryConfig(dt=0.01, t_final=0.2, n_traj=8, seed=0, cutoff=3)
+        errors = []
+
+        def run():
+            try:
+                for _ in range(5):
+                    tj.run_ensemble(std_params, cfg)
+            except BaseException as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert setter.count == 5
+        assert setter.calls.count(1) == setter.calls.count(5) >= 1
 
 
 def run_logged(engine, psi0, indices):
@@ -592,6 +751,15 @@ class TestEnsembleVsMaster:
         rho0 = np.outer(fs.basis_state(3, 1, 0), fs.basis_state(3, 1, 0))
         with pytest.raises(NumericalError, match=r"needs 26666670 expm_multiply sub-steps"):
             tj.master_propagate(std_params.with_(gamma_a=1e8), 3, rho0, np.arange(6) * 0.2)
+
+    def test_stiff_generator_is_refused_before_the_ensemble(self, std_params, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("run_ensemble was called")
+
+        monkeypatch.setattr(tj, "run_ensemble", unreachable)
+        cfg = tj.TrajectoryConfig(dt=0.01, t_final=1.0, n_traj=100_000, seed=0, cutoff=6)
+        with pytest.raises(NumericalError, match=r"expm_multiply sub-steps"):
+            tj.ensemble_vs_master(std_params.with_(gamma_a=1e8), cfg)
 
     def test_trace_distance_basics(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
