@@ -193,8 +193,8 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
         raise ConfigError(f"config field 'cutoff': {exc}") from exc
     seed = data["seed"]
     _require(
-        isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-        f"seed must be a nonnegative integer, got {seed!r}",
+        isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**64,
+        f"seed must be an integer in [0, 2**64), got {seed!r}",
     )
     tolerances = data.get("tolerances", {})
     cluster_eps = tolerances.get("cluster_eps")

@@ -31,43 +31,23 @@ per jump the channel uniform and the next r.
 The engine never steps dt by dt between jumps. ||phi||^2 never increases
 under no-jump evolution (H is Hermitian, so d||phi||^2/dt = -sum_i
 <C_i^dag C_i> <= 0), so the first step with ||phi||^2 < r is found by
-binary lifting: with U_k = U^(2^k) precomputed for 2^k up to the longest
-sample interval, each pending trajectory advances by descending powers of
-two as long as the advanced state stays at or above its threshold, and the
-next single step is its jump. A batch of trajectories is propagated as the
-rows of one C-ordered (batch, d^2) array, one contiguous row per trajectory,
-multiplied from the right by the transposed powers, so a sample interval
-costs (its largest number of jumps + 1) rounds of at most K + 1 batched
-products. At power 2^k only the rows with 2^k steps left are multiplied.
-Within a lift a row is not renormalized: its norm^2 relative to the start of
-the lift is what the threshold test reads, and each row that moved is
-renormalized once at the end, its threshold divided and its survival
-multiplied by that norm^2.
+binary lifting (_Engine._lift) over U_k = U^(2^k), precomputed for 2^k up
+to the longest sample interval; the next single step is the jump. A batch
+of trajectories is propagated as the rows of one C-ordered (batch, d^2)
+array, one contiguous row per trajectory, multiplied from the right by the
+transposed powers, so a sample interval costs (its largest number of jumps
++ 1) rounds of at most n_powers + 1 batched products.
 
 Randomness comes from one counter-based Philox stream per trajectory, keyed
 by (seed, trajectory index), so results are reproducible; `philox_stream`
-defines it. Random numbers and jump records are independent of batching
-exactly, while states and survivals agree to rounding: BLAS may sum a
-product in another order for another batch shape or another number of
-threads (at d = 14, one OpenBLAS thread against two moved 1831 of 2048
-thermal survivals by up to 1.5e-16, with the same jump records).
-Philox4x64-10 (Salmon et al., SC'11) makes uniform j of a stream a pure
-function of (seed, index, j), so the engine evaluates its streams itself,
-on arrays: every trajectory of a batch that needs more uniforms gets its
-next block of them in one vectorized pass, bit-identical to what the
-stream's `Generator.random()` gives. Consecutive blocks continue the same
-stream, so the numbers do not depend on the block length. Trajectories are
-independent. Each caller reduces the samples; `run_ensemble` adds them in
-chunk order.
-
-At small cutoffs the engine steps on one BLAS thread. Its products are
-(rows, d^2) @ (d^2, d^2), and at d = 6 OpenBLAS splits them over two
-threads from 64 rows with no gain in wall time, so run_chunk holds numpy's
-OpenBLAS to one thread for d <= _ONE_THREAD_MAX_CUTOFF (8, the measured
-crossover: at d = 6 run_ensemble is about a fifth faster, from d = 12 on
-slower). It reaches the library through ctypes; with any other BLAS the
-limit does nothing. Jump records and survivals were bit-identical either
-way up to d = 12.
+defines it and _Draws evaluates it. Random numbers and jump records are
+independent of batching exactly, while states and survivals agree to
+rounding: BLAS may sum a product in another order for another batch shape
+or another number of threads (at d = 14, one OpenBLAS thread against two
+moved 1831 of 2048 thermal survivals by up to 1.5e-16, with the same jump
+records). Trajectories are independent. Each caller reduces the samples;
+`run_ensemble` adds them in chunk order. At small cutoffs the engine steps
+on one BLAS thread (_one_blas_thread).
 
 The memory a run needs grows as d^4 and with the sample and trajectory
 counts; unraveling_peak_bytes estimates it and the CLI holds it to
@@ -98,21 +78,21 @@ CHUNK_SIZE = 1024
 # by peak resident growth: dense d^2 x d^2 arrays of the no-jump propagator's
 # build (H_nh, -i H_nh dt, scipy's expm work and its result), (batch, d^2)
 # arrays of a chunk's stepping, and generator sizes of master_propagate
-# (assembly, the scaled step, expm_multiply's shifted copy; measured when the
-# 1-norm still copied |L|, so an upper bound). With one trajectory per row,
-# the thermal default run grows 45, 120 and 314 MiB over a d = 3 run at
-# d = 12, 16 and 20 (40, 119 and 311 with one per column), and the stepping
-# of one chunk of 1000 peaks at 4.6, 4.0, 3.9 and 3.9 batch arrays at d = 6,
-# 12, 16 and 20 (tracemalloc; 5.6 to 4.8 with one per column), so
+# (assembly, the scaled step, expm_multiply's shifted copy). master_propagate
+# peaks at 4.6, 4.4 and 4.4 generator sizes beyond its output stack at d = 6,
+# 12 and 20 (tracemalloc, the cutoff's cached terms built before), so
+# _MASTER_GENERATOR_COPIES stays an upper bound. The thermal default run
+# (guard_threshold 1) grows 30, 119 and 277 MiB over a d = 3 run at d = 12,
+# 16 and 20 (ru_maxrss), and the stepping of one chunk of 1000 peaks at 4.6,
+# 4.0, 3.9 and 3.9 batch arrays at d = 6, 12, 16 and 20 (tracemalloc), so
 # _BATCH_ARRAYS stays an upper bound.
 _PROPAGATOR_ARRAYS = 9
 _BATCH_ARRAYS = 6
 _MASTER_GENERATOR_COPIES = 5
 # Bytes run_ensemble keeps for each trajectory whatever its jumps: its
-# survival (8, twice while the chunks' survivals are joined), its jump list
-# (56 when empty) and that list's place in jump_records (8, 9 with the
-# list's growth). tracemalloc measured a peak of 81.1 per trajectory over
-# 2e5 trajectories that never jump.
+# survival (8), its jump list (56 when empty) and that list's place in
+# jump_records (8, and 9 more while the list grows). tracemalloc measured a
+# peak of 81.2 per trajectory over 2e5 trajectories that never jump.
 _TRAJECTORY_BYTES = 81
 # Uniforms evaluated per trajectory at a time. A trajectory reads 1 + 2 per
 # jump; a longer block means fewer calls that refill but more unread words.
@@ -124,7 +104,8 @@ _NORM2_FLOOR = np.finfo(float).tiny  # smallest norm^2, over a lift, a skip may 
 # up to d = 8, 2048 above), one OpenBLAS thread against two, medians on a
 # 2-core Intel Xeon host (numpy 2.4 with OpenBLAS 0.3.31): d = 6 -20 to
 # -25 %, d = 7 -23 %, d = 8 -1 to -12 %, d = 10 -2 to +6 %, d = 12 +2 to
-# +27 %, d = 14 +22 to +30 %.
+# +27 %, d = 14 +22 to +30 %. Jump records and survivals were bit-identical
+# either way up to d = 12.
 _ONE_THREAD_MAX_CUTOFF = 8
 
 
@@ -215,20 +196,20 @@ def unraveling_peak_bytes(config: TrajectoryConfig) -> float:
     trajectories, as if held at once. Dense d^2 x d^2 complex arrays, 16 d^4
     bytes each: the cutoff's cached terms (FockCutoff.ops), _PROPAGATOR_ARRAYS
     while exp(-i H_nh dt) is formed, the further propagator powers, four
-    collapse operators, and three (n_samples, d^2, d^2) stacks (the master
+    collapse operators, and two (n_samples, d^2, d^2) stacks (the master
     reference, which ensemble_vs_master holds while the ensemble runs, and
-    the ensemble's sums and average). The
-    chunk's _BATCH_ARRAYS (batch, d^2) complex arrays. _TRAJECTORY_BYTES for
-    each of the n_traj trajectories (its survival and jump list); the jumps
-    themselves, tuples in those lists, cannot be known before the run and
-    are not counted. _MASTER_GENERATOR_COPIES of the CSR generator
-    master_propagate assembles (lv.generator_entries, 20 bytes an entry).
-    The sample count is n_samples, so a long t_final is caught before its
-    sample list is built.
+    the ensemble's sums, averaged in place). The chunk's _BATCH_ARRAYS
+    (batch, d^2) complex arrays. _TRAJECTORY_BYTES for each of the n_traj
+    trajectories (its survival and jump list); the jumps themselves, tuples
+    in those lists, cannot be known before the run and are not counted.
+    _MASTER_GENERATOR_COPIES of the CSR generator master_propagate
+    assembles (lv.generator_entries, 20 bytes an entry). The sample count
+    is n_samples, so a long t_final is caught before its sample list is
+    built.
     """
     cut = FockCutoff.of(config.cutoff)
     cached = len(fs.TwoModeOps._fields) - 2  # occ_a and occ_b are vectors
-    dense = cached + _PROPAGATOR_ARRAYS + config.n_powers - 1 + 4 + 3 * config.n_samples
+    dense = cached + _PROPAGATOR_ARRAYS + config.n_powers - 1 + 4 + 2 * config.n_samples
     batch = _BATCH_ARRAYS * cut.dim * min(config.n_traj, CHUNK_SIZE)
     generator = _MASTER_GENERATOR_COPIES * 20.0 * lv.generator_entries(cut)
     trajectories = float(_TRAJECTORY_BYTES) * config.n_traj
@@ -367,61 +348,60 @@ def _blas_thread_setter():
 
 
 _blas_lock = threading.Lock()
-_blas_holders = 0  # callers inside _one_blas_thread
-_blas_restore = 0  # the thread count the first of them found
 
 
 @contextlib.contextmanager
 def _one_blas_thread(cut: FockCutoff):
     """Run the body on one OpenBLAS thread if cut.d <= _ONE_THREAD_MAX_CUTOFF.
 
+    The engine's products are (rows, d^2) @ (d^2, d^2); at d = 6 OpenBLAS
+    splits them over two threads from 64 rows with no gain in wall time.
     In numpy's OpenBLAS the setter returns the old count but sets the
     count of the whole process, whatever its name says, so overlapping
-    callers share one limit: the first to enter sets one thread and the
-    last to leave restores the count the first one found. Larger cutoffs,
-    and any other BLAS, run unchanged.
+    callers take turns: each holds _blas_lock while its body runs and
+    restores the count it found. Larger cutoffs, and any other BLAS, run
+    unchanged and take no lock.
     """
-    global _blas_holders, _blas_restore
     setter = _blas_thread_setter() if cut.d <= _ONE_THREAD_MAX_CUTOFF else None
     if setter is None:
         yield
         return
     with _blas_lock:
-        if not _blas_holders:
-            _blas_restore = setter(1)
-        _blas_holders += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_holders -= 1
-            if not _blas_holders:
-                setter(_blas_restore)
+        old = setter(1)
+        try:
+            yield
+        finally:
+            setter(old)
 
 
 class _Draws:
-    """Each trajectory's uniforms, evaluated from its Philox stream _DRAW_BLOCK at a time."""
+    """Each trajectory's uniforms, evaluated from its Philox stream _DRAW_BLOCK at a time.
+
+    Philox4x64-10 (Salmon et al., SC'11) makes uniform j of a stream a pure
+    function of (seed, index, j), so every trajectory that needs a new
+    block gets it in one vectorized _philox_uniforms pass, bit-identical to
+    what the stream's Generator.random() gives. taken counts the uniforms
+    each stream has given: the next one sits in buffer slot
+    taken % _DRAW_BLOCK, and a refill at slot 0 starts at word taken, so
+    the numbers do not depend on the block length.
+    """
 
     def __init__(self, seed: int, indices: range):
         self.seed = seed
         self.index = np.asarray(indices, dtype=np.uint64)
-        self.block = _DRAW_BLOCK
-        self.buffer = np.empty((len(indices), self.block))
-        self.used = np.full(len(indices), self.block)
-        self.read = np.zeros(len(indices), dtype=np.int64)  # words taken from each stream
+        self.buffer = np.empty((len(indices), _DRAW_BLOCK))
+        self.taken = np.zeros(len(indices), dtype=np.int64)
 
     def next(self, rows: np.ndarray) -> np.ndarray:
         """The next uniform of each trajectory at chunk positions rows (distinct)."""
-        empty = rows[self.used[rows] == self.block]
+        slot = self.taken[rows] % _DRAW_BLOCK
+        empty = rows[slot == 0]
         if empty.size:
             self.buffer[empty] = _philox_uniforms(
-                self.seed, self.index[empty], self.read[empty], self.block
+                self.seed, self.index[empty], self.taken[empty], _DRAW_BLOCK
             )
-            self.read[empty] += self.block
-            self.used[empty] = 0
-        values = self.buffer[rows, self.used[rows]]
-        self.used[rows] += 1
-        return values
+        self.taken[rows] += 1
+        return self.buffer[rows, slot]
 
 
 class _Engine:
@@ -490,7 +470,7 @@ class _Engine:
         else:
             draws = None
             threshold = np.zeros(batch)
-        events: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        jumps: list[list[tuple[float, int]]] = [[] for _ in range(batch)]
 
         sample_steps = cfg.sample_steps
         with _one_blas_thread(self.cut):
@@ -498,14 +478,9 @@ class _Engine:
                 if i:
                     self._advance(
                         states, threshold, survival, jump_counts,
-                        sample_steps[i - 1], stop, draws, events,
+                        sample_steps[i - 1], stop, draws, jumps,
                     )
                 on_sample(i, states.T, survival, jump_counts)
-
-        jumps: list[list[tuple[float, int]]] = [[] for _ in range(batch)]
-        for rows, steps, channels in events:
-            for row, step, channel in zip(rows.tolist(), steps.tolist(), channels.tolist()):
-                jumps[row].append((step * cfg.dt, channel))
         return jumps, survival
 
     def _advance(
@@ -517,7 +492,7 @@ class _Engine:
         start: int,
         stop: int,
         draws: _Draws | None,
-        events: list,
+        jumps: list[list[tuple[float, int]]],
     ) -> None:
         """Carry every row from grid step start to stop, in place.
 
@@ -525,9 +500,9 @@ class _Engine:
         (_lift); those still short of stop jump at their next step and stay
         pending. A zero threshold (postselection) never jumps: such a row is
         short of stop only because a long skip underflowed, and the next
-        round carries it on. Jump events (rows, grid steps, channels) go to
-        events. When one step dt alone underflows a row's norm^2, with or
-        without jumps, NumericalError asks for a smaller dt.
+        round carries it on. Each jump (step * dt, channel) is appended to
+        its row's list in jumps. When one step dt alone underflows a row's
+        norm^2, with or without jumps, NumericalError asks for a smaller dt.
         """
         rows = np.arange(len(states))
         remaining = np.full(rows.size, stop - start)
@@ -554,7 +529,9 @@ class _Engine:
                 psi[jumping] = jumped
                 thr[jumping] = draws.next(pending)
                 jump_counts[pending] += 1.0
-                events.append((pending, stop - remaining[jumping], channels))
+                times = (stop - remaining[jumping]) * self.config.dt
+                for row, time, channel in zip(pending.tolist(), times.tolist(), channels.tolist()):
+                    jumps[row].append((time, channel))
             states[rows] = psi
             threshold[rows] = thr
             survival[rows] = surv
@@ -718,21 +695,22 @@ def run_ensemble(
         jumps_sum[i] += jump_counts.sum()
 
     jump_records: list[list[tuple[float, int]]] = []
-    survivals: list[np.ndarray] = []
+    survivals = np.empty(config.n_traj)
     for start in range(0, config.n_traj, CHUNK_SIZE):
         chunk = range(start, min(start + CHUNK_SIZE, config.n_traj))
         jumps, survival = engine.run_chunk(psi0, chunk, add_sample)
         jump_records.extend(jumps)
-        survivals.append(survival)
+        survivals[chunk.start : chunk.stop] = survival
 
-    n = float(config.n_traj)
+    for total in (rho_sum, survival_sum, jumps_sum):
+        total /= config.n_traj
     return TrajectoryEnsemble(
         sample_times=config.sample_times,
-        rho_avg=rho_sum / n,
-        mean_jumps=jumps_sum / n,
-        mean_survival=survival_sum / n,
+        rho_avg=rho_sum,
+        mean_jumps=jumps_sum,
+        mean_survival=survival_sum,
         jump_records=jump_records,
-        survivals=np.concatenate(survivals),
+        survivals=survivals,
         config=config,
     )
 

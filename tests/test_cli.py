@@ -99,6 +99,7 @@ class TestConfigHandling:
             {"tolerances": {"angle_esp": 1e-3}},
             {"seed": True},
             {"seed": -1},
+            {"seed": 2**64},  # a Philox key word
             {"cutoff": 6.5},
             {"cutoff": "6"},
             {"sweep": None},
@@ -121,7 +122,7 @@ class TestConfigHandling:
             "angle_eps-string", "tolerances-null",
             "cluster_eps-string", "angle_eps-negative", "angle_eps-nan",
             "cluster_eps-zero", "tolerances-unknown-key", "seed-bool",
-            "seed-negative", "cutoff-float", "cutoff-string", "sweep-null",
+            "seed-negative", "seed-too-large", "cutoff-float", "cutoff-string", "sweep-null",
             "sweep-too-many-points", "sweep-count-overflow",
             "sweep.min-huge-int", "sweep.max-huge-int", "sweep.step-huge-int",
             "g-huge-int", "n_th-huge-int", "angle_eps-huge-int", "cluster_eps-huge-int",
@@ -675,6 +676,12 @@ class TestTrajectoriesCommand:
         assert run(["trajectories", "--config", str(cfg), "--out", str(out_a), "--seed", "5"]) == 0
         assert run(["trajectories", "--config", str(cfg), "--out", str(out_b), "--seed", "5"]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_seed_out_of_range_names_the_seed(self, capsys):
+        assert run(["trajectories", "--seed", str(2**64)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed must be an integer in [0, 2**64)")
+        assert "'trajectories'" not in err
 
     def test_memory_guard(self, tmp_path, capsys, monkeypatch):
         # refused in load_config, before any operator is built: a cutoff, or

@@ -3,6 +3,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -345,6 +346,55 @@ class TestBlasThreadLimit:
         assert setter.count == 5
         assert setter.calls.count(1) == setter.calls.count(5) >= 1
 
+    def test_overlapping_ensembles_equal_the_runs_in_series(self, monkeypatch):
+        # chunks of 64, so the four ensembles' chunks interleave
+        monkeypatch.setattr(tj, "CHUNK_SIZE", 64)
+        params, config = criterion_8_thermal(6)
+        configs = [
+            tj.TrajectoryConfig(**{**vars(config), "n_traj": 256, "seed": seed, "cutoff": cutoff})
+            for seed, cutoff in ((1, 3), (2, 6), (3, 8), (4, 6))
+        ]
+
+        def run(cfg):
+            ensemble = tj.run_ensemble(params, cfg)
+            return ensemble.jump_records, ensemble.survivals
+
+        in_series = [run(cfg) for cfg in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                overlapping = list(pool.map(run, configs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(sum(map(len, records)) > 0 for records, _ in in_series)
+        for (records, survivals), (expected_records, expected) in zip(overlapping, in_series):
+            assert records == expected_records
+            assert np.array_equal(survivals, expected)
+
+    def test_overlapping_chunks_step_on_one_thread(self, blas_threads):
+        params, config = criterion_8_thermal(6)
+
+        def run(cutoff):
+            cfg = tj.TrajectoryConfig(**{**vars(config), "n_traj": 256, "cutoff": cutoff})
+            counts = []
+            tj._Engine(params, cfg).run_chunk(
+                fs.basis_state(cutoff, 0, 0),
+                range(256),
+                lambda *args: counts.append(blas_threads()),
+            )
+            return counts
+
+        setter = tj._blas_thread_setter()
+        before = setter(3)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                counts = list(pool.map(run, (3, 6, 8, 6), timeout=120))
+            assert counts == [[1] * config.n_samples] * 4
+            assert blas_threads() == 3
+        finally:
+            setter(before)
+
 
 def run_logged(engine, psi0, indices):
     """run_chunk with a reducer that logs the states (n_samples, dim, batch)."""
@@ -474,6 +524,23 @@ class TestEngineAlgorithm:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_average_is_taken_in_place(self):
+        # the sums are divided where they are; the average is no second stack
+        p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=1.0, n_th=0.2)
+        cfg = tj.TrajectoryConfig(
+            dt=1e-3, t_final=2.0, n_traj=8, seed=1, cutoff=4,
+            sample_every=1, guard_threshold=1.0,
+        )
+        assert cfg.n_samples == 2001
+        stack = 16.0 * cfg.n_samples * 16**2  # one (n_samples, dim, dim) complex array
+        tracemalloc.start()
+        try:
+            tj.run_ensemble(p, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * stack
 
 
 class TestPhiloxUniforms:
