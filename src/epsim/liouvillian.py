@@ -412,7 +412,8 @@ def liouvillian_spectrum_check(
 
     The witness measures and does not judge: callers compare distances with
     their own bound. Raises ValueError for a cutoff whose witness_peak_bytes exceeds
-    md.MEMORY_BUDGET.
+    md.MEMORY_BUDGET, and NumericalError, before any solve, when the
+    generator's Frobenius norm (it sets the cluster tolerance) is not finite.
     """
     cut = FockCutoff.of(cutoff)
     md.check_memory(witness_peak_bytes(cut), f"Liouvillian witness at cutoff d={cut.d}")
@@ -421,7 +422,8 @@ def liouvillian_spectrum_check(
     anchor = -der.gamma_p + 0j
     targets = np.array([anchor + 1j * der.omega_p, anchor - 1j * der.omega_p])
     shift = WITNESS_SHIFT * (der.gamma_p + params.g)
-    eps_cluster = sp.CLUSTER_EPS_SCALE * float(np.linalg.norm(gen.csr.data))
+    norm = sp._norms(gen.csr.data, what=f"Liouvillian generator at cutoff d={cut.d}")
+    eps_cluster = sp.CLUSTER_EPS_SCALE * float(norm)
     plus = sp.eigs_near(sector_block(gen, 1), anchor + shift, [*targets, anchor], 4, eps_cluster)
     steady = sp.eigs_near(sector_block(gen, 0), shift, [0.0], 2)
 

@@ -10,25 +10,25 @@ eigs_near finds the eigenpairs nearest a few targets by shift-invert
 ARPACK, under the same residual bound, and proves that it has not missed a
 nearer eigenvalue.
 
+Every dense eigensolve takes one path, _solve: eig is its one-matrix call,
+coalescence_scan its stack of eigenpairs and eigvals_stack its stack of
+eigenvalues, with no vectors and so no residual check. It refuses unsolved a
+matrix whose norm is not finite, as the sparse path does: it bounds no
+residual. numpy releases the GIL in a gufunc loop only when its size, the
+matrices of the call times their dimension n, is over GIL_LOOP_SIZE (500),
+so a stack is solved in one contiguous piece per usable core
+(os.sched_getaffinity), each at least piece_depth(n) = 500 // n + 1 matrices
+deep (8 at n = 64), on threads that run at once, the calling thread solving
+the first; a stack too short for two pieces is one piece. A piece whose
+solve fails is solved again one matrix at a time.
+
 The coalescence verdict has one owner, _reports: on a stack of solved
 eigenpairs it finds the clusters of every point (chain-linked eigenvalues),
 the eigenvector angles within each and whether each coalesces, in batched
-array operations. coalescence_scan solves its whole grid in one batch;
-coalescence_report is the one-point stack, read by the Liouvillian witness.
-Every point is computed on its own, so a report does not depend on the
-stack it was built in. cluster_eigenvalues and principal_angle are the
-one-row cases of the same clustering and angles.
-
-Eigenvalue-only solves run on stacks too: eigvals_stack solves a stack of
-matrices with np.linalg.eigvals, bit-identical to one call per matrix, and
-has no vectors and so no residual check. numpy releases the GIL in a
-gufunc loop only when the loop's size, here the matrices of the call times
-their dimension n, is over GIL_LOOP_SIZE (500), so a one-matrix call holds
-it for its whole solve and threads over such calls take turns. The stack is
-split into one contiguous piece per usable core (os.sched_getaffinity),
-each at least piece_depth(n) = 500 // n + 1 matrices deep (8 at n = 64),
-and the pieces are solved on threads that run at once; a stack too short
-for two pieces is one piece.
+array operations. coalescence_report is the one-point stack, read by the
+Liouvillian witness. Every matrix is solved and every point reported on its
+own, so a report does not depend on its stack. cluster_eigenvalues and
+principal_angle are the one-row cases of the same clustering and angles.
 
 Norms are Frobenius throughout.
 """
@@ -50,7 +50,7 @@ DEFAULT_RESIDUAL_TOL = 1e-9
 DEFAULT_ANGLE_EPS = 1e-3
 CLUSTER_EPS_SCALE = 1e-6
 # numpy runs a gufunc loop without the GIL only when its size (the loop's
-# matrices times their dimension, for eigvals) is over this
+# matrices times their dimension, for eig and eigvals) is over this
 # (NPY_BEGIN_THREADS_THRESHOLDED in numpy's ndarraytypes.h)
 GIL_LOOP_SIZE = 500
 
@@ -82,37 +82,27 @@ def _eigenpairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return values, vectors, residuals
 
 
-def _residual_bound(norm):
-    return DEFAULT_RESIDUAL_TOL * np.maximum(norm, np.finfo(float).tiny)
+def _residual_misses(residuals: np.ndarray, norms: np.ndarray, where: str) -> dict[int, str]:
+    """How rows of eigenpair residuals (m, k) miss DEFAULT_RESIDUAL_TOL * norms (m,), by row."""
+    bounds = DEFAULT_RESIDUAL_TOL * np.maximum(norms, np.finfo(float).tiny)
+    missed = np.flatnonzero(np.any(residuals > bounds[:, None], axis=1)).tolist()
+    return {
+        i: f"residual bound violated: pair {np.argmax(residuals[i])} has ||Av - lv|| = "
+        f"{residuals[i].max():.3e} > {bounds[i]:.3e} ({where})"
+        for i in missed
+    }
 
 
-def eig(a: np.ndarray) -> Spectrum:
-    """All eigenvalues and right eigenvectors of a dense complex matrix.
+def _norms(x: np.ndarray, axis=None, what: str | None = None) -> np.ndarray:
+    """Frobenius norms as np.linalg.norm(x, axis=axis) takes them, bit for bit, warning of nothing.
 
-    The eigenpairs are residual-checked; a matrix whose Frobenius norm is not
-    finite (an entry beyond about 1e154, inf or nan) has no bound and is refused.
+    Given what, one that is not finite raises NumericalError naming what.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    # the norm coalescence_scan takes of its stack, bit for bit (the
-    # axis-free np.linalg.norm sums in another order)
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in the square of an inf entry
-        norm = float(np.linalg.norm(a, axis=(-2, -1)))
-    if not np.isfinite(norm):
-        raise EigenConvergenceError(
-            f"eig refused dim={a.shape[0]}: Frobenius norm {norm} is not finite"
-        )
-    try:
-        values, vectors, residuals = _eigenpairs(a[None])
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(
-            f"eig failed for dim={a.shape[0]}, norm={norm:.3e}: {exc}"
-        ) from exc
-    values, vectors, residuals = values[0], vectors[0], residuals[0]
-    if miss := _residual_miss(residuals, norm, f"dim={a.shape[0]}"):
-        raise EigenConvergenceError(miss)
-    return Spectrum(values, vectors, residuals, norm)
+        norms = np.linalg.norm(x, axis=axis)
+    if what is not None and not np.all(np.isfinite(norms)):
+        raise NumericalError(f"{what}: Frobenius norm {norms} is not finite")
+    return norms
 
 
 def piece_depth(n: int) -> int:
@@ -129,18 +119,82 @@ def threaded_depth(n: int) -> int:
     return _cores() * piece_depth(n)
 
 
-def eigvals_stack(stack: np.ndarray, names: Sequence[str] | None = None) -> np.ndarray:
-    """Eigenvalues of every matrix of a stack, shape (m, n, n) -> (m, n).
+def _solve(stack: np.ndarray, vectors: bool) -> tuple[np.ndarray, list[np.ndarray], dict]:
+    """Eigenvalues, or eigenpairs, of a stack (m, n, n) on the one dense path (module docstring).
 
-    Each row equals np.linalg.eigvals of its matrix bit for bit, in stack
-    order. The stack is solved in contiguous pieces on threads, one piece per
-    usable core and each at least piece_depth(n) deep (see the module
-    docstring); the pool lives for this call. names[i] names matrix i in
-    errors ("matrix i" by default). Raises NumericalError when a matrix's
-    Frobenius norm is not finite (an entry beyond about 1e154, inf or nan),
-    before any solve, and EigenConvergenceError naming the first matrix
-    whose solve fails: a piece that fails is solved again one matrix at a
-    time.
+    Returns the norms (m,), the rows of every matrix ((eigenvalues,), or with
+    vectors _eigenpairs' three) and the failures {index: why}, whose rows hold
+    nothing: why is None for a matrix refused unsolved, the LinAlgError of
+    one whose solve fails alone, or how its pairs miss their bound.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # imported where used, as scipy.sparse is
+
+    m, n = stack.shape[:2]
+    depth = piece_depth(max(n, 1))  # a 0 x 0 matrix has nothing to solve
+    norms = np.empty(m)
+    for k in range(0, m, depth):  # so the temporaries stay a piece's size
+        norms[k : k + depth] = _norms(stack[k : k + depth], axis=(-2, -1))
+    kept = np.flatnonzero(np.isfinite(norms))
+    failures = dict.fromkeys(np.flatnonzero(~np.isfinite(norms)).tolist())
+    solve = _eigenpairs if vectors else lambda piece: (np.linalg.eigvals(piece),)
+    rows = [np.empty((m, n), complex)]
+    if vectors:  # a failed matrix's residuals stay 0, so they miss no bound
+        rows += [np.empty((m, n, n), complex), np.zeros((m, n))]
+
+    def solve_piece(piece) -> None:  # a slice or an index array of the stack
+        try:
+            for row, solved in zip(rows, solve(stack[piece])):
+                row[piece] = solved
+        except np.linalg.LinAlgError as exc:
+            index = np.arange(m)[piece].tolist()
+            if len(index) == 1:
+                failures[index[0]] = exc.with_traceback(None)  # its frames would hold the stack
+            else:  # solved again one matrix at a time
+                for i in index:
+                    solve_piece(slice(i, i + 1))
+
+    pieces = np.array_split(kept, max(1, min(_cores(), len(kept) // depth)))
+    if 0 < len(kept) == m:  # none refused: the pieces are views of the stack, not copies
+        pieces = [slice(piece[0], piece[-1] + 1) for piece in pieces]
+    with ThreadPoolExecutor(max(1, len(pieces) - 1)) as pool:  # starts no thread for one piece
+        others = pool.map(solve_piece, pieces[1:])
+        solve_piece(pieces[0])  # on the calling thread
+        list(others)
+    del solve_piece  # it calls itself: the cycle would hold the stack until a collection
+    if vectors:
+        failures.update(_residual_misses(rows[2], norms, f"dim={n}"))
+    return norms, rows, failures
+
+
+def _failure(n: int, norm: float, why) -> str:
+    """eig's message for an n x n matrix of this norm that _solve failed, for why."""
+    if why is None:
+        return f"eig refused dim={n}: Frobenius norm {norm} is not finite"
+    return why if isinstance(why, str) else f"eig failed for dim={n}, norm={norm:.3e}: {why}"
+
+
+def eig(a: np.ndarray) -> Spectrum:
+    """All eigenvalues and right eigenvectors of a dense complex matrix: _solve's one-matrix call.
+
+    The eigenpairs are residual-checked; a matrix whose Frobenius norm is not
+    finite (an entry beyond about 1e154, inf or nan) has no bound and is refused.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    norms, (values, vectors, residuals), failures = _solve(a[None], vectors=True)
+    if failures:
+        raise EigenConvergenceError(_failure(a.shape[0], norms[0], failures[0]))
+    return Spectrum(values[0], vectors[0], residuals[0], float(norms[0]))
+
+
+def eigvals_stack(stack: np.ndarray, names: Sequence[str] | None = None) -> np.ndarray:
+    """Eigenvalues of every matrix of a stack, shape (m, n, n) -> (m, n), on _solve's path.
+
+    Row i equals np.linalg.eigvals of matrix i bit for bit; names[i] names it
+    in errors ("matrix i" by default). Raises the first failure in stack
+    order: NumericalError for a matrix whose Frobenius norm is not finite,
+    never solved, or EigenConvergenceError for one whose solve fails.
     """
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
@@ -150,45 +204,13 @@ def eigvals_stack(stack: np.ndarray, names: Sequence[str] | None = None) -> np.n
         names = [f"matrix {i}" for i in range(m)]
     if len(names) != m:
         raise ValueError(f"got {len(names)} names for {m} matrices")
-    with np.errstate(over="ignore"):
-        norms = np.array([np.linalg.norm(matrix) for matrix in stack])
-    if not np.all(np.isfinite(norms)):
-        i = int(np.argmin(np.isfinite(norms)))  # the first that is not
-        raise NumericalError(f"{names[i]}: Frobenius norm {norms[i]} is not finite")
-
-    def solve(bounds: tuple[int, int]) -> np.ndarray:
-        start, stop = bounds
-        try:
-            return np.linalg.eigvals(stack[start:stop])
-        except np.linalg.LinAlgError:
-            rows = []
-            for i in range(start, stop):
-                try:
-                    rows.append(np.linalg.eigvals(stack[i]))
-                except np.linalg.LinAlgError as exc:
-                    raise EigenConvergenceError(
-                        f"eigvals failed for {names[i]} (dim={n}): {exc}"
-                    ) from exc
-            return np.array(rows)
-
-    from concurrent.futures import ThreadPoolExecutor  # imported where used, as scipy.sparse is
-
-    count = max(1, min(_cores(), m // piece_depth(n)))
-    bounds = [m * k // count for k in range(count + 1)]
-    with ThreadPoolExecutor(count) as pool:
-        pieces = list(pool.map(solve, zip(bounds, bounds[1:])))
-    return np.concatenate(pieces)
-
-
-def _residual_miss(residuals: np.ndarray, norm: float, where: str) -> str | None:
-    """How eigenpairs with these residuals miss their bound, None if they do not."""
-    bound = _residual_bound(norm)
-    if np.any(residuals > bound):
-        worst = int(np.argmax(residuals))
-        return (
-            f"residual bound violated: pair {worst} has ||Av - lv|| = "
-            f"{residuals[worst]:.3e} > {bound:.3e} ({where})"
-        )
+    norms, (values,), failures = _solve(stack, vectors=False)
+    if failures:
+        i = min(failures)
+        if failures[i] is None:
+            raise NumericalError(f"{names[i]}: Frobenius norm {norms[i]} is not finite")
+        raise EigenConvergenceError(f"eigvals failed for {names[i]} (dim={n}): {failures[i]}")
+    return values
 
 
 def eigs_near(
@@ -214,15 +236,15 @@ def eigs_near(
 
     Returns the eigenpairs in ascending distance from sigma, unit-norm and
     residual-checked against eig's bound DEFAULT_RESIDUAL_TOL * ||a||_F.
-    Raises EigenConvergenceError when ARPACK or the LU fails, or a pair
-    misses the bound.
+    Raises NumericalError, unsolved, when ||a||_F is not finite, and
+    EigenConvergenceError when ARPACK or the LU fails or a pair misses it.
     """
     import scipy.sparse
     import scipy.sparse.linalg as spla
 
     a = scipy.sparse.csc_array(a, dtype=complex)
     dim = a.shape[0]
-    norm = float(np.linalg.norm(a.data))
+    norm = _norms(a.data, what=f"eigs refused dim={dim}")
     targets = np.asarray(targets, dtype=complex)
     start = [1.0, 1j] @ np.random.default_rng(0).standard_normal((2, dim))
     while True:
@@ -248,9 +270,9 @@ def eigs_near(
         count *= 2
     vectors = vectors / np.linalg.norm(vectors, axis=0)
     residuals = np.linalg.norm(a @ vectors - vectors * values, axis=0)
-    if miss := _residual_miss(residuals, norm, f"dim={dim}, sigma={sigma:.6g}"):
-        raise EigenConvergenceError(miss)
-    return Spectrum(values, vectors, residuals, norm)
+    if misses := _residual_misses(residuals[None], norm[None], f"dim={dim}, sigma={sigma:.6g}"):
+        raise EigenConvergenceError(misses[0])
+    return Spectrum(values, vectors, residuals, float(norm))
 
 
 def _settled(
@@ -467,12 +489,13 @@ def coalescence_scan(
     """One CoalescenceReport per grid point, in grid order.
 
     matrices[i] is the matrix at grid[i]; they must be square and of one
-    shape. They are held together (len(grid) * n**2 complex numbers),
-    diagonalized in one batched solve and reported as one stack, so each
-    report equals coalescence_report of eig of its matrix, or records the
-    error eig raises: a residual miss is not solved again, and a point whose
-    norm is not finite is never solved. If the batched solve fails, each
-    point goes to eig on its own. Failures at points do not abort the scan.
+    shape. They are held together (len(grid) * n**2 complex numbers), solved
+    on eig's path as one stack (see the module docstring) and reported as
+    one stack, so each report equals coalescence_report of eig of its matrix,
+    or records the error eig raises: a point whose norm is not finite is
+    never solved, a residual miss is not solved again, and only the points
+    of a piece whose solve fails are solved again, one at a time. Failures
+    at points do not abort the scan.
     """
     grid = list(grid)
     if not grid:
@@ -485,38 +508,13 @@ def coalescence_scan(
     shapes = sorted({m.shape for m in matrices})
     if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
         raise ValueError(f"expected square matrices of one shape, got shapes {shapes}")
-    stack = np.stack(matrices)
-    with np.errstate(over="ignore", invalid="ignore"):  # as eig, which refuses such a point
-        norms = np.linalg.norm(stack, axis=(-2, -1))
-    finite = np.flatnonzero(np.isfinite(norms))
-    alone = np.flatnonzero(~np.isfinite(norms))
-    reports: list[CoalescenceReport | None] = [None] * len(grid)
-    try:
-        values, vectors, residuals = _eigenpairs(stack[finite])
-    except np.linalg.LinAlgError:
-        alone = range(len(grid))
-    else:
-        missed = np.any(residuals > _residual_bound(norms[finite])[:, None], axis=1)
-        for i, row in zip(finite[missed], residuals[missed]):
-            miss = _residual_miss(row, norms[i], f"dim={stack.shape[1]}")
-            reports[i] = CoalescenceReport(param=grid[i], error=miss)
-        kept = finite[~missed]
-        batch = _reports(
-            [grid[i] for i in kept],
-            values[~missed],
-            vectors[~missed],
-            norms[kept],
-            cluster_eps,
-            angle_eps,
-        )
-        for i, report in zip(kept, batch):
-            reports[i] = report
-    for i in alone:
-        try:
-            reports[i] = coalescence_report(eig(matrices[i]), grid[i], cluster_eps, angle_eps)
-        except EigenConvergenceError as exc:
-            reports[i] = CoalescenceReport(param=grid[i], error=str(exc))
-    return reports
+    norms, (values, vectors, _), failures = _solve(np.stack(matrices), vectors=True)
+    solved = [i for i in range(len(grid)) if i not in failures]
+    batch = [grid[i] for i in solved], values[solved], vectors[solved], norms[solved]
+    reports = dict(zip(solved, _reports(*batch, cluster_eps, angle_eps)))
+    for i, why in failures.items():
+        reports[i] = CoalescenceReport(grid[i], error=_failure(len(matrices[0]), norms[i], why))
+    return [reports[i] for i in range(len(grid))]
 
 
 def estimate_ep(reports: Sequence[CoalescenceReport]) -> CoalescenceReport | None:

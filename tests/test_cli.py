@@ -894,6 +894,24 @@ class TestLiouvillianCheckCommand:
         assert float(by_name[row]["value"]) == pytest.approx(size, rel=1e-6)
         assert by_name[other]["passed"] == "True"
 
+    @pytest.mark.parametrize("gamma_a", [3e152, 1e153])
+    def test_generator_whose_norm_overflows_is_a_numerical_failure(self, tmp_path, gamma_a):
+        # the derived rates are finite, but the Frobenius norm of the generator
+        # (it sets the witness's cluster tolerance) overflows: exit 2 before any
+        # ARPACK call, without a warning (-W error would make it exit status 3)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"gamma_a": gamma_a, "gamma_b": 0.0}}))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "epsim", "liouvillian-check", "--config", str(cfg)],
+            env=env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            "numerical failure: Liouvillian generator at cutoff d=4: "
+            "Frobenius norm inf is not finite\n"
+        )
+
     def test_rows_do_not_read_the_seed(self, tmp_path):
         bodies = []
         for seed in ("1", "7"):

@@ -11,7 +11,7 @@ from epsim import fockspace as fs
 from epsim import liouvillian as lv
 from epsim import model as md
 from epsim import spectral as sp
-from epsim.errors import InvalidDensityMatrixError, SpectrumWitnessError
+from epsim.errors import InvalidDensityMatrixError, NumericalError, SpectrumWitnessError
 from epsim.fockspace import FockCutoff
 
 
@@ -470,6 +470,14 @@ class TestDynamicalMatrix:
 
 
 class TestSpectrumWitness:
+    @pytest.mark.parametrize("gamma_a", [3e152, 1e153])
+    def test_generator_whose_norm_overflows_is_refused(self, gamma_a):
+        # no cluster tolerance without a finite norm: refused before any
+        # solve, warning of nothing (the suite turns warnings into errors)
+        p = md.SystemParams(g=1.0, gamma_a=gamma_a, gamma_b=0.0)
+        with pytest.raises(NumericalError, match=r"^Liouvillian generator at cutoff d=4: "):
+            lv.liouvillian_spectrum_check(p, 4)
+
     def test_moment_sector_present(self):
         p = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=0.0)
         witness = lv.liouvillian_spectrum_check(p, 4)

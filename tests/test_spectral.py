@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -212,6 +214,19 @@ class TestEigsNear:
         spectrum = sp.eigs_near(a, 0.1, [0.0], 2)
         assert_multiset_close(spectrum.eigenvalues, np.linalg.eigvals(a.toarray()), atol=1e-12)
         assert np.all(np.diff(np.abs(spectrum.eigenvalues - 0.1)) >= 0)
+
+    def test_block_whose_norm_overflows_is_refused_before_arpack(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        dense = sparse_test_matrix(50, 0).toarray()
+        dense[3, 4] = 1e200
+        a = sparse_csc(dense)
+        calls = []
+        monkeypatch.setattr(spla, "eigs", lambda *args, **kwargs: calls.append(args))
+        with np.errstate(all="raise"):  # the norm's overflow raises no warning
+            with pytest.raises(NumericalError, match=r"^eigs refused dim=50: Frobenius norm inf "):
+                sp.eigs_near(a, -4.0, [-3.0], 4)
+        assert calls == []
 
     def test_shift_on_an_eigenvalue_raises(self):
         a = sparse_csc(np.diag(np.arange(10.0)))
@@ -472,6 +487,76 @@ class TestBatchedScan:
             assert first.min_angle == second.min_angle
             assert report.best is first
 
+    @staticmethod
+    def recording_eig(monkeypatch, fail_with=None):
+        """Patch np.linalg.eig to record the length of each stack it solves.
+
+        A stack longer than one that holds a matrix whose [0, 0] entry is
+        fail_with raises LinAlgError; so does that matrix alone.
+        """
+        calls = []
+        real_eig = np.linalg.eig
+
+        def eig(a):
+            calls.append(len(a))
+            if fail_with is not None and np.any(np.asarray(a)[:, 0, 0] == fail_with):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", eig)
+        return calls
+
+    def test_one_solve_per_piece(self, monkeypatch):
+        # 2 x 2: a piece is at least 500 // 2 + 1 = 251 matrices deep
+        grid = list(0.8 + 0.001 * np.arange(1001))
+        matrices = [lep_builder(g) for g in grid]
+        monkeypatch.setattr(sp.os, "sched_getaffinity", lambda pid: {0, 1})
+        calls = self.recording_eig(monkeypatch)
+        reports = sp.coalescence_scan(matrices, grid)
+        monkeypatch.undo()
+        assert sorted(calls) == [500, 501]
+        single = [sp.coalescence_report(sp.eig(m), g) for m, g in zip(matrices, grid)]
+        assert any(r.coalescing for r in single)
+        assert [report_key(r) for r in reports] == [report_key(r) for r in single]
+
+    def test_only_the_failing_piece_is_solved_again(self, monkeypatch):
+        grid = list(0.8 + 0.001 * np.arange(1001))
+        good = sp.coalescence_scan([lep_builder(g) for g in grid], grid)
+        matrices = [lep_builder(g) for g in grid]
+        matrices[700] = np.array([[self.SENTINEL, 1.0], [0.5, 2.0]])  # in the second piece
+        monkeypatch.setattr(sp.os, "sched_getaffinity", lambda pid: {0, 1})
+        calls = self.recording_eig(monkeypatch, fail_with=self.SENTINEL)
+        reports = sp.coalescence_scan(matrices, grid)
+        # the first piece (501 points) once; the second (500) as a stack, then point by point
+        assert sorted(calls) == [1] * 500 + [500, 501]
+        assert [i for i, r in enumerate(reports) if r.error is not None] == [700]
+        assert reports[700].error.startswith("eig failed for dim=2, norm=")
+        for i, (report, reference) in enumerate(zip(reports, good)):
+            if i != 700:
+                assert report_key(report) == report_key(reference)
+
+    def test_pieces_on_more_threads_than_cores_lose_no_failure(self, monkeypatch):
+        # eight pieces on eight threads write their rows and failures at once
+        grid = list(0.8 + 0.0005 * np.arange(2100))
+        good = sp.coalescence_scan([lep_builder(g) for g in grid], grid)
+        bad = {100, 700, 1300, 1900, 2050}  # in five of the eight pieces
+        matrices = [lep_builder(g) for g in grid]
+        for i in bad:
+            matrices[i] = np.array([[self.SENTINEL, 1.0], [0.5, 2.0]])
+        monkeypatch.setattr(sp.os, "sched_getaffinity", lambda pid: set(range(8)))
+        calls = self.recording_eig(monkeypatch, fail_with=self.SENTINEL)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports = sp.coalescence_scan(matrices, grid)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len([c for c in calls if c > 1]) == 8
+        assert {i for i, r in enumerate(reports) if r.error is not None} == bad
+        for i, (report, reference) in enumerate(zip(reports, good)):
+            if i not in bad:
+                assert report_key(report) == report_key(reference)
+
     def test_cluster_tolerance_uses_the_batched_norm(self):
         # eps = CLUSTER_EPS_SCALE * norm sets cluster membership, so eig's norm
         # must equal the norm the scan takes of its stack, bit for bit
@@ -515,9 +600,9 @@ class TestBatchedScan:
         errors = {r.param: r.error for r in reports if r.error is not None}
         assert set(errors) == ({nan_at, bad_at} if with_nan else {bad_at})
         assert "residual bound violated" in errors[bad_at]
-        # a point that misses its residual bound is not solved again; only a
-        # point whose norm is not finite goes to eig, which refuses it unsolved
-        assert len(redone) == (1 if with_nan else 0)
+        # a point that misses its residual bound is not solved again, and a
+        # point whose norm is not finite is refused unsolved, not sent to eig
+        assert len(redone) == 0
         for report, reference in zip(reports, good):
             if report.param not in errors:
                 assert report_key(report) == report_key(reference)
@@ -553,7 +638,7 @@ class TestBatchedScan:
             if report.error is None:
                 assert report_key(report) == report_key(reference)
 
-    @pytest.mark.parametrize("entry", [1e154, 1e200, np.inf])
+    @pytest.mark.parametrize("entry", [1e154, 1e200, np.inf, np.nan])
     def test_point_whose_norm_overflows_is_never_solved(self, monkeypatch, entry):
         grid = [1.0, 2.0, 3.0]
         matrices = [lep_builder(g) for g in grid]
@@ -569,7 +654,8 @@ class TestBatchedScan:
         with np.errstate(all="raise"):  # the norm's overflow raises no warning
             reports = sp.coalescence_scan(matrices, grid)
         assert solved == [2]
-        assert reports[1].error == "eig refused dim=2: Frobenius norm inf is not finite"
+        norm = "nan" if np.isnan(entry) else "inf"
+        assert reports[1].error == f"eig refused dim=2: Frobenius norm {norm} is not finite"
         assert reports[0].error is None and reports[2].error is None
         # eig refuses the matrix with the same message
         with pytest.raises(EigenConvergenceError) as failure:
