@@ -59,7 +59,7 @@ DEFAULT_CONFIGS: dict[str, dict] = {
         "sweep": {"axis": "g", "min": 0.8, "max": 1.6, "step": 0.01},
         "cutoff": 6,
         "seed": 1,
-        "tolerances": {"cluster_eps": None, "angle_eps": 1e-3},
+        "tolerances": {"cluster_eps": None, "angle_eps": sp.DEFAULT_ANGLE_EPS},
     },
     "lep-scan": {
         "mode": "lep-scan",
@@ -67,7 +67,7 @@ DEFAULT_CONFIGS: dict[str, dict] = {
         "sweep": {"axis": "g", "min": 0.8, "max": 1.6, "step": 0.01},
         "cutoff": 6,
         "seed": 1,
-        "tolerances": {"cluster_eps": None, "angle_eps": 1e-3},
+        "tolerances": {"cluster_eps": None, "angle_eps": sp.DEFAULT_ANGLE_EPS},
     },
     "liouvillian-check": {
         "mode": "liouvillian-check",
@@ -97,9 +97,15 @@ MEMORY_ESTIMATES: dict[str, Callable[[SweepConfig], float]] = {
     "liouvillian-check": lambda config: lv.witness_peak_bytes(config.cutoff),
     "trajectories": lambda config: tj.unraveling_peak_bytes(config.trajectories),
 }
-# what a scan does not read, dropped before sweep_points checks a point's
-# derived rates: both scans drop the drive, lep-scan also the thermal frame
-SCAN_FRAMES = {"ep-scan": {"eps": 0.0}, "lep-scan": {"eps": 0.0, "n_th": 0.0}}
+# scan -> (its frame: the fields its matrix does not read, dropped before
+# sweep_points checks a point's derived rates; the matrix it diagonalizes at
+# a point). ep-scan: the single-excitation block of the non-Hermitian
+# Hamiltonian, without the drive (a uniform shift of every eigenvalue, which
+# does not move the coalescence); lep-scan: the 2x2 first-moment matrix.
+SCANS: dict[str, tuple[dict, Callable[[md.SystemParams, int], np.ndarray]]] = {
+    "ep-scan": ({"eps": 0.0}, lambda point, cutoff: md.h_nh_block(point, cutoff, 1)),
+    "lep-scan": ({"eps": 0.0, "n_th": 0.0}, lambda point, cutoff: lv.dynamical_matrix(point)),
+}
 
 
 @dataclass
@@ -251,7 +257,7 @@ def sweep_points(config: SweepConfig) -> tuple[np.ndarray, list[md.SystemParams]
     """The sweep grid and the parameters of each point, all checked up front."""
     axis = config.sweep["axis"]
     grid = sweep_values(config.sweep)
-    frame = SCAN_FRAMES.get(config.mode, {})
+    frame = SCANS[config.mode][0] if config.mode in SCANS else {}
     points = []
     for value in grid:
         try:
@@ -266,12 +272,14 @@ def sweep_points(config: SweepConfig) -> tuple[np.ndarray, list[md.SystemParams]
     return grid, points
 
 
-def _meta(config: SweepConfig, schema: str) -> dict:
+def _meta(config: SweepConfig, schema: str, table: Table) -> dict:
     units = (
         "absolute rate units (g swept)"
         if config.sweep and config.sweep["axis"] == "g"
         else f"rates in units of g (g = {config.raw['params']['g']})"  # as written
     )
+    if table.units is not None:
+        units = f"{units}; {table.units}"
     return {
         "epsim-version": __version__,
         "schema": schema,
@@ -289,6 +297,7 @@ class Table:
     rows: list[list]
     summary: dict | None = None  # ep-scan / lep-scan estimate of the transition
     failed: bool = False  # a liouvillian-check row failed (exit code 2)
+    units: str | None = None  # liouvillian-check: the scale each row's value is read in
 
 
 def cmd_spectrum(config: SweepConfig) -> Table:
@@ -340,18 +349,10 @@ def cmd_spectrum(config: SweepConfig) -> Table:
 
 
 def cmd_ep_scan(config: SweepConfig) -> Table:
-    """Coalescence scan over the sweep grid.
-
-    ep-scan diagonalizes the single-excitation block of the non-Hermitian
-    Hamiltonian (drive removed: it shifts all eigenvalues uniformly and does
-    not move the coalescence); lep-scan diagonalizes the 2x2 first-moment
-    dynamical matrix.
-    """
+    """Coalescence scan over the sweep grid of the matrix SCANS names for the mode."""
     grid, points = sweep_points(config)
-    if config.mode == "ep-scan":
-        matrices = [md.h_nh_block(point, config.cutoff, 1) for point in points]
-    else:
-        matrices = [lv.dynamical_matrix(point) for point in points]
+    _, matrix = SCANS[config.mode]
+    matrices = [matrix(point, config.cutoff) for point in points]
     reports = sp.coalescence_scan(matrices, list(grid), **config.tolerances)
     estimate = sp.estimate_ep(reports)
 
@@ -395,46 +396,60 @@ def cmd_trajectories(config: SweepConfig) -> Table:
     return Table(["time", "trace_distance", "mean_jumps", "mean_survival"], rows)
 
 
+# liouvillian-check row -> (its tolerance, the scale its value is read in).
+# Each value is an error on quantities the size of what the row reads, so no
+# verdict depends on the rate unit; the witness and M do not read the drive.
+CHECK_ROWS = {
+    "assembly_agreement": (1e-12, "max|L|"),
+    "trace_annihilation": (1e-10, "max(g, gamma_a, gamma_b, eps)"),
+    "moment_closure": (1e-8, "max(g, gamma_a, gamma_b, eps)"),
+    "spectrum_moment_pair": (1e-6, "max(g, gamma_a, gamma_b)"),
+    "zero_mode": (1e-10, "max(g, gamma_a, gamma_b)"),
+    "lambda_pm_match": (1e-12, "max(g, gamma_a, gamma_b)"),
+}
+
+
 def cmd_liouvillian_check(config: SweepConfig) -> Table:
     """Consistency checks of the master-equation generator at the config point.
 
     Deterministic: no row reads the seed. The trace and moment rows bound
     their identities for every state at once (lv.adjoint_defects).
     """
-    cutoff = config.cutoff
-    params = config.params
-    checks: list[tuple[str, float, float]] = []
-
+    cutoff, params = config.cutoff, config.params
+    rates = max(params.g, params.gamma_a, params.gamma_b)
     gen_a = lv.build_liouvillian(params, cutoff)
     gen_b = lv.build_liouvillian_from_hnh(params, cutoff)
-    scale = max(1.0, float(np.max(np.abs(gen_a.csr.data), initial=0.0)))
-    checks.append((
-        "assembly_agreement",
-        float(np.max(np.abs((gen_a.csr - gen_b.csr).data), initial=0.0)) / scale,
-        1e-12,
-    ))
-
-    trace_dev, moment_dev = lv.adjoint_defects(params, gen_a)
-    checks.append(("trace_annihilation", trace_dev, 1e-10))
-    checks.append(("moment_closure", moment_dev, 1e-8))
+    scales = {
+        "max|L|": float(np.max(np.abs(gen_a.csr.data))),
+        "max(g, gamma_a, gamma_b, eps)": max(rates, params.eps),
+        "max(g, gamma_a, gamma_b)": rates,
+    }
+    values = {"assembly_agreement": float(np.max(np.abs((gen_a.csr - gen_b.csr).data), initial=0))}
+    values["trace_annihilation"], values["moment_closure"] = lv.adjoint_defects(params, gen_a)
     del gen_a, gen_b  # released before the witness assembles its own generator
 
     witness = lv.liouvillian_spectrum_check(params, cutoff)
-    checks.append(("spectrum_moment_pair", float(witness.distances.max()), 1e-6))
-    checks.append(("zero_mode", witness.zero_mode_distance, 1e-10))
-
+    values["spectrum_moment_pair"] = float(witness.distances.max())
+    values["zero_mode"] = witness.zero_mode_distance
     m_spec = sp.eig(lv.dynamical_matrix(params)).eigenvalues
-    lam_p, lam_m = lv.lambda_pm(params)
-    lam_dev = max(
-        float(np.min(np.abs(m_spec - lam_p))), float(np.min(np.abs(m_spec - lam_m)))
+    values["lambda_pm_match"] = max(
+        float(np.min(np.abs(m_spec - lam))) for lam in lv.lambda_pm(params)
     )
-    checks.append(("lambda_pm_match", lam_dev, 1e-12))
 
-    rows = [[name, float(value), tol, bool(value <= tol)] for name, value, tol in checks]
+    rows = []
+    for name, (tol, scale) in CHECK_ROWS.items():
+        value = values[name] / scales[scale]
+        rows.append([name, value, tol, value <= tol])
+    units = "; ".join(
+        f"{', '.join(n for n, (_, s) in CHECK_ROWS.items() if s == scale)} in units of {scale}"
+        f" = {_fmt(size)}"
+        for scale, size in scales.items()
+    )
     return Table(
         ["check", "value", "tolerance", "passed"],
         rows,
         failed=not all(row[-1] for row in rows),
+        units=f"values of {units}",
     )
 
 
@@ -530,7 +545,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.out is not None:
             _check_writable(args.out)
         table = command(config)
-        text = _render(table, _meta(config, f"{args.command}-v1"), args.json)
+        text = _render(table, _meta(config, f"{args.command}-v1", table), args.json)
         if args.out is None:
             sys.stdout.write(text)
         else:

@@ -307,7 +307,7 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
         result = scipy.linalg.expm(a)
     if not np.all(np.isfinite(result)):
         raise MatrixExpOverflowError(
-            f"exp overflowed: ||A||_F = {np.linalg.norm(a):.3e}, "
+            f"exp overflowed: ||A||_F = {_norms(a):.3e}, "
             f"max Re(diag) = {np.max(a.diagonal().real):.3e}"
         )
     return result

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
 
+from conftest import valid_params
 from epsim import cli
 from epsim import liouvillian as lv
 from epsim import model as md
@@ -654,6 +656,14 @@ class TestScanCommands:
         summary = json.loads(lines[-1]["note"].split("summary: ", 1)[1])
         assert summary["excluded_points"] == 2 and summary["located"] is None
 
+    @given(params=valid_params())
+    @pytest.mark.parametrize("mode", sorted(cli.SCANS))
+    def test_matrix_does_not_read_its_frame(self, mode, params):
+        # sweep_points checks a point in its scan's frame, so the scan's
+        # matrix must not read the fields the frame drops
+        frame, matrix = cli.SCANS[mode]
+        assert np.array_equal(matrix(params, 6), matrix(params.with_(**frame), 6))
+
     def test_json_lines_mode(self, tmp_path):
         out = tmp_path / "scan.jsonl"
         assert run(["lep-scan", "--out", str(out), "--json"]) == 0
@@ -847,11 +857,15 @@ class TestLiouvillianCheckCommand:
         _, _, rows = read_rows(out)
         assert all(r["passed"] == "True" for r in rows)
 
-    def test_thermal_witness_reported_as_failed_row(self, tmp_path):
+    # the witness and the dynamical matrix do not read the drive, so their rows
+    # are not read in units of eps: at eps = 1e5 the thermal truncation
+    # distance (0.0897 at d = 4) still fails, read in units of 2.5
+    @pytest.mark.parametrize("eps", [0.0, 1e5])
+    def test_thermal_witness_reported_as_failed_row(self, tmp_path, eps):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "mode": "liouvillian-check",
-            "params": {"g": 1.0, "gamma_a": 2.5, "gamma_b": 1.5, "eps": 0.0, "n_th": 0.2},
+            "params": {"g": 1.0, "gamma_a": 2.5, "gamma_b": 1.5, "eps": eps, "n_th": 0.2},
             "cutoff": 4,
         }))
         out = tmp_path / "check.csv"
@@ -859,7 +873,23 @@ class TestLiouvillianCheckCommand:
         _, _, rows = read_rows(out)
         by_name = {r["check"]: r for r in rows}
         assert by_name["spectrum_moment_pair"]["passed"] == "False"
+        distance = float(by_name["spectrum_moment_pair"]["value"])
+        assert distance == pytest.approx(0.0897 / 2.5, rel=1e-3)
         assert by_name["moment_closure"]["passed"] == "True"
+
+    def test_units_header_names_each_scale(self, tmp_path):
+        # eps = 4 makes the driven scale differ from the drive-free one
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"eps": 4.0}}))
+        out = tmp_path / "check.csv"
+        assert run(["liouvillian-check", "--config", str(cfg), "--out", str(out)]) == 0
+        meta, _, _ = read_rows(out)
+        assert meta["units"] == (
+            "rates in units of g (g = 1.0); values of assembly_agreement in units of "
+            "max|L| = 24; trace_annihilation, moment_closure in units of "
+            "max(g, gamma_a, gamma_b, eps) = 4; spectrum_moment_pair, zero_mode, "
+            "lambda_pm_match in units of max(g, gamma_a, gamma_b) = 2.5"
+        )
 
     @pytest.mark.parametrize(
         "row, position, size, other",
@@ -891,7 +921,8 @@ class TestLiouvillianCheckCommand:
         _, _, rows = read_rows(out)
         by_name = {r["check"]: r for r in rows}
         assert by_name[row]["passed"] == "False"
-        assert float(by_name[row]["value"]) == pytest.approx(size, rel=1e-6)
+        # read in units of the default rate scale max(g, gamma_a, gamma_b, eps) = 2.5
+        assert float(by_name[row]["value"]) == pytest.approx(size / 2.5, rel=1e-6)
         assert by_name[other]["passed"] == "True"
 
     @pytest.mark.parametrize("gamma_a", [3e152, 1e153])
@@ -911,6 +942,33 @@ class TestLiouvillianCheckCommand:
             "numerical failure: Liouvillian generator at cutoff d=4: "
             "Frobenius norm inf is not finite\n"
         )
+
+    @staticmethod
+    def scaled_rows(n_th, s):
+        """The rows of the default check at cutoff 6 and n_th, with every rate times s."""
+        params = {k: v * s for k, v in cli.DEFAULT_CONFIGS["liouvillian-check"]["params"].items()}
+        params["n_th"] = n_th
+        config = cli.load_config("liouvillian-check", None, {"params": params, "cutoff": 6})
+        return cli.cmd_liouvillian_check(config).rows
+
+    @pytest.mark.parametrize("n_th", [0.0, 0.2])
+    def test_rows_do_not_depend_on_the_rate_unit(self, n_th):
+        # g, gamma_a, gamma_b and eps times s = 4**k scale every value exactly
+        # (sqrt(s) too, in the collapse operators), so each cell is identical;
+        # under s = 2 * 4**k sqrt(s) rounds, and only the verdicts are. At
+        # n_th = 0, s = 2048 once failed lambda_pm_match, an absolute 1e-12.
+        reference = self.scaled_rows(n_th, 1.0)
+        for k in range(-10, 11):
+            assert self.scaled_rows(n_th, 4.0**k) == reference, k
+            verdicts = [row[-1] for row in self.scaled_rows(n_th, 2 * 4.0**k)]
+            assert verdicts == [row[-1] for row in reference], k
+
+    def test_tiny_coupling_passes(self, tmp_path):
+        # the rate scales are the largest rates, not g: divided by g = 1e-7,
+        # the rounding noise of gamma_a = 2.5 would fail three rows
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"g": 1e-7}}))
+        assert run(["liouvillian-check", "--config", str(cfg)]) == 0
 
     def test_rows_do_not_read_the_seed(self, tmp_path):
         bodies = []

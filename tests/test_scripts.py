@@ -3,6 +3,8 @@
 import runpy
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -20,6 +22,13 @@ def test_ep_lep_scan_gap_is_thermal_splitting(capsys):
     assert [row[0] for row in rows] == [0.0, 0.1, 0.2, 0.3]
     for n_th, _, _, gap, expected in rows:
         assert abs(gap - expected) <= 0.01, n_th
+
+
+def test_ep_lep_scan_names_a_scan_that_locates_nothing():
+    # at n_th = 0.5 the HEP, (2n+1) kappa = 2, lies beyond the default grid's 1.6
+    located = runpy.run_path(str(SCRIPTS / "ep_lep_scan.py"))["located"]
+    with pytest.raises(RuntimeError, match="ep-scan located no coalescence .* n_th = 0.5"):
+        located("ep-scan", 0.5)
 
 
 def test_trajectory_demo_postselection_matches_propagator(capsys):

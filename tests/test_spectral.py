@@ -251,10 +251,11 @@ class TestMatExp:
         prod = sp.mat_exp(-1j * h_0 * 0.3) @ sp.mat_exp(1j * h_0 * 0.3)
         assert np.max(np.abs(prod - np.eye(25))) < 1e-10
 
-    def test_overflow_reported(self):
-        big = np.full((2, 2), 500.0)
+    @pytest.mark.parametrize("entry", [500.0, 1e200])
+    def test_overflow_reported(self, entry):
+        # at 1e200 the norm in the report overflows too: inf, and no warning
         with pytest.raises(MatrixExpOverflowError):
-            sp.mat_exp(big)
+            sp.mat_exp(np.full((2, 2), entry + 0j))
 
 
 def cluster_reference(values, eps):
