@@ -12,8 +12,8 @@ from epsim import cli
 
 def located(mode: str, n_th: float) -> float:
     """The coupling where the CLI's default scan of mode locates its EP at n_th."""
-    params = dict(cli.DEFAULT_CONFIGS[mode]["params"], n_th=n_th)
-    located = cli.cmd_ep_scan(cli.load_config(mode, None, {"params": params})).summary["located"]
+    config = cli.load_config(mode, None, {"params": {"n_th": n_th}})
+    located = cli.cmd_ep_scan(config).summary["located"]
     if located is None:
         raise RuntimeError(f"{mode} located no coalescence on its default grid at n_th = {n_th}")
     return located

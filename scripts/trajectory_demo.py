@@ -1,22 +1,21 @@
 #!/usr/bin/env python3
 """Quantum-jump unraveling vs exact master-equation evolution.
 
-Runs a modest ensemble from the two-mode vacuum, prints the trace-distance
-time series, and shows the no-jump (postselected) state matching the
-conditional exp(-i H_nh t) evolution.
+Runs the CLI's default trajectories config with 2000 members from the
+two-mode vacuum, prints the trace-distance time series, and shows the no-jump
+(postselected) state matching the conditional exp(-i H_nh t) evolution.
 """
 
 import numpy as np
 
+from epsim import cli
 from epsim import model as md
 from epsim import spectral as sp
 from epsim import trajectory as tj
 from epsim import fockspace as fs
 
-PARAMS = md.SystemParams(g=1.0, gamma_a=2.5, gamma_b=1.5, eps=1.0, n_th=0.0)
-CONFIG = tj.TrajectoryConfig(
-    dt=0.01, t_final=1.0, n_traj=2000, seed=42, cutoff=6, sample_every=20
-)
+DEMO = cli.load_config("trajectories", None, {"seed": 42, "trajectories": {"n_traj": 2000}})
+PARAMS, CONFIG = DEMO.params, DEMO.trajectories
 
 
 def run() -> None:

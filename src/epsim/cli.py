@@ -4,15 +4,15 @@ Subcommands: spectrum, ep-scan, lep-scan, liouvillian-check, trajectories.
 Every command is deterministic given its config (including seeds). Output
 tables are CSV with '#'-prefixed header lines carrying the canonical config
 echo and the tool version; --json switches tables to JSON lines (one meta
-object followed by one object per row). A config may hold only the fields of
-its mode's defaults (DEFAULT_CONFIGS), inside each section too; any other
-field is a config error that names it. Exit codes: 0 success, 1 config
-error (including a command-line usage error and an --out that cannot be
-written, checked before the command runs), 2 numerical failure or a failed
-liouvillian-check row, 3 an internal error (any other exception: its
-traceback, then an 'internal error:' line on stderr). A command computes its
-whole table before anything is written, so a failure writes no table and
-creates no --out file.
+object followed by one object per row). A config file, then the flags, merge
+over the mode's defaults (DEFAULT_CONFIGS) as load_config says; a config may
+hold only their fields, inside each section too, and any other field is a
+config error that names it. Exit codes: 0 success, 1 config error (including
+a command-line usage error and an --out that cannot be written, checked
+before the command runs), 2 numerical failure or a failed liouvillian-check
+row, 3 an internal error (any other exception: its traceback, then an
+'internal error:' line on stderr). A command computes its whole table before
+anything is written, so a failure writes no table and creates no --out file.
 
 Physical values in configs are in units of the coupling g unless g itself is
 swept (then absolute rate units); the convention is recorded in the output
@@ -118,7 +118,7 @@ class SweepConfig:
     cutoff: int
     seed: int
     trajectories: tj.TrajectoryConfig | None
-    tolerances: dict
+    tolerances: dict | None  # the scans' cluster_eps and angle_eps
     raw: dict = field(default_factory=dict)
 
     def canonical(self) -> str:
@@ -131,15 +131,16 @@ def _require(cond: bool, message: str):
 
 
 def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
-    """Merge defaults, the optional config file, and CLI flag overrides.
+    """Merge the config file, if any, then the overrides not None over the defaults.
 
-    Every check of the config happens here, except that each sweep point's
-    parameters are built and checked by the sweep commands (sweep_points),
-    before any numerics. Without a sweep, the parameters must have finite
-    derived rates (md.check_derived). The last check holds a mode of
-    MEMORY_ESTIMATES to md.MEMORY_BUDGET.
+    Both merge by one rule: an object merges into the section it names key by
+    key, and any other value replaces the field. Every check of the config
+    happens here, except that each sweep point's parameters are built and
+    checked by the sweep commands (sweep_points), before any numerics. Without
+    a sweep, the parameters must have finite derived rates (md.check_derived).
+    The last check holds a mode of MEMORY_ESTIMATES to md.MEMORY_BUDGET.
     """
-    data = copy.deepcopy(DEFAULT_CONFIGS[mode])
+    user = {}
     if path is not None:
         try:
             with open(path) as handle:
@@ -149,14 +150,13 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         _require(isinstance(user, dict), f"config {path}: top level must be an object")
-        for key, value in user.items():
+    data = copy.deepcopy(DEFAULT_CONFIGS[mode])
+    for layer in (user, {key: value for key, value in overrides.items() if value is not None}):
+        for key, value in layer.items():
             if isinstance(value, dict) and isinstance(data.get(key), dict):
                 data[key].update(value)
             else:
                 data[key] = value
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
     _require(data["mode"] == mode, f"config field 'mode' must be {mode!r}")
     # the mode's defaults are its schema: their keys and no others, and an
     # object wherever the default is one, holding only the default's keys
@@ -202,17 +202,17 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
         isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**64,
         f"seed must be an integer in [0, 2**64), got {seed!r}",
     )
-    tolerances = data.get("tolerances", {})
-    cluster_eps = tolerances.get("cluster_eps")
-    angle_eps = tolerances.get("angle_eps", sp.DEFAULT_ANGLE_EPS)
-    _require(
-        cluster_eps is None or (md.is_finite_number(cluster_eps) and cluster_eps > 0),
-        f"tolerances.cluster_eps must be null or a finite number > 0, got {cluster_eps!r}",
-    )
-    _require(
-        md.is_finite_number(angle_eps) and angle_eps > 0,
-        f"tolerances.angle_eps must be a finite number > 0, got {angle_eps!r}",
-    )
+    tolerances = data.get("tolerances")
+    if tolerances is not None:
+        cluster_eps, angle_eps = tolerances["cluster_eps"], tolerances["angle_eps"]
+        _require(
+            cluster_eps is None or (md.is_finite_number(cluster_eps) and cluster_eps > 0),
+            f"tolerances.cluster_eps must be null or a finite number > 0, got {cluster_eps!r}",
+        )
+        _require(
+            md.is_finite_number(angle_eps) and angle_eps > 0,
+            f"tolerances.angle_eps must be a finite number > 0, got {angle_eps!r}",
+        )
     trajectories = None
     if mode == "trajectories":
         try:
@@ -226,7 +226,7 @@ def load_config(mode: str, path: str | None, overrides: dict) -> SweepConfig:
         cutoff=cutoff,
         seed=seed,
         trajectories=trajectories,
-        tolerances={"cluster_eps": cluster_eps, "angle_eps": angle_eps},
+        tolerances=tolerances,
         raw=data,
     )
     if mode in MEMORY_ESTIMATES:

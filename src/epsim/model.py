@@ -64,10 +64,12 @@ MEMORY_BUDGET = 2**30  # bytes a command's cutoff-dependent arrays may need (che
 # dense d^2 x d^2 arrays a spectrum chunk holds besides the cached terms: per
 # sweep point its h_pt and h_nh in the stack and at most one zgeev copy of each
 # while the stack is solved; per chunk the sum a builder returns and the term
-# it adds, which the allocator may keep while the stack is solved (peak
-# resident growth 18.6 of the estimate's 19 arrays at d = 28 on 2 cores)
+# it adds, which the allocator may keep while the stack is solved, and what
+# it keeps from chunk to chunk (a 3-point sweep, one point a chunk on 2 cores,
+# grew the peak resident size by up to 21.23 arrays at d = 24 and 20.75 at
+# d = 28; the estimates are 21.45 and 21.24)
 _SPECTRUM_POINT_ARRAYS = 4
-_SPECTRUM_CHUNK_ARRAYS = 2
+_SPECTRUM_CHUNK_ARRAYS = 4
 # bytes each piece of spectral.eigvals_stack (one solving thread) adds
 # whatever the cutoff, beyond its matrix copy: 16 matrices at d = 24 solved in
 # 2, 8 and 16 pieces grew the peak (ru_maxrss) by 0.76 to 1.05 MiB per piece

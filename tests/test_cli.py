@@ -41,6 +41,21 @@ def read_rows(path):
     return meta, header, rows
 
 
+# one valid key change per object section of the defaults (sweep.min off the grid)
+SECTION_CHANGES = {
+    "params": ("n_th", 0.2),
+    "sweep": ("min", 0.8005),
+    "tolerances": ("angle_eps", 2e-3),
+    "trajectories": ("n_traj", 10),
+}
+DEFAULT_SECTIONS = [
+    (mode, section)
+    for mode, defaults in cli.DEFAULT_CONFIGS.items()
+    for section, value in defaults.items()
+    if isinstance(value, dict)
+]
+
+
 class TestConfigHandling:
     def test_defaults_valid_for_every_mode(self):
         for mode in cli.MODES:
@@ -249,6 +264,43 @@ class TestConfigHandling:
         again.raw.update(echoed)
         assert json.dumps(echoed, sort_keys=True, separators=(",", ":")) == again.canonical()
 
+    @pytest.mark.parametrize("mode, section", DEFAULT_SECTIONS)
+    def test_section_override_merges_like_a_file(self, tmp_path, mode, section):
+        # an override merges into its section key by key, as a config file's does
+        key, value = SECTION_CHANGES[section]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        overridden = cli.load_config(mode, None, {section: {key: value}})
+        assert overridden == cli.load_config(mode, str(cfg), {})
+        assert overridden.raw[section] == {**cli.DEFAULT_CONFIGS[mode][section], key: value}
+        assert cli.DEFAULT_CONFIGS[mode][section][key] != value  # merged into a copy
+
+    @pytest.mark.parametrize(
+        "mode, overrides, field",
+        [
+            ("ep-scan", {"params": {"g": -1}}, "config field 'params': coupling g"),
+            ("lep-scan", {"sweep": {"step": 0}}, "sweep.step"),
+            ("trajectories", {"trajectories": {"n_traj": 0}}, "config field 'trajectories': n_traj"),
+        ],
+        ids=["params.g", "sweep.step", "trajectories.n_traj"],
+    )
+    def test_bad_section_override_is_a_config_error(self, mode, overrides, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            cli.load_config(mode, None, overrides)
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_none_override_keeps_the_default(self, mode):
+        overrides = dict.fromkeys(cli.DEFAULT_CONFIGS[mode], None)
+        assert cli.load_config(mode, None, overrides).raw == cli.DEFAULT_CONFIGS[mode]
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_only_the_scans_have_tolerances(self, mode):
+        tolerances = cli.load_config(mode, None, {}).tolerances
+        if mode in cli.SCANS:
+            assert tolerances == cli.DEFAULT_CONFIGS[mode]["tolerances"]
+        else:
+            assert tolerances is None
+
 
 OVERFLOW_CONFIGS = {
     # g * g overflows at every sweep point
@@ -439,17 +491,17 @@ class TestSpectrumCommand:
         assert err.startswith("config error: hamiltonian-spectrum at cutoff d=60 needs an")
         assert f"{md.spectrum_peak_bytes(60) / 1e6:.0f} MB" in err
 
-    def test_budget_admits_d43_and_refuses_d44(self, monkeypatch):
+    def test_budget_admits_d42_and_refuses_d43(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("a point was built")
 
         monkeypatch.setattr(md, "build_h_pt", unreachable)
-        assert md.spectrum_peak_bytes(43) <= md.MEMORY_BUDGET < md.spectrum_peak_bytes(44)
-        assert cli.load_config("hamiltonian-spectrum", None, {"cutoff": 43}).cutoff == 43
-        with pytest.raises(ConfigError, match="cutoff d=44"):
-            cli.load_config("hamiltonian-spectrum", None, {"cutoff": 44})
+        assert md.spectrum_peak_bytes(42) <= md.MEMORY_BUDGET < md.spectrum_peak_bytes(43)
+        assert cli.load_config("hamiltonian-spectrum", None, {"cutoff": 42}).cutoff == 42
+        with pytest.raises(ConfigError, match="cutoff d=43"):
+            cli.load_config("hamiltonian-spectrum", None, {"cutoff": 43})
         # a chunk holds as many points as the budget allows, never fewer than one
-        assert md.spectrum_chunk_points(43, 8) == 1
+        assert md.spectrum_chunk_points(42, 8) == 1
         assert md.spectrum_chunk_points(8, 8) == 8
         for d in (20, 30, 36):
             points = md.spectrum_chunk_points(d, 1000)
@@ -467,9 +519,9 @@ class TestSpectrumCommand:
         for cores in (2, 16):
             for one, many in zip(peaks[1], peaks[cores]):
                 assert many - one == (cores - 1) * md._SPECTRUM_PIECE_BYTES
-        # two cores still admit d = 43 and refuse --cutoff 60
+        # two cores still admit d = 42 and refuse --cutoff 60
         monkeypatch.setattr(sp.os, "sched_getaffinity", lambda pid: {0, 1})
-        assert cli.load_config("hamiltonian-spectrum", None, {"cutoff": 43}).cutoff == 43
+        assert cli.load_config("hamiltonian-spectrum", None, {"cutoff": 42}).cutoff == 42
         with pytest.raises(ConfigError, match="cutoff d=60"):
             cli.load_config("hamiltonian-spectrum", None, {"cutoff": 60})
 

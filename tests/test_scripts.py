@@ -1,11 +1,13 @@
-"""Smoke tests of the example scripts: each runs and prints the physics it claims."""
+"""Smoke tests of the example scripts and README's library example: each runs."""
 
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 
 def run_script(name, capsys, **overrides):
@@ -54,3 +56,12 @@ def test_spectrum_sweep_transition_moves_with_n(tmp_path, capsys):
         assert below and above
         assert all(r["im_pt_analytic"] == 0.0 for r in below), n_th
         assert all(r["im_pt_analytic"] != 0.0 for r in above), n_th
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.read_text().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)  # runs to its last line
+    assert np.isfinite(namespace["report"].trace_distances).all()
+    assert capsys.readouterr().out
